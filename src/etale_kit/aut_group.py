@@ -10,8 +10,15 @@ from typing import Sequence
 import numpy as np
 
 from .cocycles import Cocycle, enumerate_cocycles, precompose_cocycle, trivial_cocycle
-from .decomposition import DecompositionData, HomMatrix, build_hom, validate_hom
-from .errors import HypothesisError, StructuralError
+from .decomposition import (
+    DecompositionData,
+    HomMatrix,
+    build_hom,
+    numerical_rank,
+    validate_hom,
+)
+from .errors import TOL, HypothesisError, StructuralError
+from .families import group_inverses
 from .groupoid import (
     FiniteGroupoid,
     GroupoidHom,
@@ -35,9 +42,6 @@ __all__ = [
     "group_inverses",
     "commutator_closure",
 ]
-
-_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class AutPair:
@@ -88,16 +92,21 @@ def pair_matrix(pair: AutPair) -> HomMatrix:
     return build_hom(g, g, data)
 
 
-def fixes_diagonal(pair: AutPair, tol: float = _TOL) -> bool:
-    """Whether the monomial automorphism fixes every diagonal basis column."""
-    g = pair.groupoid
-    m = pair_matrix(pair).entries
-    for x in g.units:
-        col = m[:, x].copy()
+def _diagonal_failure(entries: np.ndarray, units, tol: float) -> int | None:
+    """The first unit whose column differs from its own point mass by more
+    than tol, or None when every diagonal basis column is fixed."""
+    for x in units:
+        col = entries[:, x].copy()
         col[x] -= 1.0
         if np.max(np.abs(col)) > tol:
-            return False
-    return True
+            return x
+    return None
+
+
+def fixes_diagonal(pair: AutPair, tol: float = TOL) -> bool:
+    """Whether the monomial automorphism fixes every diagonal basis column."""
+    return _diagonal_failure(pair_matrix(pair).entries, pair.groupoid.units,
+                             tol) is None
 
 
 def classify_faut(g: FiniteGroupoid, phase_order: int,
@@ -105,7 +114,7 @@ def classify_faut(g: FiniteGroupoid, phase_order: int,
     """The cocycles valued in the n-th roots of unity, which biject with the
     diagonal-fixing monomial automorphisms.  On a principal groupoid the
     bijection is verified against the enumerated automorphism pairs."""
-    cocycles = enumerate_cocycles(g, phase_order)
+    cocycles = enumerate_cocycles(g, phase_order, cap)
     if is_topologically_principal(g):
         for c in cocycles:
             if not fixes_diagonal(AutPair(identity_hom(g), c)):
@@ -124,30 +133,6 @@ def classify_faut(g: FiniteGroupoid, phase_order: int,
 
 
 # -- group actions on the algebra ---------------------------------------------
-
-
-def group_inverses(table: Sequence[Sequence[int]]) -> list[int]:
-    """Inverse table of a finite group given by its multiplication table with
-    identity 0; validates the group axioms."""
-    k = len(table)
-    if any(len(row) != k for row in table):
-        raise StructuralError("group table must be square")
-    if any(table[0][a] != a or table[a][0] != a for a in range(k)):
-        raise StructuralError("group table must have identity 0")
-    for a in range(k):
-        for b in range(k):
-            for c in range(k):
-                if table[table[a][b]][c] != table[a][table[b][c]]:
-                    raise StructuralError(
-                        f"group table not associative at ({a},{b},{c})")
-    inv = [-1] * k
-    for a in range(k):
-        for b in range(k):
-            if table[a][b] == 0 and table[b][a] == 0:
-                inv[a] = b
-    if -1 in inv:
-        raise StructuralError("group table has an element without inverse")
-    return inv
 
 
 def commutator_closure(table: Sequence[Sequence[int]]) -> set[int]:
@@ -195,16 +180,14 @@ class FiniteGroupAction:
                 raise StructuralError(
                     f"matrix of element {self.labels[i]} fails validation: "
                     f"{', '.join(report.failed_checks())}")
-            if g.arrow_count:
-                sv = np.linalg.svd(m.entries, compute_uv=False)
-                if sv[-1] <= _TOL:
-                    raise StructuralError(
-                        f"matrix of element {self.labels[i]} is not invertible")
+            if numerical_rank(m.entries) != g.arrow_count:
+                raise StructuralError(
+                    f"matrix of element {self.labels[i]} is not invertible")
         for s in range(k):
             for t in range(k):
                 prod = self.matrices[s].entries @ self.matrices[t].entries
                 target = self.matrices[self.table[s][t]].entries
-                if prod.size and np.max(np.abs(prod - target)) > _TOL:
+                if prod.size and np.max(np.abs(prod - target)) > TOL:
                     raise StructuralError(
                         f"assignment is not multiplicative at "
                         f"({self.labels[s]},{self.labels[t]})")
@@ -221,7 +204,7 @@ class AbelianizationCertificate:
 
 
 def factors_through_abelianization(action: FiniteGroupAction,
-                                   tol: float = _TOL) -> AbelianizationCertificate:
+                                   tol: float = TOL) -> AbelianizationCertificate:
     """Verify that a diagonal-fixing action kills every commutator, and
     certify it by the induced action of the abelianized group.
 
@@ -231,13 +214,11 @@ def factors_through_abelianization(action: FiniteGroupAction,
     """
     g = action.groupoid
     for i, m in enumerate(action.matrices):
-        for x in g.units:
-            col = m.entries[:, x].copy()
-            col[x] -= 1.0
-            if np.max(np.abs(col)) > tol:
-                raise HypothesisError(
-                    f"element {action.labels[i]} does not fix the diagonal "
-                    f"(column of unit {x})")
+        x = _diagonal_failure(m.entries, g.units, tol)
+        if x is not None:
+            raise HypothesisError(
+                f"element {action.labels[i]} does not fix the diagonal "
+                f"(column of unit {x})")
     k = len(action.table)
     identity = np.eye(g.arrow_count, dtype=complex)
     for s in range(k):

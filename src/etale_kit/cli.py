@@ -13,13 +13,11 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import io as kio
 from .aut_group import AutPair, fixes_diagonal
 from .cocycles import enumerate_cocycles
 from .cstar import reduced_norm
-from .decomposition import decompose, rigidity_check, validate_hom
+from .decomposition import decompose, numerical_rank, require_valid, rigidity_check
 from .errors import (
     ActionError,
     CapExceeded,
@@ -129,10 +127,7 @@ def _cmd_validate(args) -> tuple[int, Report]:
     g, dig = _load_groupoid_arg(args.groupoid, validate=False)
     report.inputs["groupoid"] = dig
     result = validation_report(g)
-    report.data["violations"] = [
-        {"axiom": v.axiom, "witness": list(v.witness), "detail": v.detail}
-        for v in result.violations
-    ]
+    report.data["violations"] = result.as_dict()["violations"]
     report.add_check("axioms", result.ok,
                      result.violations[0].detail if result.violations else None)
     return (0 if result.ok else 2), report
@@ -226,7 +221,7 @@ def _cmd_aut(args) -> tuple[int, Report]:
     g, dig = _load_groupoid_arg(args.groupoid)
     report.inputs["groupoid"] = dig
     auts = enumerate_automorphisms(g, args.cap)
-    cocycles = enumerate_cocycles(g, args.phases)
+    cocycles = enumerate_cocycles(g, args.phases, args.cap)
     report.data["automorphisms"] = len(auts)
     report.data[f"cocycles_mu{args.phases}"] = len(cocycles)
     report.data["semidirect_order"] = len(auts) * len(cocycles)
@@ -257,12 +252,8 @@ def _cmd_faut(args) -> tuple[int, Report]:
     report.inputs["hom"] = kio.digest(kio.hom_to_doc(hm))
     if hm.source != g or hm.target != g:
         raise HypothesisError("matrix is not a self-map of the supplied groupoid")
-    result = validate_hom(hm)
-    if not result.ok:
-        raise HypothesisError(
-            f"matrix fails validation: {', '.join(result.failed_checks())}")
-    sv = np.linalg.svd(hm.entries, compute_uv=False) if hm.entries.size else np.ones(1)
-    if sv[-1] <= 1e-9:
+    require_valid(hm)
+    if numerical_rank(hm.entries) != g.arrow_count:
         raise HypothesisError("matrix is not invertible")
     data = decompose(hm, trust=True)
     if data.invariant_units != g.units:

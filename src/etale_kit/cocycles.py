@@ -6,7 +6,14 @@ import cmath
 from itertools import product as iproduct
 from math import gcd, pi
 
-from .errors import CocycleError, StructuralError
+from .errors import (
+    PHASE_SNAP_MAX_ORDER,
+    PHASE_SNAP_TOL,
+    TOL,
+    CocycleError,
+    StructuralError,
+    check_enum_cap,
+)
 from .groupoid import FiniteGroupoid, GroupoidHom, orbits
 
 __all__ = [
@@ -21,16 +28,14 @@ __all__ = [
     "enumerate_cocycles",
 ]
 
-_TOL = 1e-9
-
 
 class Phase:
     """A point on the unit circle.
 
     Exact form stores a reduced fraction (num, den) meaning exp(2*pi*i*num/den);
-    the approximate form stores a complex number of modulus 1 (within 1e-9).
-    Exact phases compare by integer equality, anything involving an approximate
-    phase compares within tolerance 1e-9.
+    the approximate form stores a complex number of modulus 1 (within TOL,
+    1e-9).  Exact phases compare by integer equality, anything involving an
+    approximate phase compares within TOL.
     """
 
     __slots__ = ("num", "den", "approx")
@@ -50,15 +55,16 @@ class Phase:
 
     @classmethod
     def approximate(cls, z: complex) -> "Phase":
-        if abs(abs(z) - 1.0) > _TOL:
+        if abs(abs(z) - 1.0) > TOL:
             raise StructuralError(f"phase modulus |{z}| deviates from 1 beyond 1e-9")
         return cls(None, None, complex(z))
 
     @classmethod
-    def from_complex(cls, z: complex, *, snap_tol: float = 1e-6, max_order: int = 24) -> "Phase":
+    def from_complex(cls, z: complex, *, snap_tol: float = PHASE_SNAP_TOL,
+                     max_order: int = PHASE_SNAP_MAX_ORDER) -> "Phase":
         """Snap to the nearest root of unity of order <= max_order, else keep
         the value as an approximate phase."""
-        if abs(abs(z) - 1.0) > _TOL:
+        if abs(abs(z) - 1.0) > TOL:
             raise StructuralError(f"phase modulus |{z}| deviates from 1 beyond 1e-9")
         theta = cmath.phase(z)
         for den in range(1, max_order + 1):
@@ -93,7 +99,7 @@ class Phase:
             return Phase.exact(-self.num, self.den)
         return Phase.approximate(self.approx.conjugate())
 
-    def isclose(self, other: "Phase", tol: float = _TOL) -> bool:
+    def isclose(self, other: "Phase", tol: float = TOL) -> bool:
         return abs(self.value - other.value) <= tol
 
     def __eq__(self, other):
@@ -224,10 +230,12 @@ def enumerate_cocycles(g: FiniteGroupoid, n: int, cap: int | None = None) -> lis
 
     Per orbit, a cocycle is a free phase per non-base unit plus a homomorphism
     from the isotropy group at the base into Z/n; arrows factor through a
-    spanning family of arrows out of the base unit.
+    spanning family of arrows out of the base unit.  Refuses groupoids with
+    more arrows than the enumeration cap.
     """
     if n < 1:
         raise StructuralError(f"root-of-unity order must be >= 1, got {n}")
+    check_enum_cap(g.arrow_count, cap, "cocycle enumeration")
     by_src = g.by_src()
     per_orbit: list[list[dict[int, int]]] = []
     for orbit in orbits(g):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import HypothesisError, SliceError, StructuralError
+from .errors import ROW_SPACE_CUT, TOL, HypothesisError, SliceError, StructuralError
 from .groupoid import FiniteGroupoid, is_effective
 from .inverse_semigroup import Bisection
 
@@ -30,9 +30,6 @@ __all__ = [
     "slices_equal",
     "slice_failure",
 ]
-
-_NORM_TOL = 1e-9
-
 
 class AlgebraElement:
     """A compactly supported function on the groupoid, i.e. a coefficient per arrow."""
@@ -130,10 +127,10 @@ class LeftRegularRep:
             raise StructuralError(f"{unit} is not a unit")
         self.groupoid = groupoid
         self.unit = unit
-        self.basis = tuple(a for a in groupoid.arrows() if groupoid.src[a] == unit)
+        by_src = groupoid.by_src()
+        self.basis = by_src[unit]
         pos = {a: i for i, a in enumerate(self.basis)}
         rows, cols, coeffs = [], [], []
-        by_src = groupoid.by_src()
         for a in self.basis:
             for b in by_src[groupoid.rng[a]]:
                 rows.append(pos[groupoid.compose[(b, a)]])
@@ -176,7 +173,7 @@ def is_normalizer(f: AlgebraElement, tol: float | None = None) -> bool:
     g = f.groupoid
     if tol is None:
         scale = float(np.max(np.abs(f.coeff))) if f.groupoid.arrow_count else 0.0
-        tol = _NORM_TOL * max(1.0, scale * scale)
+        tol = TOL * max(1.0, scale * scale)
     fs = star(f)
     off_units = [a for a in g.arrows() if not g.is_unit(a)]
     for x in g.units:
@@ -214,7 +211,7 @@ class Slice:
         proj = self.basis.T @ (self.basis.conj() @ vector)
         return float(np.linalg.norm(vector - proj))
 
-    def contains(self, f: AlgebraElement, tol: float = _NORM_TOL) -> bool:
+    def contains(self, f: AlgebraElement, tol: float = TOL) -> bool:
         return self.project_residual(f.coeff) <= tol * max(1.0, float(np.linalg.norm(f.coeff)))
 
     def __repr__(self):
@@ -227,7 +224,7 @@ def _row_space_basis(mat: np.ndarray) -> np.ndarray:
     _, s, vh = np.linalg.svd(mat, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return mat[:0]
-    rank = int(np.sum(s > 1e-12 * s[0]))
+    rank = int(np.sum(s > ROW_SPACE_CUT * s[0]))
     return vh[:rank]
 
 
@@ -254,7 +251,7 @@ def slice_product(m: Slice, n: Slice) -> Slice:
     return Slice(g, np.array(prods))
 
 
-def slices_equal(m: Slice, n: Slice, tol: float = _NORM_TOL) -> bool:
+def slices_equal(m: Slice, n: Slice, tol: float = TOL) -> bool:
     if m.groupoid != n.groupoid or m.dim != n.dim:
         return False
     for v in m.basis:
@@ -266,7 +263,7 @@ def slices_equal(m: Slice, n: Slice, tol: float = _NORM_TOL) -> bool:
     return True
 
 
-def slice_failure(m: Slice, tol: float = _NORM_TOL) -> str | None:
+def slice_failure(m: Slice, tol: float = TOL) -> str | None:
     """Why the subspace is not a slice, or None if it is one.
 
     Checks closure under left and right multiplication by the diagonal basis,
@@ -294,7 +291,7 @@ def slice_failure(m: Slice, tol: float = _NORM_TOL) -> str | None:
     return None
 
 
-def slice_to_bisection(m: Slice, tol: float = _NORM_TOL) -> Bisection:
+def slice_to_bisection(m: Slice, tol: float = TOL) -> Bisection:
     """Recover the bisection underneath a slice of an effective groupoid."""
     if not is_effective(m.groupoid):
         raise HypothesisError(

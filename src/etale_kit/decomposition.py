@@ -15,7 +15,10 @@ from typing import Iterator
 import numpy as np
 
 from .cocycles import Cocycle, Phase, enumerate_cocycles
+from .cstar import _conv_arrays
 from .errors import (
+    SUPPORT_TOL,
+    TOL,
     HomomorphismError,
     HypothesisError,
     InternalInconsistencyError,
@@ -37,7 +40,9 @@ from .groupoid import (
 __all__ = [
     "HomMatrix",
     "HomReport",
+    "numerical_rank",
     "validate_hom",
+    "require_valid",
     "DecompositionData",
     "build_hom",
     "decompose",
@@ -45,10 +50,6 @@ __all__ = [
     "rigidity_check",
     "enumerate_decomposition_data",
 ]
-
-_TOL = 1e-9
-_SUPPORT_TOL = 1e-6
-
 
 class HomMatrix:
     """A linear map between groupoid algebras in the point-mass bases.
@@ -102,19 +103,16 @@ class HomReport:
             out.append("image_diag_is_ideal")
         return out
 
-    def as_dict(self) -> dict:
-        return {
-            "is_star_hom": self.is_star_hom,
-            "star_witness": list(self.star_witness) if self.star_witness else None,
-            "diagonal_into_diagonal": self.diagonal_into_diagonal,
-            "diagonal_witness": (list(self.diagonal_witness)
-                                 if self.diagonal_witness else None),
-            "image_diag_is_ideal": self.image_diag_is_ideal,
-            "ideal_witness": list(self.ideal_witness) if self.ideal_witness else None,
-        }
+
+def numerical_rank(mat: np.ndarray, tol: float = TOL) -> int:
+    """Count of singular values above tol * max(1, largest singular value)."""
+    if not mat.size:
+        return 0
+    sv = np.linalg.svd(mat, compute_uv=False)
+    return int(np.sum(sv > tol * max(1.0, float(sv[0]))))
 
 
-def validate_hom(hm: HomMatrix, tol: float = _TOL) -> HomReport:
+def validate_hom(hm: HomMatrix, tol: float = TOL) -> HomReport:
     """Check the *-homomorphism laws on all basis pairs, that the diagonal
     lands in the diagonal, and that the diagonal image is a full function
     algebra on its support (the finite-scale ideal criterion)."""
@@ -126,13 +124,8 @@ def validate_hom(hm: HomMatrix, tol: float = _TOL) -> HomReport:
     for (a, b), c in g.compose.items():
         lhs[:, a, b] = m[:, c]
     rhs = np.zeros((k, n, n), dtype=complex)
-    if h.compose:
-        items = sorted(h.compose.items())
-        left = np.array([u for (u, _), _ in items], dtype=np.intp)
-        right = np.array([v for (_, v), _ in items], dtype=np.intp)
-        out = np.array([w for _, w in items], dtype=np.intp)
-        contrib = m[left][:, :, None] * m[right][:, None, :]
-        np.add.at(rhs, out, contrib)
+    left, right, out = _conv_arrays(h)
+    np.add.at(rhs, out, m[left][:, :, None] * m[right][:, None, :])
     diff = np.abs(lhs - rhs)
     is_star_hom = True
     star_witness = None
@@ -169,13 +162,20 @@ def validate_hom(hm: HomMatrix, tol: float = _TOL) -> HomReport:
         block = m[np.ix_(unit_rows, unit_cols)]
         row_peak = np.max(np.abs(block), axis=1) if block.size else np.zeros(0)
         support = int(np.sum(row_peak > tol))
-        sv = np.linalg.svd(block, compute_uv=False)
-        rank = int(np.sum(sv > tol * max(1.0, float(sv[0]) if sv.size else 1.0)))
+        rank = numerical_rank(block, tol)
         if rank != support:
             ideal_ok = False
             ideal_witness = (rank, support)
     return HomReport(is_star_hom, star_witness, diagonal_ok, diagonal_witness,
                      ideal_ok, ideal_witness)
+
+
+def require_valid(hm: HomMatrix, tol: float = TOL) -> None:
+    """Refuse a matrix that fails `validate_hom`, naming the failed checks."""
+    report = validate_hom(hm, tol)
+    if not report.ok:
+        raise HypothesisError(
+            f"matrix fails validation: {', '.join(report.failed_checks())}")
 
 
 @dataclass(frozen=True)
@@ -224,7 +224,7 @@ def build_hom(g: FiniteGroupoid, h: FiniteGroupoid,
     return HomMatrix(g, h, entries)
 
 
-def decompose(hm: HomMatrix, *, tol: float = _TOL, trust: bool = False) -> DecompositionData:
+def decompose(hm: HomMatrix, *, tol: float = TOL, trust: bool = False) -> DecompositionData:
     """Recover (invariant set, arrow map, twist) from a validated matrix.
 
     Requires the target to be effective and the matrix to pass `validate_hom`
@@ -236,24 +236,21 @@ def decompose(hm: HomMatrix, *, tol: float = _TOL, trust: bool = False) -> Decom
     if not is_effective(h):
         raise HypothesisError("decomposition requires an effective target groupoid")
     if not trust:
-        report = validate_hom(hm, tol)
-        if not report.ok:
-            raise HypothesisError(
-                f"matrix fails validation: {', '.join(report.failed_checks())}")
+        require_valid(hm, tol)
     m = hm.entries
 
     kept_units = []
     sigma = {}
     for x in g.units:
         col = m[:, x]
-        rows = np.nonzero(np.abs(col) > _SUPPORT_TOL)[0]
+        rows = np.nonzero(np.abs(col) > SUPPORT_TOL)[0]
         if rows.size == 0:
             continue
         if rows.size > 1:
             raise InternalInconsistencyError(
                 f"diagonal column {x} is supported on {rows.size} arrows")
         row = int(rows[0])
-        if not h.is_unit(row) or abs(col[row] - 1.0) > _SUPPORT_TOL:
+        if not h.is_unit(row) or abs(col[row] - 1.0) > SUPPORT_TOL:
             raise InternalInconsistencyError(
                 f"diagonal column {x} is not a unit point mass")
         kept_units.append(x)
@@ -270,7 +267,7 @@ def decompose(hm: HomMatrix, *, tol: float = _TOL, trust: bool = False) -> Decom
     values = []
     for i, orig in enumerate(keep):
         col = m[:, orig]
-        rows = np.nonzero(np.abs(col) > _SUPPORT_TOL)[0]
+        rows = np.nonzero(np.abs(col) > SUPPORT_TOL)[0]
         if rows.size != 1:
             raise InternalInconsistencyError(
                 f"column {orig} is supported on {rows.size} arrows; its support "
@@ -280,7 +277,7 @@ def decompose(hm: HomMatrix, *, tol: float = _TOL, trust: bool = False) -> Decom
             raise InternalInconsistencyError(
                 f"column {orig} is supported at an arrow with the wrong endpoints")
         value = complex(col[row])
-        if abs(abs(value) - 1.0) > _SUPPORT_TOL:
+        if abs(abs(value) - 1.0) > SUPPORT_TOL:
             raise InternalInconsistencyError(
                 f"column {orig} has entry of modulus {abs(value)}, expected 1")
         mapping.append(row)
@@ -316,21 +313,14 @@ def quotient_hom(h: FiniteGroupoid) -> HomMatrix:
     return HomMatrix(h, quotient, entries)
 
 
-def rigidity_check(hm: HomMatrix, tol: float = _TOL) -> GroupoidHom:
+def rigidity_check(hm: HomMatrix, tol: float = TOL) -> GroupoidHom:
     """For a surjective validated matrix onto an effective target, return the
     induced isomorphism from the isotropy-collapsed restriction onto the target."""
     g, h = hm.source, hm.target
     if not is_effective(h):
         raise HypothesisError("rigidity requires an effective target groupoid")
-    report = validate_hom(hm, tol)
-    if not report.ok:
-        raise HypothesisError(
-            f"matrix fails validation: {', '.join(report.failed_checks())}")
-    if hm.entries.size:
-        sv = np.linalg.svd(hm.entries, compute_uv=False)
-        rank = int(np.sum(sv > tol * max(1.0, float(sv[0]))))
-    else:
-        rank = 0
+    require_valid(hm, tol)
+    rank = numerical_rank(hm.entries, tol)
     if rank < h.arrow_count:
         raise HypothesisError(
             f"matrix is not surjective: rank {rank} < {h.arrow_count}")

@@ -1,16 +1,22 @@
-"""Shared exception types and enumeration caps."""
+"""Shared exception types, enumeration caps and numerical tolerances."""
 
 from __future__ import annotations
 
 import os
 
-# Exponential enumerations (bisections, automorphisms, germ machinery) refuse
-# above this many arrows; linear-algebra-only paths allow more.
+# Exponential enumerations (bisections, automorphisms, cocycles, germ
+# machinery) refuse above this many arrows.
 DEFAULT_ENUM_CAP = 16
-DEFAULT_LINEAR_CAP = 64
 # Explicit inverse-semigroup tables are quadratic in the element count.
 SEMIGROUP_ELEMENT_CAP = 1024
 CAP_ENV_VAR = "ETALE_KIT_CAP"
+
+# Numerical tolerances, one name per decision (README, "Tolerances").
+TOL = 1e-9  # law residuals, phase moduli, diagonal fixing, relative rank cut
+SUPPORT_TOL = 1e-6  # entries that count as support of a column in `decompose`
+PHASE_SNAP_TOL = 1e-6  # `Phase.from_complex` snaps to a root of unity this close
+PHASE_SNAP_MAX_ORDER = 24  # ... whose order is at most this
+ROW_SPACE_CUT = 1e-12  # relative singular-value cut of a slice basis
 
 
 class StructuralError(ValueError):
@@ -59,12 +65,6 @@ def enum_cap(cap: int | None = None) -> int:
         raise ConfigError(
             f"{CAP_ENV_VAR} must be a non-negative integer, got {env!r}")
     return int(env)
-
-
-def linear_cap(cap: int | None = None) -> int:
-    if cap is not None:
-        return int(cap)
-    return max(DEFAULT_LINEAR_CAP, enum_cap())
 
 
 def check_enum_cap(n: int, cap: int | None = None, what: str = "enumeration") -> None:

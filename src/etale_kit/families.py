@@ -13,6 +13,7 @@ __all__ = [
     "cyclic_groupoid",
     "group_bundle",
     "cyclic_table",
+    "group_inverses",
     "transformation_groupoid",
     "disjoint_union",
     "make_family",
@@ -80,6 +81,30 @@ def group_bundle(orders: Sequence[int]) -> FiniteGroupoid:
     return FiniteGroupoid(len(labels), range(points), src, rng, compose, inv)
 
 
+def group_inverses(table: Sequence[Sequence[int]]) -> list[int]:
+    """Inverse table of a finite group given by its multiplication table with
+    identity 0; validates the group axioms."""
+    k = len(table)
+    if any(len(row) != k for row in table):
+        raise StructuralError("group table must be square")
+    if any(table[0][a] != a or table[a][0] != a for a in range(k)):
+        raise StructuralError("group table must have identity 0")
+    for a in range(k):
+        for b in range(k):
+            for c in range(k):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    raise StructuralError(
+                        f"group table not associative at ({a},{b},{c})")
+    inv = [-1] * k
+    for a in range(k):
+        for b in range(k):
+            if table[a][b] == 0 and table[b][a] == 0:
+                inv[a] = b
+    if -1 in inv:
+        raise StructuralError("group table has an element without inverse")
+    return inv
+
+
 def transformation_groupoid(
     table: Sequence[Sequence[int]],
     n_points: int,
@@ -91,22 +116,7 @@ def transformation_groupoid(
     is the image of point x.  Arrows are pairs (g, x) from x to g.x, with
     (0, x) the unit at x."""
     k = len(table)
-    if any(len(row) != k for row in table):
-        raise StructuralError("group table must be square")
-    if any(table[0][a] != a or table[a][0] != a for a in range(k)):
-        raise StructuralError("group table must have identity 0")
-    for a in range(k):
-        for b in range(k):
-            for c in range(k):
-                if table[table[a][b]][c] != table[a][table[b][c]]:
-                    raise StructuralError(f"group table not associative at ({a},{b},{c})")
-    ginv = [None] * k
-    for a in range(k):
-        for b in range(k):
-            if table[a][b] == 0 and table[b][a] == 0:
-                ginv[a] = b
-    if any(v is None for v in ginv):
-        raise StructuralError("group table has an element without inverse")
+    ginv = group_inverses(table)
     if len(action) != k or any(len(row) != n_points for row in action):
         raise StructuralError("action table must be |group| x |points|")
     if any(action[0][x] != x for x in range(n_points)):

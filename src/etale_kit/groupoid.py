@@ -107,33 +107,32 @@ class FiniteGroupoid:
 
     def by_src(self) -> tuple[tuple[int, ...], ...]:
         """Arrows grouped by source: by_src()[x] lists arrows with src == x."""
-        cached = self._cache.get("by_src")
-        if cached is None:
-            buckets: list[list[int]] = [[] for _ in range(self.arrow_count)]
-            for a in self.arrows():
-                buckets[self.src[a]].append(a)
-            cached = tuple(tuple(b) for b in buckets)
-            self._cache["by_src"] = cached
-        return cached
+        return self._grouped("by_src", self.src.__getitem__, dense=True)
 
     def by_rng(self) -> tuple[tuple[int, ...], ...]:
-        cached = self._cache.get("by_rng")
-        if cached is None:
-            buckets: list[list[int]] = [[] for _ in range(self.arrow_count)]
-            for a in self.arrows():
-                buckets[self.rng[a]].append(a)
-            cached = tuple(tuple(b) for b in buckets)
-            self._cache["by_rng"] = cached
-        return cached
+        """Arrows grouped by range: by_rng()[x] lists arrows with rng == x."""
+        return self._grouped("by_rng", self.rng.__getitem__, dense=True)
 
     def by_src_rng(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        cached = self._cache.get("by_src_rng")
+        """Arrows grouped by (src, rng), over the pairs that occur."""
+        return self._grouped("by_src_rng", lambda a: (self.src[a], self.rng[a]),
+                             dense=False)
+
+    def _grouped(self, name: str, key, *, dense: bool):
+        """Arrows grouped by key(a), ascending within each group, built once
+        and cached under `name`.  A dense grouping is a tuple indexed by
+        arrow id with empty groups included, so it can be indexed by any id
+        even on tables that fail the axioms."""
+        cached = self._cache.get(name)
         if cached is None:
-            buckets: dict[tuple[int, int], list[int]] = {}
+            groups: dict = {}
             for a in self.arrows():
-                buckets.setdefault((self.src[a], self.rng[a]), []).append(a)
-            cached = {k: tuple(v) for k, v in buckets.items()}
-            self._cache["by_src_rng"] = cached
+                groups.setdefault(key(a), []).append(a)
+            if dense:
+                cached = tuple(tuple(groups.get(x, ())) for x in self.arrows())
+            else:
+                cached = {k: tuple(v) for k, v in groups.items()}
+            self._cache[name] = cached
         return cached
 
     # -- value semantics ---------------------------------------------------

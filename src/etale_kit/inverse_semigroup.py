@@ -229,35 +229,24 @@ def canonical_action(g: FiniteGroupoid, semigroup: InverseSemigroup | None = Non
 
 @dataclass(frozen=True)
 class GermGroupoid:
-    """A germ groupoid together with the (element, point) labelling of arrows."""
+    """A germ groupoid together with the (element, point) labelling of arrows.
+
+    `min_idem[x]` is the smallest idempotent whose domain contains point x;
+    `_lookup` maps (s . min_idem[x], x) to the arrow id of the germ of (s, x).
+    """
 
     groupoid: FiniteGroupoid
     action: SemigroupAction
     reps: tuple[tuple[int, int], ...]
+    min_idem: tuple[int, ...]
     _lookup: dict
 
     def arrow_of(self, s: int, x: int) -> int:
         """Arrow id of the germ of (element s, point x)."""
-        key = (self._canonical_key(s, x), x)
-        return self._lookup[key]
+        return self._lookup[(self.action.semigroup.mul(s, self.min_idem[x]), x)]
 
     def rep_of(self, arrow: int) -> tuple[int, int]:
         return self.reps[arrow]
-
-    def _canonical_key(self, s: int, x: int) -> int:
-        sg = self.action.semigroup
-        ex = self._min_idempotent(x)
-        return sg.mul(s, ex)
-
-    def _min_idempotent(self, x: int) -> int:
-        sg = self.action.semigroup
-        ex = None
-        for e in sg.idempotents():
-            if x in self.action.maps[e]:
-                ex = e if ex is None else sg.mul(ex, e)
-        if ex is None:
-            raise ActionError(f"point {x} lies in no idempotent domain")
-        return ex
 
 
 def germ_groupoid(action: SemigroupAction) -> GermGroupoid:
@@ -272,7 +261,7 @@ def germ_groupoid(action: SemigroupAction) -> GermGroupoid:
     sg = action.semigroup
     k = len(sg)
 
-    min_idem: dict[int, int] = {}
+    min_idem: list[int] = []
     for x in range(action.n_points):
         ex = None
         for e in sg.idempotents():
@@ -280,7 +269,7 @@ def germ_groupoid(action: SemigroupAction) -> GermGroupoid:
                 ex = e if ex is None else sg.mul(ex, e)
         if ex is None:
             raise ActionError(f"point {x} lies in no idempotent domain")
-        min_idem[x] = ex
+        min_idem.append(ex)
 
     classes: dict[tuple[int, int], list[int]] = {}
     for s in range(k):
@@ -317,7 +306,7 @@ def germ_groupoid(action: SemigroupAction) -> GermGroupoid:
         raise InternalInconsistencyError(
             f"germ construction produced an invalid groupoid: "
             f"{report.violations[0].detail}")
-    return GermGroupoid(g, action, tuple(reps), arrow_of)
+    return GermGroupoid(g, action, tuple(reps), tuple(min_idem), arrow_of)
 
 
 def canonical_germ_iso(g: FiniteGroupoid, cap: int | None = None) -> GroupoidHom:

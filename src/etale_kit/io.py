@@ -56,28 +56,41 @@ def groupoid_to_doc(g: FiniteGroupoid, meta: dict | None = None) -> dict:
     return doc
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: booleans, floats and strings are not ids or counts."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(doc: dict, key: str, kind) -> object:
     if key not in doc:
         raise StructuralError(f"groupoid document is missing {key!r}")
     value = doc[key]
-    if not isinstance(value, kind):
+    # bool subclasses int, but true/false are not counts
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise StructuralError(f"groupoid field {key!r} has the wrong type")
     return value
+
+
+def _require_ids(doc: dict, key: str) -> list:
+    ids = _require(doc, key, list)
+    if not all(_is_int(v) for v in ids):
+        raise StructuralError(f"groupoid field {key!r} must hold integer ids")
+    return ids
 
 
 def groupoid_from_doc(doc: dict, *, validate: bool = True) -> FiniteGroupoid:
     if not isinstance(doc, dict):
         raise StructuralError("groupoid document must be an object")
     n = _require(doc, "arrows", int)
-    units = _require(doc, "units", list)
-    src = _require(doc, "src", list)
-    rng = _require(doc, "rng", list)
-    inv = _require(doc, "inv", list)
+    units = _require_ids(doc, "units")
+    src = _require_ids(doc, "src")
+    rng = _require_ids(doc, "rng")
+    inv = _require_ids(doc, "inv")
     compose_triples = _require(doc, "compose", list)
     triples = []
     for item in compose_triples:
         if not (isinstance(item, list) and len(item) == 3
-                and all(isinstance(v, int) for v in item)):
+                and all(_is_int(v) for v in item)):
             raise StructuralError("compose entries must be [a, b, ab] id triples")
         triples.append(tuple(item))
     g = FiniteGroupoid(n, units, src, rng, triples, inv)
@@ -148,7 +161,9 @@ def hom_from_doc(doc: dict, *, base: Path | None = None,
             raise StructuralError(f"homomorphism document is missing {key!r}")
     source = _resolve_groupoid(doc["source"], base, validate=validate_groupoids)
     target = _resolve_groupoid(doc["target"], base, validate=validate_groupoids)
-    rows, cols = int(doc["rows"]), int(doc["cols"])
+    rows, cols = doc["rows"], doc["cols"]
+    if not (_is_int(rows) and _is_int(cols)):
+        raise StructuralError("rows and cols must be integers")
     if rows != target.arrow_count or cols != source.arrow_count:
         raise StructuralError("declared shape does not match the groupoids")
     flat = doc["entries"]

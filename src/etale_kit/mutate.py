@@ -10,16 +10,34 @@ from .groupoid import FiniteGroupoid
 __all__ = ["enumerate_mutations", "sample_mutations"]
 
 
-def _with_tables(g: FiniteGroupoid, *, units=None, src=None, rng=None,
-                 compose=None, inv=None) -> FiniteGroupoid:
-    return FiniteGroupoid(
-        g.arrow_count,
-        g.units if units is None else units,
-        g.src if src is None else src,
-        g.rng if rng is None else rng,
-        g.compose if compose is None else compose,
-        g.inv if inv is None else inv,
-    )
+def _mutation_specs(g: FiniteGroupoid) -> Iterator[tuple[str, str, object, int | None]]:
+    """(label, field, key, value) for every single-entry change, in the order
+    both public functions use.  A unit flip carries the flipped arrow as its
+    key and no value."""
+    n = g.arrow_count
+    for a in range(n):
+        yield (f"unit_flip[{a}]", "units", a, None)
+    for name, table in (("src", g.src), ("rng", g.rng), ("inv", g.inv)):
+        for i in range(n):
+            for v in range(n):
+                if v != table[i]:
+                    yield (f"{name}[{i}]={v}", name, i, v)
+    for (a, b), c in sorted(g.compose.items()):
+        for v in range(n):
+            if v != c:
+                yield (f"compose[{a},{b}]={v}", "compose", (a, b), v)
+
+
+def _mutant(g: FiniteGroupoid, field: str, key, value) -> FiniteGroupoid:
+    """The groupoid of one mutation spec."""
+    tables = {"units": g.units, "src": g.src, "rng": g.rng,
+              "compose": g.compose, "inv": g.inv}
+    if field == "units":
+        tables["units"] = sorted(set(g.units) ^ {key})
+    else:
+        tables[field] = mutated = (dict if field == "compose" else list)(tables[field])
+        mutated[key] = value
+    return FiniteGroupoid(g.arrow_count, **tables)
 
 
 def enumerate_mutations(g: FiniteGroupoid) -> Iterator[tuple[str, FiniteGroupoid]]:
@@ -28,31 +46,17 @@ def enumerate_mutations(g: FiniteGroupoid) -> Iterator[tuple[str, FiniteGroupoid
     Covers: flipping one unit flag, redirecting one src/rng/inv entry, and
     rewriting one composition product.  All results are structurally well
     formed; none should pass validation when the input does."""
-    n = g.arrow_count
-    for a in range(n):
-        flipped = (set(g.units) ^ {a})
-        yield (f"unit_flip[{a}]", _with_tables(g, units=sorted(flipped)))
-    for name, table in (("src", g.src), ("rng", g.rng), ("inv", g.inv)):
-        for i in range(n):
-            for v in range(n):
-                if v == table[i]:
-                    continue
-                mutated = list(table)
-                mutated[i] = v
-                yield (f"{name}[{i}]={v}", _with_tables(g, **{name: mutated}))
-    for (a, b), c in sorted(g.compose.items()):
-        for v in range(n):
-            if v == c:
-                continue
-            mutated = dict(g.compose)
-            mutated[(a, b)] = v
-            yield (f"compose[{a},{b}]={v}", _with_tables(g, compose=mutated))
+    for label, field, key, value in _mutation_specs(g):
+        yield label, _mutant(g, field, key, value)
 
 
 def sample_mutations(g: FiniteGroupoid, rng: random.Random,
                      count: int) -> list[tuple[str, FiniteGroupoid]]:
-    """A deterministic random sample (with replacement) of single mutations."""
-    pool = list(enumerate_mutations(g))
-    if not pool:
+    """A deterministic random sample (with replacement) of single mutations;
+    only the drawn mutants are built."""
+    specs = list(_mutation_specs(g))
+    if not specs:
         return []
-    return [pool[rng.randrange(len(pool))] for _ in range(count)]
+    drawn = [specs[rng.randrange(len(specs))] for _ in range(count)]
+    return [(label, _mutant(g, field, key, value))
+            for label, field, key, value in drawn]

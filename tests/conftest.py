@@ -1,7 +1,11 @@
 """Shared fixtures: hand-built groupoids, independent of the family constructors."""
 
+import os
+from pathlib import Path
+
 import pytest
 
+import etale_kit
 from etale_kit.errors import CAP_ENV_VAR
 from etale_kit.groupoid import FiniteGroupoid
 from etale_kit.families import standard_corpus
@@ -16,6 +20,17 @@ def default_enum_cap():
     """
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv(CAP_ENV_VAR, raising=False)
+        yield
+
+
+@pytest.fixture(scope="session", autouse=True)
+def children_import_tested_package():
+    """Put the directory of the imported etale_kit first on PYTHONPATH, so
+    that the CLI subprocesses run the same package as the in-process tests
+    (the source tree under pytest's `pythonpath`, or an installed copy)."""
+    root = str(Path(etale_kit.__file__).resolve().parent.parent)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", root, prepend=os.pathsep)
         yield
 
 

@@ -157,6 +157,14 @@ def test_faut_rejects_mismatched_groupoid(docs):
     assert run_cli("faut", docs["z2"], "--hom", docs["sign"]).returncode == 2
 
 
+def test_boolean_ids_exit_one():
+    doc = ('{"arrows": true, "units": [0], "src": [0], "rng": [0], '
+           '"compose": [[0, 0, 0]], "inv": [0]}')
+    out = run_cli("validate", "-", input=doc)
+    assert out.returncode == 1
+    assert "'arrows'" in out.stderr and "Traceback" not in out.stderr
+
+
 def test_cap_refusal_exits_two(docs):
     assert run_cli("bisections", docs["r2"], "--cap", "2").returncode == 2
 

@@ -17,7 +17,8 @@ from etale_kit.cocycles import (
     precompose_cocycle,
     trivial_cocycle,
 )
-from etale_kit.errors import CocycleError, StructuralError
+from etale_kit.aut_group import classify_faut
+from etale_kit.errors import CapExceeded, CocycleError, StructuralError
 from etale_kit.families import cyclic_groupoid, group_bundle, pair_groupoid
 from etale_kit.groupoid import enumerate_automorphisms
 
@@ -127,3 +128,13 @@ def test_precompose_requires_matching_groupoid(z2_hand):
     from etale_kit.groupoid import identity_hom
     with pytest.raises(StructuralError):
         precompose_cocycle(c, identity_hom(z2_hand))
+
+
+def test_cocycle_enumeration_enforces_the_cap():
+    with pytest.raises(CapExceeded, match="cocycle enumeration"):
+        enumerate_cocycles(pair_groupoid(5), 2, cap=1)
+    # cyclic_group(3) is not principal, so classify_faut enumerates no
+    # automorphisms and only the cocycle enumeration can refuse
+    with pytest.raises(CapExceeded, match="cocycle enumeration"):
+        classify_faut(cyclic_groupoid(3), 3, cap=2)
+    assert len(enumerate_cocycles(cyclic_groupoid(3), 3, cap=3)) == 3

@@ -14,6 +14,7 @@ from etale_kit.families import (
     cyclic_table,
     disjoint_union,
     group_bundle,
+    group_inverses,
     make_family,
     pair_arrow,
     pair_groupoid,
@@ -67,6 +68,20 @@ def test_transformation_rejects_non_actions():
         transformation_groupoid([[0, 1], [1, 1]], 1, [[0], [0]])
 
 
+@pytest.mark.parametrize("table, message", [
+    ([[0, 1], [1]], "must be square"),
+    ([[1, 0], [0, 1]], "identity 0"),
+    ([[0, 1, 2], [1, 0, 0], [2, 0, 0]], "not associative"),
+    ([[0, 1], [1, 1]], "without inverse"),
+])
+def test_group_table_refused_alike_by_both_paths(table, message):
+    with pytest.raises(StructuralError, match=message) as direct:
+        group_inverses(table)
+    with pytest.raises(StructuralError) as via_groupoid:
+        transformation_groupoid(table, 1, [[0]] * len(table))
+    assert str(via_groupoid.value) == str(direct.value)
+
+
 def test_make_family_dispatch():
     assert make_family("pair", 2) == pair_groupoid(2)
     assert make_family("cyclic_group", 3) == cyclic_groupoid(3)
@@ -103,6 +118,38 @@ def test_parse_rejects_malformed_documents():
     with pytest.raises(StructuralError):
         kio.groupoid_from_doc({"arrows": 1, "units": [0], "src": [0], "rng": [0],
                                "compose": [[0, 0]], "inv": [0]})
+
+
+_POINT = {"arrows": 1, "units": [0], "src": [0], "rng": [0],
+          "compose": [[0, 0, 0]], "inv": [0]}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("arrows", True),
+    ("arrows", 1.0),
+    ("units", [0.7]),
+    ("units", [False]),
+    ("units", ["0"]),
+    ("src", [False]),
+    ("rng", [0.0]),
+    ("inv", [False]),
+    ("compose", [[0, 0, False]]),
+])
+def test_parse_rejects_non_integer_ids(key, value):
+    kio.groupoid_from_doc(_POINT)
+    with pytest.raises(StructuralError):
+        kio.groupoid_from_doc({**_POINT, key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("rows", True), ("cols", True), ("rows", 1.0), ("cols", "1"),
+])
+def test_hom_parse_rejects_non_integer_shape(key, value):
+    doc = {"source": _POINT, "target": _POINT, "rows": 1, "cols": 1,
+           "entries": [[1.0, 0.0]]}
+    kio.hom_from_doc(doc)
+    with pytest.raises(StructuralError):
+        kio.hom_from_doc({**doc, key: value})
 
 
 def test_parse_validates_axioms_on_load():
