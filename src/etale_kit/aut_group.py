@@ -92,21 +92,20 @@ def pair_matrix(pair: AutPair) -> HomMatrix:
     return build_hom(g, g, data)
 
 
-def _diagonal_failure(entries: np.ndarray, units, tol: float) -> int | None:
+def _diagonal_failure(entries: np.ndarray, units) -> int | None:
     """The first unit whose column differs from its own point mass by more
-    than tol, or None when every diagonal basis column is fixed."""
+    than TOL, or None when every diagonal basis column is fixed."""
     for x in units:
         col = entries[:, x].copy()
         col[x] -= 1.0
-        if np.max(np.abs(col)) > tol:
+        if np.max(np.abs(col)) > TOL:
             return x
     return None
 
 
-def fixes_diagonal(pair: AutPair, tol: float = TOL) -> bool:
+def fixes_diagonal(pair: AutPair) -> bool:
     """Whether the monomial automorphism fixes every diagonal basis column."""
-    return _diagonal_failure(pair_matrix(pair).entries, pair.groupoid.units,
-                             tol) is None
+    return _diagonal_failure(pair_matrix(pair).entries, pair.groupoid.units) is None
 
 
 def classify_faut(g: FiniteGroupoid, phase_order: int,
@@ -203,8 +202,7 @@ class AbelianizationCertificate:
     coset_matrices: tuple[HomMatrix, ...]
 
 
-def factors_through_abelianization(action: FiniteGroupAction,
-                                   tol: float = TOL) -> AbelianizationCertificate:
+def factors_through_abelianization(action: FiniteGroupAction) -> AbelianizationCertificate:
     """Verify that a diagonal-fixing action kills every commutator, and
     certify it by the induced action of the abelianized group.
 
@@ -214,7 +212,7 @@ def factors_through_abelianization(action: FiniteGroupAction,
     """
     g = action.groupoid
     for i, m in enumerate(action.matrices):
-        x = _diagonal_failure(m.entries, g.units, tol)
+        x = _diagonal_failure(m.entries, g.units)
         if x is not None:
             raise HypothesisError(
                 f"element {action.labels[i]} does not fix the diagonal "
@@ -226,7 +224,7 @@ def factors_through_abelianization(action: FiniteGroupAction,
             c = action.table[action.table[s][t]][
                 action.table[action.inverses[s]][action.inverses[t]]]
             m = action.matrices[c].entries
-            if m.size and np.max(np.abs(m - identity)) > tol:
+            if m.size and np.max(np.abs(m - identity)) > TOL:
                 return AbelianizationCertificate(
                     False, (action.labels[s], action.labels[t]), (), (), ())
 

@@ -255,7 +255,7 @@ def _cmd_faut(args) -> tuple[int, Report]:
     require_valid(hm)
     if numerical_rank(hm.entries) != g.arrow_count:
         raise HypothesisError("matrix is not invertible")
-    data = decompose(hm, trust=True)
+    data = decompose(hm)
     if data.invariant_units != g.units:
         raise HypothesisError("matrix does not preserve the diagonal globally")
     pair = AutPair(data.hom, data.cocycle)

@@ -60,16 +60,15 @@ class Phase:
         return cls(None, None, complex(z))
 
     @classmethod
-    def from_complex(cls, z: complex, *, snap_tol: float = PHASE_SNAP_TOL,
-                     max_order: int = PHASE_SNAP_MAX_ORDER) -> "Phase":
-        """Snap to the nearest root of unity of order <= max_order, else keep
-        the value as an approximate phase."""
+    def from_complex(cls, z: complex) -> "Phase":
+        """Snap to a root of unity of order <= PHASE_SNAP_MAX_ORDER within
+        PHASE_SNAP_TOL, else keep the value as an approximate phase."""
         if abs(abs(z) - 1.0) > TOL:
             raise StructuralError(f"phase modulus |{z}| deviates from 1 beyond 1e-9")
         theta = cmath.phase(z)
-        for den in range(1, max_order + 1):
+        for den in range(1, PHASE_SNAP_MAX_ORDER + 1):
             num = round(theta * den / (2 * pi)) % den
-            if abs(z - cmath.exp(2j * pi * num / den)) <= snap_tol:
+            if abs(z - cmath.exp(2j * pi * num / den)) <= PHASE_SNAP_TOL:
                 return cls.exact(num, den)
         return cls.approximate(z)
 
@@ -99,8 +98,8 @@ class Phase:
             return Phase.exact(-self.num, self.den)
         return Phase.approximate(self.approx.conjugate())
 
-    def isclose(self, other: "Phase", tol: float = TOL) -> bool:
-        return abs(self.value - other.value) <= tol
+    def isclose(self, other: "Phase") -> bool:
+        return abs(self.value - other.value) <= TOL
 
     def __eq__(self, other):
         if not isinstance(other, Phase):

@@ -49,9 +49,6 @@ class AlgebraElement:
         self.groupoid = groupoid
         self.coeff = arr
 
-    def support(self, tol: float = 0.0) -> tuple[int, ...]:
-        return tuple(int(a) for a in np.nonzero(np.abs(self.coeff) > tol)[0])
-
     def __add__(self, other):
         _same_groupoid(self, other)
         return AlgebraElement(self.groupoid, self.coeff + other.coeff)
@@ -168,18 +165,18 @@ def reduced_norm(f: AlgebraElement) -> float:
     return best
 
 
-def is_normalizer(f: AlgebraElement, tol: float | None = None) -> bool:
-    """Whether f d f* and f* d f stay diagonal for every diagonal basis element d."""
+def is_normalizer(f: AlgebraElement) -> bool:
+    """Whether f d f* and f* d f stay diagonal for every diagonal basis
+    element d, up to TOL * max(1, max|f|^2)."""
     g = f.groupoid
-    if tol is None:
-        scale = float(np.max(np.abs(f.coeff))) if f.groupoid.arrow_count else 0.0
-        tol = TOL * max(1.0, scale * scale)
+    scale = float(np.max(np.abs(f.coeff))) if g.arrow_count else 0.0
+    bound = TOL * max(1.0, scale * scale)
     fs = star(f)
     off_units = [a for a in g.arrows() if not g.is_unit(a)]
     for x in g.units:
         d = delta(g, x)
         for prod in (convolve(convolve(f, d), fs), convolve(convolve(fs, d), f)):
-            if off_units and np.max(np.abs(prod.coeff[off_units])) > tol:
+            if off_units and np.max(np.abs(prod.coeff[off_units])) > bound:
                 return False
     return True
 
@@ -211,8 +208,8 @@ class Slice:
         proj = self.basis.T @ (self.basis.conj() @ vector)
         return float(np.linalg.norm(vector - proj))
 
-    def contains(self, f: AlgebraElement, tol: float = TOL) -> bool:
-        return self.project_residual(f.coeff) <= tol * max(1.0, float(np.linalg.norm(f.coeff)))
+    def contains(self, f: AlgebraElement) -> bool:
+        return self.project_residual(f.coeff) <= TOL * max(1.0, float(np.linalg.norm(f.coeff)))
 
     def __repr__(self):
         return f"Slice(dim={self.dim})"
@@ -251,19 +248,19 @@ def slice_product(m: Slice, n: Slice) -> Slice:
     return Slice(g, np.array(prods))
 
 
-def slices_equal(m: Slice, n: Slice, tol: float = TOL) -> bool:
+def slices_equal(m: Slice, n: Slice) -> bool:
     if m.groupoid != n.groupoid or m.dim != n.dim:
         return False
     for v in m.basis:
-        if n.project_residual(v) > tol:
+        if n.project_residual(v) > TOL:
             return False
     for v in n.basis:
-        if m.project_residual(v) > tol:
+        if m.project_residual(v) > TOL:
             return False
     return True
 
 
-def slice_failure(m: Slice, tol: float = TOL) -> str | None:
+def slice_failure(m: Slice) -> str | None:
     """Why the subspace is not a slice, or None if it is one.
 
     Checks closure under left and right multiplication by the diagonal basis,
@@ -274,14 +271,14 @@ def slice_failure(m: Slice, tol: float = TOL) -> str | None:
         d = delta(g, x)
         for v in m.basis:
             fv = AlgebraElement(g, v)
-            if not m.contains(convolve(d, fv), tol):
+            if not m.contains(convolve(d, fv)):
                 return (f"not closed under left multiplication by the "
                         f"diagonal at unit {x}")
-            if not m.contains(convolve(fv, d), tol):
+            if not m.contains(convolve(fv, d)):
                 return (f"not closed under right multiplication by the "
                         f"diagonal at unit {x}")
     support = sorted({int(a) for v in m.basis
-                      for a in np.nonzero(np.abs(v) > tol)[0]})
+                      for a in np.nonzero(np.abs(v) > TOL)[0]})
     try:
         Bisection(g, tuple(support))
     except StructuralError as exc:
@@ -291,14 +288,14 @@ def slice_failure(m: Slice, tol: float = TOL) -> str | None:
     return None
 
 
-def slice_to_bisection(m: Slice, tol: float = TOL) -> Bisection:
+def slice_to_bisection(m: Slice) -> Bisection:
     """Recover the bisection underneath a slice of an effective groupoid."""
     if not is_effective(m.groupoid):
         raise HypothesisError(
             "slice-to-bisection recovery requires an effective groupoid")
-    reason = slice_failure(m, tol)
+    reason = slice_failure(m)
     if reason is not None:
         raise SliceError(reason)
     support = sorted({int(a) for v in m.basis
-                      for a in np.nonzero(np.abs(v) > tol)[0]})
+                      for a in np.nonzero(np.abs(v) > TOL)[0]})
     return Bisection(m.groupoid, tuple(support))

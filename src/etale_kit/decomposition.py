@@ -59,7 +59,7 @@ class HomMatrix:
     assumed until `validate_hom` establishes them.
     """
 
-    __slots__ = ("source", "target", "entries")
+    __slots__ = ("source", "target", "entries", "_report")
 
     def __init__(self, source: FiniteGroupoid, target: FiniteGroupoid, entries):
         mat = np.asarray(entries, dtype=complex)
@@ -74,12 +74,13 @@ class HomMatrix:
         self.source = source
         self.target = target
         self.entries = mat
+        self._report = None
 
     def __repr__(self):
         return (f"HomMatrix({self.target.arrow_count}x{self.source.arrow_count})")
 
 
-@dataclass
+@dataclass(frozen=True)
 class HomReport:
     is_star_hom: bool
     star_witness: tuple | None
@@ -104,18 +105,23 @@ class HomReport:
         return out
 
 
-def numerical_rank(mat: np.ndarray, tol: float = TOL) -> int:
-    """Count of singular values above tol * max(1, largest singular value)."""
+def numerical_rank(mat: np.ndarray) -> int:
+    """Count of singular values above TOL * max(1, largest singular value)."""
     if not mat.size:
         return 0
     sv = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(sv > tol * max(1.0, float(sv[0]))))
+    return int(np.sum(sv > TOL * max(1.0, float(sv[0]))))
 
 
-def validate_hom(hm: HomMatrix, tol: float = TOL) -> HomReport:
+def validate_hom(hm: HomMatrix) -> HomReport:
     """Check the *-homomorphism laws on all basis pairs, that the diagonal
     lands in the diagonal, and that the diagonal image is a full function
-    algebra on its support (the finite-scale ideal criterion)."""
+    algebra on its support (the finite-scale ideal criterion).
+
+    The report depends on the read-only entries alone, so it is computed
+    once per matrix and stored on it."""
+    if hm._report is not None:
+        return hm._report
     g, h, m = hm.source, hm.target, hm.entries
     n, k = g.arrow_count, h.arrow_count
 
@@ -129,7 +135,7 @@ def validate_hom(hm: HomMatrix, tol: float = TOL) -> HomReport:
     diff = np.abs(lhs - rhs)
     is_star_hom = True
     star_witness = None
-    if diff.size and diff.max() > tol:
+    if diff.size and diff.max() > TOL:
         w, a, b = np.unravel_index(int(np.argmax(diff)), diff.shape)
         is_star_hom = False
         star_witness = (int(a), int(b), float(diff.max()))
@@ -139,7 +145,7 @@ def validate_hom(hm: HomMatrix, tol: float = TOL) -> HomReport:
         inv_g = np.array(g.inv, dtype=np.intp)
         inv_h = np.array(h.inv, dtype=np.intp)
         sdiff = np.abs(m[:, inv_g] - np.conj(m[inv_h, :]))
-        if sdiff.size and sdiff.max() > tol:
+        if sdiff.size and sdiff.max() > TOL:
             _, a = np.unravel_index(int(np.argmax(sdiff)), sdiff.shape)
             is_star_hom = False
             star_witness = (int(a), float(sdiff.max()))
@@ -151,7 +157,7 @@ def validate_hom(hm: HomMatrix, tol: float = TOL) -> HomReport:
     diagonal_witness = None
     if unit_cols and non_unit_rows:
         block = np.abs(m[np.ix_(non_unit_rows, unit_cols)])
-        if block.max() > tol:
+        if block.max() > TOL:
             i, j = np.unravel_index(int(np.argmax(block)), block.shape)
             diagonal_ok = False
             diagonal_witness = (int(unit_cols[j]), int(non_unit_rows[i]))
@@ -161,18 +167,19 @@ def validate_hom(hm: HomMatrix, tol: float = TOL) -> HomReport:
     if unit_cols and unit_rows:
         block = m[np.ix_(unit_rows, unit_cols)]
         row_peak = np.max(np.abs(block), axis=1) if block.size else np.zeros(0)
-        support = int(np.sum(row_peak > tol))
-        rank = numerical_rank(block, tol)
+        support = int(np.sum(row_peak > TOL))
+        rank = numerical_rank(block)
         if rank != support:
             ideal_ok = False
             ideal_witness = (rank, support)
-    return HomReport(is_star_hom, star_witness, diagonal_ok, diagonal_witness,
-                     ideal_ok, ideal_witness)
+    hm._report = HomReport(is_star_hom, star_witness, diagonal_ok,
+                           diagonal_witness, ideal_ok, ideal_witness)
+    return hm._report
 
 
-def require_valid(hm: HomMatrix, tol: float = TOL) -> None:
+def require_valid(hm: HomMatrix) -> None:
     """Refuse a matrix that fails `validate_hom`, naming the failed checks."""
-    report = validate_hom(hm, tol)
+    report = validate_hom(hm)
     if not report.ok:
         raise HypothesisError(
             f"matrix fails validation: {', '.join(report.failed_checks())}")
@@ -224,19 +231,19 @@ def build_hom(g: FiniteGroupoid, h: FiniteGroupoid,
     return HomMatrix(g, h, entries)
 
 
-def decompose(hm: HomMatrix, *, tol: float = TOL, trust: bool = False) -> DecompositionData:
+def decompose(hm: HomMatrix, *, trust: bool = False) -> DecompositionData:
     """Recover (invariant set, arrow map, twist) from a validated matrix.
 
     Requires the target to be effective and the matrix to pass `validate_hom`
-    (skipped with `trust`, for callers that already validated).  Support
-    patterns a genuine homomorphism cannot produce raise
+    (skipped with `trust`, so that corrupted input reaches the checks below).
+    Support patterns a genuine homomorphism cannot produce raise
     `InternalInconsistencyError`, signalling corrupted input.
     """
     g, h = hm.source, hm.target
     if not is_effective(h):
         raise HypothesisError("decomposition requires an effective target groupoid")
     if not trust:
-        require_valid(hm, tol)
+        require_valid(hm)
     m = hm.entries
 
     kept_units = []
@@ -296,7 +303,7 @@ def decompose(hm: HomMatrix, *, tol: float = TOL, trust: bool = False) -> Decomp
 
     rebuilt = build_hom(g, h, data)
     residual = float(np.max(np.abs(rebuilt.entries - m))) if m.size else 0.0
-    if residual > tol:
+    if residual > TOL:
         raise InternalInconsistencyError(
             f"rebuilt matrix deviates by {residual:.3e}")
     return data
@@ -313,18 +320,18 @@ def quotient_hom(h: FiniteGroupoid) -> HomMatrix:
     return HomMatrix(h, quotient, entries)
 
 
-def rigidity_check(hm: HomMatrix, tol: float = TOL) -> GroupoidHom:
+def rigidity_check(hm: HomMatrix) -> GroupoidHom:
     """For a surjective validated matrix onto an effective target, return the
     induced isomorphism from the isotropy-collapsed restriction onto the target."""
     g, h = hm.source, hm.target
     if not is_effective(h):
         raise HypothesisError("rigidity requires an effective target groupoid")
-    require_valid(hm, tol)
-    rank = numerical_rank(hm.entries, tol)
+    require_valid(hm)
+    rank = numerical_rank(hm.entries)
     if rank < h.arrow_count:
         raise HypothesisError(
             f"matrix is not surjective: rank {rank} < {h.arrow_count}")
-    data = decompose(hm, tol=tol, trust=True)
+    data = decompose(hm)
     restriction = data.hom.domain
     quotient, q = quotient_by_isotropy(restriction)
     induced = [-1] * quotient.arrow_count

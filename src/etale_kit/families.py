@@ -87,6 +87,11 @@ def group_inverses(table: Sequence[Sequence[int]]) -> list[int]:
     k = len(table)
     if any(len(row) != k for row in table):
         raise StructuralError("group table must be square")
+    for a, row in enumerate(table):
+        for b, c in enumerate(row):
+            if not 0 <= c < k:
+                raise StructuralError(
+                    f"group table entry ({a},{b}) is {c}, outside 0..{k - 1}")
     if any(table[0][a] != a or table[a][0] != a for a in range(k)):
         raise StructuralError("group table must have identity 0")
     for a in range(k):

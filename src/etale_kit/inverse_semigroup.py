@@ -215,11 +215,9 @@ class SemigroupAction:
         return tuple(sorted(self.maps[s].keys()))
 
 
-def canonical_action(g: FiniteGroupoid, semigroup: InverseSemigroup | None = None,
-                     cap: int | None = None) -> SemigroupAction:
+def canonical_action(g: FiniteGroupoid, cap: int | None = None) -> SemigroupAction:
     """Bisections acting on the unit space: u moves src(a) to rng(a) for a in u."""
-    if semigroup is None:
-        semigroup = enumerate_bisections(g, cap)
+    semigroup = enumerate_bisections(g, cap)
     unit_pos = {u: i for i, u in enumerate(g.units)}
     maps = []
     for b in semigroup.elements:
@@ -313,8 +311,8 @@ def canonical_germ_iso(g: FiniteGroupoid, cap: int | None = None) -> GroupoidHom
     """The isomorphism from the germ groupoid of the canonical bisection action
     back onto the groupoid: the germ of (u, x) goes to the unique arrow of u
     with source x."""
-    semigroup = enumerate_bisections(g, cap)
-    action = canonical_action(g, semigroup)
+    action = canonical_action(g, cap)
+    semigroup = action.semigroup
     germs = germ_groupoid(action)
     units = g.units
     mapping = []

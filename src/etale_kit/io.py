@@ -103,10 +103,10 @@ def groupoid_from_doc(doc: dict, *, validate: bool = True) -> FiniteGroupoid:
     return g
 
 
-def load_groupoid(path: str | Path, *, validate: bool = True) -> FiniteGroupoid:
+def load_groupoid(path: str | Path) -> FiniteGroupoid:
     with open(path) as fh:
         doc = json.load(fh)
-    return groupoid_from_doc(doc, validate=validate)
+    return groupoid_from_doc(doc)
 
 
 # -- algebra elements ------------------------------------------------------------
@@ -116,51 +116,61 @@ def element_to_doc(f: AlgebraElement) -> dict:
     return {"coeff": [[float(z.real), float(z.imag)] for z in f.coeff]}
 
 
-def element_from_doc(doc: dict, g: FiniteGroupoid) -> AlgebraElement:
-    coeff = _require(doc, "coeff", list)
+def _is_number(value) -> bool:
+    """A JSON number: booleans and strings are not coefficients."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _complex_pairs(items: list, what: str) -> list[complex]:
     values = []
-    for item in coeff:
-        if not (isinstance(item, list) and len(item) == 2):
-            raise StructuralError("coeff entries must be [re, im] pairs")
-        values.append(complex(float(item[0]), float(item[1])))
-    return AlgebraElement(g, values)
+    for item in items:
+        if not (isinstance(item, list) and len(item) == 2
+                and _is_number(item[0]) and _is_number(item[1])):
+            raise StructuralError(f"{what} must be [re, im] pairs of numbers")
+        try:
+            values.append(complex(item[0], item[1]))
+        except OverflowError:  # an integer beyond the float range
+            raise StructuralError(f"{what} must be finite") from None
+    return values
+
+
+def element_from_doc(doc: dict, g: FiniteGroupoid) -> AlgebraElement:
+    if not (isinstance(doc, dict) and isinstance(doc.get("coeff"), list)):
+        raise StructuralError("element document must be an object with a 'coeff' list")
+    return AlgebraElement(g, _complex_pairs(doc["coeff"], "coeff entries"))
 
 
 # -- homomorphism matrices --------------------------------------------------------
 
 
-def hom_to_doc(hm: HomMatrix, meta: dict | None = None) -> dict:
+def hom_to_doc(hm: HomMatrix) -> dict:
     flat = [[float(z.real), float(z.imag)] for z in hm.entries.reshape(-1)]
-    doc = {
+    return {
         "source": groupoid_to_doc(hm.source),
         "target": groupoid_to_doc(hm.target),
         "rows": hm.target.arrow_count,
         "cols": hm.source.arrow_count,
         "entries": flat,
     }
-    if meta:
-        doc["meta"] = meta
-    return doc
 
 
-def _resolve_groupoid(ref, base: Path | None, *, validate: bool) -> FiniteGroupoid:
+def _resolve_groupoid(ref, base: Path | None) -> FiniteGroupoid:
     if isinstance(ref, str):
         path = Path(ref)
         if base is not None and not path.is_absolute():
             path = base / path
-        return load_groupoid(path, validate=validate)
-    return groupoid_from_doc(ref, validate=validate)
+        return load_groupoid(path)
+    return groupoid_from_doc(ref)
 
 
-def hom_from_doc(doc: dict, *, base: Path | None = None,
-                 validate_groupoids: bool = True) -> HomMatrix:
+def hom_from_doc(doc: dict, *, base: Path | None = None) -> HomMatrix:
     if not isinstance(doc, dict):
         raise StructuralError("homomorphism document must be an object")
     for key in ("source", "target", "rows", "cols", "entries"):
         if key not in doc:
             raise StructuralError(f"homomorphism document is missing {key!r}")
-    source = _resolve_groupoid(doc["source"], base, validate=validate_groupoids)
-    target = _resolve_groupoid(doc["target"], base, validate=validate_groupoids)
+    source = _resolve_groupoid(doc["source"], base)
+    target = _resolve_groupoid(doc["target"], base)
     rows, cols = doc["rows"], doc["cols"]
     if not (_is_int(rows) and _is_int(cols)):
         raise StructuralError("rows and cols must be integers")
@@ -169,21 +179,16 @@ def hom_from_doc(doc: dict, *, base: Path | None = None,
     flat = doc["entries"]
     if not isinstance(flat, list) or len(flat) != rows * cols:
         raise StructuralError("entries must hold rows*cols [re, im] pairs")
-    values = []
-    for item in flat:
-        if not (isinstance(item, list) and len(item) == 2):
-            raise StructuralError("entries must be [re, im] pairs")
-        values.append(complex(float(item[0]), float(item[1])))
+    values = _complex_pairs(flat, "entries")
     entries = np.array(values, dtype=complex).reshape(rows, cols)
     return HomMatrix(source, target, entries)
 
 
-def load_hom(path: str | Path, *, validate_groupoids: bool = True) -> HomMatrix:
+def load_hom(path: str | Path) -> HomMatrix:
     path = Path(path)
     with open(path) as fh:
         doc = json.load(fh)
-    return hom_from_doc(doc, base=path.parent,
-                        validate_groupoids=validate_groupoids)
+    return hom_from_doc(doc, base=path.parent)
 
 
 # -- bisections and germ groupoids ---------------------------------------------

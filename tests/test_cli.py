@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +101,15 @@ def test_norm_prints_twelve_digits(docs):
     out = run_cli("--json", "norm", docs["r2"], "--element", docs["ones"])
     assert out.returncode == 0
     assert json.loads(out.stdout)["data"]["reduced_norm"] == "2"
+
+
+def test_non_numeric_element_exits_one(docs, tmp_path):
+    element = tmp_path / "element.json"
+    element.write_text(json.dumps({"coeff": [["a", 0]] + [[0, 0]] * 3}))
+    out = run_cli("norm", docs["r2"], "--element", str(element))
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert "pairs of numbers" in out.stderr
 
 
 def test_decompose_success(docs):
@@ -215,7 +225,7 @@ def test_table_output_mentions_checks(docs):
 
 
 def test_documents_can_arrive_on_stdin(docs):
-    payload = open(docs["r2"]).read()
+    payload = Path(docs["r2"]).read_text()
     out = run_cli("--json", "validate", "-", input=payload)
     assert out.returncode == 0
     assert json.loads(out.stdout)["ok"]

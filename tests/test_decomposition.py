@@ -1,5 +1,7 @@
 """Building, validating, and decomposing diagonal-compatible homomorphism matrices."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,16 @@ def test_validate_identity_and_sign(r2_hand):
     report = validate_hom(sign_matrix(r2_hand))
     assert report.ok
     assert report.failed_checks() == []
+
+
+def test_validation_report_is_computed_once_and_frozen(r2_hand):
+    hm = sign_matrix(r2_hand)
+    report = validate_hom(hm)
+    assert validate_hom(hm) is report
+    assert rigidity_check(hm).is_bijective()
+    assert validate_hom(hm) is report
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.is_star_hom = False
 
 
 def test_validate_random_dense_matrix_fails_with_witness(r2_hand):

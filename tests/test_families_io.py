@@ -73,6 +73,8 @@ def test_transformation_rejects_non_actions():
     ([[1, 0], [0, 1]], "identity 0"),
     ([[0, 1, 2], [1, 0, 0], [2, 0, 0]], "not associative"),
     ([[0, 1], [1, 1]], "without inverse"),
+    ([[0, 1], [1, 5]], r"entry \(1,1\) is 5"),
+    ([[0, 1], [1, -1]], r"entry \(1,1\) is -1"),
 ])
 def test_group_table_refused_alike_by_both_paths(table, message):
     with pytest.raises(StructuralError, match=message) as direct:
@@ -150,6 +152,32 @@ def test_hom_parse_rejects_non_integer_shape(key, value):
     kio.hom_from_doc(doc)
     with pytest.raises(StructuralError):
         kio.hom_from_doc({**doc, key: value})
+
+
+_BAD_PAIRS = [
+    [["a", 0]],  # a string
+    [[True, 0]],  # a boolean, which float() would read as 1.0
+    [[0, None]],
+    [[10 ** 400, 0]],  # an integer beyond the float range
+    [[0, 0, 0]],
+]
+
+
+@pytest.mark.parametrize("pairs", _BAD_PAIRS)
+def test_parse_rejects_non_numeric_coefficients(pairs):
+    g = cyclic_groupoid(1)
+    assert kio.element_from_doc({"coeff": [[1, 0.5]]}, g).coeff[0] == 1 + 0.5j
+    with pytest.raises(StructuralError):
+        kio.element_from_doc({"coeff": pairs}, g)
+    doc = {"source": _POINT, "target": _POINT, "rows": 1, "cols": 1}
+    with pytest.raises(StructuralError):
+        kio.hom_from_doc({**doc, "entries": pairs})
+
+
+@pytest.mark.parametrize("doc", [5, "coeff", None, {}, {"coeff": 3}])
+def test_parse_rejects_malformed_element_documents(doc):
+    with pytest.raises(StructuralError, match="element document"):
+        kio.element_from_doc(doc, cyclic_groupoid(1))
 
 
 def test_parse_validates_axioms_on_load():
