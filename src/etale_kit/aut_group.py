@@ -9,7 +9,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .cocycles import Cocycle, enumerate_cocycles, precompose_cocycle, trivial_cocycle
+from .cocycles import (
+    Cocycle,
+    cocycle_conj,
+    cocycle_product,
+    enumerate_cocycles,
+    precompose_cocycle,
+    trivial_cocycle,
+)
 from .decomposition import (
     DecompositionData,
     HomMatrix,
@@ -71,17 +78,14 @@ def sd_multiply(a: AutPair, b: AutPair) -> AutPair:
     """(phi1, c1) . (phi2, c2) = (phi1 o phi2, (c1 o phi2) . c2)."""
     if a.groupoid != b.groupoid:
         raise StructuralError("pairs live on different groupoids")
-    phi = compose_homs(a.phi, b.phi)
-    moved = precompose_cocycle(a.cocycle, b.phi)
-    values = [u.times(v) for u, v in zip(moved.values, b.cocycle.values)]
-    return AutPair(phi, Cocycle(a.groupoid, values))
+    return AutPair(compose_homs(a.phi, b.phi),
+                   cocycle_product(precompose_cocycle(a.cocycle, b.phi), b.cocycle))
 
 
 def sd_inverse(a: AutPair) -> AutPair:
     """The group inverse: (phi^-1, conjugate of c o phi^-1)."""
     phi_inv = a.phi.inverse()
-    moved = precompose_cocycle(a.cocycle, phi_inv)
-    return AutPair(phi_inv, Cocycle(a.groupoid, [v.conj() for v in moved.values]))
+    return AutPair(phi_inv, cocycle_conj(precompose_cocycle(a.cocycle, phi_inv)))
 
 
 def pair_matrix(pair: AutPair) -> HomMatrix:

@@ -152,12 +152,6 @@ class Cocycle:
 
     __hash__ = None
 
-    def exponents(self) -> tuple | None:
-        """(num, den) pairs when every value is exact, else None."""
-        if all(v.is_exact for v in self.values):
-            return tuple((v.num, v.den) for v in self.values)
-        return None
-
     def __repr__(self):
         return f"Cocycle({self.values!r})"
 

@@ -87,7 +87,7 @@ def unit_indicator(g: FiniteGroupoid) -> AlgebraElement:
 def _conv_arrays(g: FiniteGroupoid):
     cached = g._cache.get("conv_arrays")
     if cached is None:
-        items = sorted(g.compose.items())
+        items = g.compose.items()
         left = np.array([a for (a, _), _ in items], dtype=np.intp)
         right = np.array([b for (_, b), _ in items], dtype=np.intp)
         out = np.array([c for _, c in items], dtype=np.intp)

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import islice
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     HomomorphismError,
@@ -40,9 +41,10 @@ class FiniteGroupoid:
 
     Units are a flagged subset of the arrows; `compose` is a partial table
     defined exactly on the composable pairs (source of the left factor equals
-    range of the right factor).  Construction checks only that ids are in
-    range; run `validation_report` for the groupoid axioms.  Instances are
-    immutable values after construction.
+    range of the right factor), and iterates in ascending (a, b) key order.
+    Construction checks only that ids are in range; run `validation_report`
+    for the groupoid axioms.  Instances are immutable values after
+    construction.
     """
 
     __slots__ = ("arrow_count", "units", "src", "rng", "inv", "compose",
@@ -99,12 +101,6 @@ class FiniteGroupoid:
     def arrows(self) -> range:
         return range(self.arrow_count)
 
-    def composable(self, a: int, b: int) -> bool:
-        return self.src[a] == self.rng[b]
-
-    def product(self, a: int, b: int) -> int:
-        return self.compose[(a, b)]
-
     def by_src(self) -> tuple[tuple[int, ...], ...]:
         """Arrows grouped by source: by_src()[x] lists arrows with src == x."""
         return self._grouped("by_src", self.src.__getitem__, dense=True)
@@ -139,7 +135,7 @@ class FiniteGroupoid:
 
     def _key(self):
         return (self.arrow_count, self.units, self.src, self.rng, self.inv,
-                tuple(sorted(self.compose.items())))
+                tuple(self.compose.items()))
 
     def __eq__(self, other):
         if self is other:
@@ -191,75 +187,63 @@ class ValidationReport:
 def validation_report(g: FiniteGroupoid, *, stop_early: bool = False) -> ValidationReport:
     """Check the five groupoid axioms plus inverse uniqueness.
 
-    Returns every violation with a concrete witness; with `stop_early` the
-    first violation short-circuits (used by mutation sweeps).
+    Returns every violation with a concrete witness; with `stop_early` only
+    the first one is found (used by mutation sweeps).
     """
-    out: list[Violation] = []
+    return ValidationReport(list(islice(_violations(g), 1 if stop_early else None)))
 
-    def add(axiom: str, witness: tuple, detail: str) -> bool:
-        out.append(Violation(axiom, witness, detail))
-        return stop_early
 
+def _violations(g: FiniteGroupoid) -> Iterator[Violation]:
+    """Every axiom violation of the tables, lazily, in a fixed order."""
     units = g.unit_set
     src, rng, inv, table = g.src, g.rng, g.inv, g.compose
 
     # axiom 1: units are fixed by src and rng, and src/rng land in the units
     for x in g.units:
         if src[x] != x:
-            if add("axiom1_units", (x,), f"unit {x} has src {src[x]} != {x}"):
-                return ValidationReport(out)
+            yield Violation("axiom1_units", (x,), f"unit {x} has src {src[x]} != {x}")
         if rng[x] != x:
-            if add("axiom1_units", (x,), f"unit {x} has rng {rng[x]} != {x}"):
-                return ValidationReport(out)
+            yield Violation("axiom1_units", (x,), f"unit {x} has rng {rng[x]} != {x}")
     for a in g.arrows():
         if src[a] not in units:
-            if add("axiom1_units", (a,), f"src[{a}] = {src[a]} is not a unit"):
-                return ValidationReport(out)
+            yield Violation("axiom1_units", (a,), f"src[{a}] = {src[a]} is not a unit")
         if rng[a] not in units:
-            if add("axiom1_units", (a,), f"rng[{a}] = {rng[a]} is not a unit"):
-                return ValidationReport(out)
+            yield Violation("axiom1_units", (a,), f"rng[{a}] = {rng[a]} is not a unit")
 
     # axiom 3, table shape: keys are exactly the composable pairs
     for (a, b), c in table.items():
         if src[a] != rng[b]:
-            if add("axiom3_composability", (a, b),
-                   f"compose defined on ({a},{b}) but src[{a}]={src[a]} != rng[{b}]={rng[b]}"):
-                return ValidationReport(out)
+            yield Violation(
+                "axiom3_composability", (a, b),
+                f"compose defined on ({a},{b}) but src[{a}]={src[a]} != rng[{b}]={rng[b]}")
     by_rng = g.by_rng()
     for a in g.arrows():
         for b in by_rng[src[a]]:
             if (a, b) not in table:
-                if add("axiom3_composability", (a, b),
-                       f"composable pair ({a},{b}) has no compose entry"):
-                    return ValidationReport(out)
+                yield Violation("axiom3_composability", (a, b),
+                                f"composable pair ({a},{b}) has no compose entry")
     for (a, b), c in table.items():
         if src[c] != src[b] or rng[c] != rng[a]:
-            if add("axiom3_composability", (a, b, c),
-                   f"product {c} of ({a},{b}) has src/rng ({src[c]},{rng[c]}), "
-                   f"expected ({src[b]},{rng[a]})"):
-                return ValidationReport(out)
+            yield Violation("axiom3_composability", (a, b, c),
+                            f"product {c} of ({a},{b}) has src/rng ({src[c]},{rng[c]}), "
+                            f"expected ({src[b]},{rng[a]})")
 
     # axiom 2: identity laws
     for a in g.arrows():
         if table.get((a, src[a])) != a:
-            if add("axiom2_identity", (a,), f"{a} . src[{a}] != {a}"):
-                return ValidationReport(out)
+            yield Violation("axiom2_identity", (a,), f"{a} . src[{a}] != {a}")
         if table.get((rng[a], a)) != a:
-            if add("axiom2_identity", (a,), f"rng[{a}] . {a} != {a}"):
-                return ValidationReport(out)
+            yield Violation("axiom2_identity", (a,), f"rng[{a}] . {a} != {a}")
 
     # axiom 5: the declared inverse works on both sides and is involutive
     for a in g.arrows():
         b = inv[a]
         if table.get((b, a)) != src[a]:
-            if add("axiom5_inverse", (a, b), f"inv[{a}]={b} with {b}.{a} != src[{a}]"):
-                return ValidationReport(out)
+            yield Violation("axiom5_inverse", (a, b), f"inv[{a}]={b} with {b}.{a} != src[{a}]")
         if table.get((a, b)) != rng[a]:
-            if add("axiom5_inverse", (a, b), f"inv[{a}]={b} with {a}.{b} != rng[{a}]"):
-                return ValidationReport(out)
+            yield Violation("axiom5_inverse", (a, b), f"inv[{a}]={b} with {a}.{b} != rng[{a}]")
         if inv[b] != a:
-            if add("axiom5_inverse", (a, b), f"inv[inv[{a}]] = {inv[b]} != {a}"):
-                return ValidationReport(out)
+            yield Violation("axiom5_inverse", (a, b), f"inv[inv[{a}]] = {inv[b]} != {a}")
 
     # axiom 4: associativity over all composable triples
     for (a, b), ab in table.items():
@@ -269,12 +253,9 @@ def validation_report(g: FiniteGroupoid, *, stop_early: bool = False) -> Validat
             if bc is None or left is None:
                 continue  # missing entries already reported under axiom 3
             right = table.get((a, bc))
-            if right is None:
-                continue
-            if left != right:
-                if add("axiom4_associativity", (a, b, c),
-                       f"({a}.{b}).{c} = {left} but {a}.({b}.{c}) = {right}"):
-                    return ValidationReport(out)
+            if right is not None and left != right:
+                yield Violation("axiom4_associativity", (a, b, c),
+                                f"({a}.{b}).{c} = {left} but {a}.({b}.{c}) = {right}")
 
     # inverse uniqueness: no second two-sided inverse exists
     for a in g.arrows():
@@ -284,11 +265,8 @@ def validation_report(g: FiniteGroupoid, *, stop_early: bool = False) -> Validat
             and table.get((b, a)) == src[a] and table.get((a, b)) == rng[a]
         ]
         if candidates != [inv[a]]:
-            if add("inverse_uniqueness", (a, tuple(candidates)),
-                   f"arrow {a} has two-sided inverses {candidates}, declared {inv[a]}"):
-                return ValidationReport(out)
-
-    return ValidationReport(out)
+            yield Violation("inverse_uniqueness", (a, tuple(candidates)),
+                            f"arrow {a} has two-sided inverses {candidates}, declared {inv[a]}")
 
 
 # -- isotropy and invariant subsets ----------------------------------------
@@ -316,23 +294,13 @@ def is_topologically_principal(g: FiniteGroupoid) -> bool:
 
 
 def orbits(g: FiniteGroupoid) -> tuple[tuple[int, ...], ...]:
-    """Partition of the units under the reachability relation, sorted."""
-    parent = {x: x for x in g.units}
+    """Partition of the units under the reachability relation, sorted.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in g.arrows():
-        x, y = find(g.src[a]), find(g.rng[a])
-        if x != y:
-            parent[y] = x
-    groups: dict[int, list[int]] = {}
-    for x in g.units:
-        groups.setdefault(find(x), []).append(x)
-    return tuple(sorted(tuple(sorted(grp)) for grp in groups.values()))
+    Assumes the groupoid axioms: composition makes reachability one step, so
+    the orbit of a unit x is the set of ranges of the arrows leaving x."""
+    by_src = g.by_src()
+    return tuple(sorted({tuple(sorted({g.rng[a] for a in by_src[x]}))
+                         for x in g.units}))
 
 
 def invariant_subsets(g: FiniteGroupoid) -> list[tuple[int, ...]]:
@@ -560,41 +528,23 @@ def enumerate_automorphisms(g: FiniteGroupoid, cap: int | None = None) -> list[G
 def quotient_by_isotropy(g: FiniteGroupoid) -> tuple[FiniteGroupoid, GroupoidHom]:
     """Collapse the isotropy interior: arrows a ~ b when src(a) = src(b) and
     a . b^-1 lies in the isotropy.  Returns the (always effective) quotient
-    and the collapse homomorphism, which is injective on units."""
-    n = g.arrow_count
-    iso = set(isotropy_interior(g))
-    parent = list(range(n))
+    and the collapse homomorphism, which is injective on units.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    by_src = g.by_src()
-    for x in g.units:
-        group = by_src[x]
-        for i, a in enumerate(group):
-            for b in group[i + 1:]:
-                p = g.compose.get((a, g.inv[b]))
-                if p is not None and p in iso:
-                    ra, rb = find(a), find(b)
-                    if ra != rb:
-                        parent[max(ra, rb)] = min(ra, rb)
-
-    reps = sorted({find(a) for a in range(n)})
-    cls_of = {a: reps.index(find(a)) for a in range(n)}
-    mapping = tuple(cls_of[a] for a in range(n))
-    units_q = sorted({cls_of[x] for x in g.units})
-    src_q = [0] * len(reps)
-    rng_q = [0] * len(reps)
-    inv_q = [0] * len(reps)
-    for i, r in enumerate(reps):
-        src_q[i] = cls_of[g.src[r]]
-        rng_q[i] = cls_of[g.rng[r]]
-        inv_q[i] = cls_of[g.inv[r]]
-    compose_q: dict[tuple[int, int], int] = {}
-    for (a, b), c in g.compose.items():
-        compose_q[(cls_of[a], cls_of[b])] = cls_of[c]
-    quotient = FiniteGroupoid(len(reps), units_q, src_q, rng_q, compose_q, inv_q)
-    return quotient, GroupoidHom(g, quotient, mapping)
+    Assumes the groupoid axioms, under which a ~ b exactly when a and b have
+    the same source and the same range: the classes are the (src, rng)
+    buckets, numbered in order of their least arrow."""
+    buckets = g.by_src_rng().values()  # in order of first, so least, arrow
+    cls_of = [0] * g.arrow_count
+    for i, bucket in enumerate(buckets):
+        for a in bucket:
+            cls_of[a] = i
+    reps = [bucket[0] for bucket in buckets]
+    quotient = FiniteGroupoid(
+        len(reps),
+        {cls_of[x] for x in g.units},
+        [cls_of[g.src[r]] for r in reps],
+        [cls_of[g.rng[r]] for r in reps],
+        {(cls_of[a], cls_of[b]): cls_of[c] for (a, b), c in g.compose.items()},
+        [cls_of[g.inv[r]] for r in reps],
+    )
+    return quotient, GroupoidHom(g, quotient, tuple(cls_of))

@@ -53,12 +53,6 @@ class Bisection:
             seen_src.add(g.src[a])
             seen_rng.add(g.rng[a])
 
-    def source_set(self) -> tuple[int, ...]:
-        return tuple(sorted(self.groupoid.src[a] for a in self.arrows))
-
-    def range_set(self) -> tuple[int, ...]:
-        return tuple(sorted(self.groupoid.rng[a] for a in self.arrows))
-
     def is_idempotent(self) -> bool:
         return all(a in self.groupoid.unit_set for a in self.arrows)
 
@@ -87,6 +81,7 @@ class InverseSemigroup:
     def __init__(self, elements: Sequence, table: Sequence[Sequence[int]],
                  star: Sequence[int], zero: int | None = None):
         self.elements = tuple(elements)
+        self._index = {e: i for i, e in enumerate(self.elements)}
         k = len(self.elements)
         self.table = tuple(tuple(int(x) for x in row) for row in table)
         self.star = tuple(int(x) for x in star)
@@ -123,11 +118,7 @@ class InverseSemigroup:
         return tuple(s for s in range(len(self.elements)) if self.table[s][s] == s)
 
     def index(self, element) -> int:
-        cached = getattr(self, "_index", None)
-        if cached is None:
-            cached = {e: i for i, e in enumerate(self.elements)}
-            self._index = cached
-        return cached[element]
+        return self._index[element]
 
 
 def enumerate_bisections(g: FiniteGroupoid, cap: int | None = None) -> InverseSemigroup:
@@ -210,9 +201,6 @@ class SemigroupAction:
             covered |= set(self.maps[e].keys())
         if covered != set(range(self.n_points)):
             raise ActionError("idempotent domains do not cover the point set")
-
-    def domain(self, s: int) -> tuple[int, ...]:
-        return tuple(sorted(self.maps[s].keys()))
 
 
 def canonical_action(g: FiniteGroupoid, cap: int | None = None) -> SemigroupAction:

@@ -48,7 +48,7 @@ def groupoid_to_doc(g: FiniteGroupoid, meta: dict | None = None) -> dict:
         "units": list(g.units),
         "src": list(g.src),
         "rng": list(g.rng),
-        "compose": [[a, b, c] for (a, b), c in sorted(g.compose.items())],
+        "compose": [[a, b, c] for (a, b), c in g.compose.items()],
         "inv": list(g.inv),
     }
     if meta:

@@ -22,7 +22,7 @@ def _mutation_specs(g: FiniteGroupoid) -> Iterator[tuple[str, str, object, int |
             for v in range(n):
                 if v != table[i]:
                     yield (f"{name}[{i}]={v}", name, i, v)
-    for (a, b), c in sorted(g.compose.items()):
+    for (a, b), c in g.compose.items():
         for v in range(n):
             if v != c:
                 yield (f"compose[{a},{b}]={v}", "compose", (a, b), v)

@@ -44,7 +44,7 @@ from .decomposition import (
     rigidity_check,
     validate_hom,
 )
-from .errors import HypothesisError
+from .errors import CapExceeded, HypothesisError
 from .families import cyclic_groupoid, disjoint_union, group_bundle, pair_groupoid, standard_corpus
 from .groupoid import (
     enumerate_automorphisms,
@@ -80,6 +80,8 @@ def run_selftest(seed: int = 0, cap: int = 16) -> list[dict]:
     rnd = random.Random(seed)
     nprng = np.random.default_rng(seed)
     corpus = standard_corpus(cap)
+    if not corpus:
+        raise CapExceeded(f"selftest refused: the cap {cap} admits no corpus groupoid")
     small = [(n, g) for n, g in corpus if g.arrow_count <= min(cap, 9)]
     checks: list[dict] = []
 

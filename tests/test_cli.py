@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from etale_kit import cli
 from etale_kit import io as kio
 from etale_kit.cstar import AlgebraElement
 from etale_kit.decomposition import HomMatrix, quotient_hom
@@ -216,6 +217,15 @@ def test_selftest_json_is_deterministic():
     report = json.loads(first.stdout)
     assert report["ok"]
     assert report["timing_ms"] is None
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_selftest_refuses_a_cap_that_admits_no_groupoid(cap, capsys):
+    assert cli.main(["selftest", "--cap", cap]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"the cap {cap} admits no corpus groupoid" in out.err
+    assert "Traceback" not in out.err
 
 
 def test_table_output_mentions_checks(docs):

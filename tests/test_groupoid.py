@@ -1,5 +1,6 @@
 """Axiom validation, isotropy, invariant subsets, restriction, quotients, homs."""
 
+import random
 from itertools import permutations
 
 import pytest
@@ -268,3 +269,62 @@ def test_hom_enumeration_against_bruteforce(r2_hand, z2_hand, bundle_hand):
                enumerate_homomorphisms(dom, cod, injective_on_units=True)]
         assert inj == [m for m in got
                        if len({m[x] for x in dom.units}) == len(dom.units)]
+
+
+def _relabelled(g, seed):
+    """The same groupoid with its arrow ids permuted by a seeded shuffle."""
+    new = list(g.arrows())
+    random.Random(seed).shuffle(new)
+
+    def moved(table):
+        out = [0] * g.arrow_count
+        for a, v in enumerate(table):
+            out[new[a]] = new[v]
+        return out
+
+    return FiniteGroupoid(
+        g.arrow_count, [new[x] for x in g.units], moved(g.src), moved(g.rng),
+        {(new[a], new[b]): new[c] for (a, b), c in g.compose.items()}, moved(g.inv))
+
+
+def _corpus_and_relabellings(corpus):
+    for name, g in corpus:
+        yield name, g
+        for seed in range(3):
+            yield f"{name} relabelled by seed {seed}", _relabelled(g, seed)
+
+
+def test_orbits_against_networkx_components(corpus):
+    nx = pytest.importorskip("networkx")
+    for name, g in _corpus_and_relabellings(corpus):
+        assert validation_report(g).ok, name
+        graph = nx.Graph()
+        graph.add_nodes_from(g.units)
+        graph.add_edges_from((g.src[a], g.rng[a]) for a in g.arrows())
+        components = tuple(sorted(tuple(sorted(c))
+                                  for c in nx.connected_components(graph)))
+        assert orbits(g) == components, name
+
+
+def test_quotient_classes_against_the_definition(corpus):
+    """a ~ b when src(a) = src(b) and a . b^-1 is isotropy; classes are
+    numbered in order of their least arrow."""
+    for name, g in _corpus_and_relabellings(corpus):
+        q, hom = quotient_by_isotropy(g)
+        iso = set(isotropy_interior(g))
+        related = {(a, b) for a in g.arrows() for b in g.arrows()
+                   if g.src[a] == g.src[b] and g.compose[(a, g.inv[b])] in iso}
+        for a in g.arrows():
+            for b in g.arrows():
+                assert (hom.mapping[a] == hom.mapping[b]) == ((a, b) in related), (name, a, b)
+        least = [min(b for b in g.arrows() if (a, b) in related) for a in g.arrows()]
+        ranks = sorted(set(least))
+        assert hom.mapping == tuple(ranks.index(m) for m in least), name
+        assert q.arrow_count == len(ranks), name
+
+
+def test_stop_early_reports_the_first_violation_of_the_full_report(corpus):
+    for name, g in corpus:
+        for label, mutant in enumerate_mutations(g):
+            first = validation_report(mutant, stop_early=True).violations
+            assert first == validation_report(mutant).violations[:1], (name, label)
