@@ -32,7 +32,6 @@ from .errors import (
 )
 from .groupoid import (
     enumerate_automorphisms,
-    invariant_subsets,
     is_effective,
     is_topologically_principal,
     isotropy_interior,
@@ -142,7 +141,7 @@ def _cmd_analyze(args) -> tuple[int, Report]:
         "arrows": g.arrow_count,
         "units": len(g.units),
         "orbits": len(orbits(g)),
-        "invariant_subsets": len(invariant_subsets(g)),
+        "invariant_subsets": 2 ** len(orbits(g)),
         "isotropy": len(isotropy_interior(g)),
         "effective": is_effective(g),
         "topologically_principal": is_topologically_principal(g),

@@ -31,7 +31,6 @@ from .groupoid import (
     invariance_witness,
     invariant_subsets,
     is_effective,
-    normalize_unit_set,
     quotient_by_isotropy,
     restrict,
     restriction_arrows,
@@ -197,12 +196,7 @@ class DecompositionData:
 
 
 def _check_data(g: FiniteGroupoid, h: FiniteGroupoid, data: DecompositionData) -> FiniteGroupoid:
-    f = normalize_unit_set(g, data.invariant_units)
-    w = invariance_witness(g, f)
-    if w is not None:
-        raise HypothesisError(
-            f"unit set is not invariant: witness arrow {w}")
-    restriction = restrict(g, f)
+    restriction = restrict(g, data.invariant_units)
     if data.hom.domain != restriction:
         raise HypothesisError("arrow map is not defined on the restriction")
     if data.hom.codomain != h:

@@ -492,9 +492,6 @@ def enumerate_homomorphisms(
         else:
             key = (image[domain.src[a]], image[domain.rng[a]])
             candidates = cod_by_src_rng.get(key, ())
-            if bijective:
-                candidates = tuple(c for c in candidates
-                                   if not codomain.is_unit(c))
         fresh_only = bijective or (injective_on_units and domain.is_unit(a))
         for c in candidates:
             if fresh_only and uses[c]:
@@ -507,13 +504,7 @@ def enumerate_homomorphisms(
             image[a] = -1
 
     extend(0)
-    homs = []
-    for m in sorted(set(found)):
-        h = GroupoidHom(domain, codomain, m)
-        if bijective and not h.is_bijective():
-            continue
-        homs.append(h)
-    return homs
+    return [GroupoidHom(domain, codomain, m) for m in sorted(found)]
 
 
 def enumerate_automorphisms(g: FiniteGroupoid, cap: int | None = None) -> list[GroupoidHom]:

@@ -57,14 +57,18 @@ class Bisection:
         return all(a in self.groupoid.unit_set for a in self.arrows)
 
 
+def _product(g: FiniteGroupoid, u_at: dict[int, int], v: tuple[int, ...]) -> tuple[int, ...]:
+    """Arrows of u.v, with `u_at` the arrow of u leaving each unit: each b in v
+    composes with u's arrow at rng(b), if u has one."""
+    return tuple(sorted(g.compose[(u_at[g.rng[b]], b)] for b in v if g.rng[b] in u_at))
+
+
 def bisection_product(u: Bisection, v: Bisection) -> Bisection:
     """{a.b : a in u, b in v, composable}; again a bisection."""
     if u.groupoid != v.groupoid:
         raise StructuralError("bisections live on different groupoids")
     g = u.groupoid
-    out = {g.compose[(a, b)] for a in u.arrows for b in v.arrows
-           if g.src[a] == g.rng[b]}
-    return Bisection(g, tuple(out))
+    return Bisection(g, _product(g, {g.src[a]: a for a in u.arrows}, v.arrows))
 
 
 def bisection_inverse(u: Bisection) -> Bisection:
@@ -123,35 +127,30 @@ class InverseSemigroup:
 
 def enumerate_bisections(g: FiniteGroupoid, cap: int | None = None) -> InverseSemigroup:
     """The inverse semigroup of all bisections, elements in lexicographic
-    order of their sorted arrow tuples; the empty bisection is the zero."""
+    order of their sorted arrow tuples; the empty bisection is the zero.
+
+    Built unit by unit: a bisection takes at most one arrow leaving each unit,
+    with distinct ranges.  Assumes the groupoid axioms."""
     check_enum_cap(g.arrow_count, cap, "bisection enumeration")
     cached = g._cache.get("bisections")
     if cached is not None:
         return cached
-    found: list[tuple[int, ...]] = []
-
-    def extend(current: list[int], used_src: set[int], used_rng: set[int], start: int):
-        found.append(tuple(current))
-        if len(found) > SEMIGROUP_ELEMENT_CAP:
+    by_src = g.by_src()
+    partial: list[tuple[tuple[int, ...], frozenset[int]]] = [((), frozenset())]
+    for x in g.units:
+        partial += [(arrows + (a,), used | {g.rng[a]})
+                    for arrows, used in partial
+                    for a in by_src[x] if g.rng[a] not in used]
+        if len(partial) > SEMIGROUP_ELEMENT_CAP:
             raise CapExceeded(
                 f"bisection count exceeds the table bound {SEMIGROUP_ELEMENT_CAP}")
-        for a in range(start, g.arrow_count):
-            sa, ra = g.src[a], g.rng[a]
-            if sa in used_src or ra in used_rng:
-                continue
-            current.append(a)
-            used_src.add(sa)
-            used_rng.add(ra)
-            extend(current, used_src, used_rng, a + 1)
-            current.pop()
-            used_src.discard(sa)
-            used_rng.discard(ra)
-
-    extend([], set(), set(), 0)
+    found = sorted(tuple(sorted(arrows)) for arrows, _ in partial)
+    index = {arrows: i for i, arrows in enumerate(found)}
+    table = []
+    for u in found:
+        u_at = {g.src[a]: a for a in u}
+        table.append([index[_product(g, u_at, v)] for v in found])
     elements = [Bisection(g, arrows) for arrows in found]
-    index = {b.arrows: i for i, b in enumerate(elements)}
-    table = [[index[bisection_product(u, v).arrows] for v in elements]
-             for u in elements]
     star = [index[bisection_inverse(u).arrows] for u in elements]
     semigroup = InverseSemigroup(elements, table, star, zero=index[()])
     g._cache["bisections"] = semigroup
@@ -241,11 +240,10 @@ def germ_groupoid(action: SemigroupAction) -> GermGroupoid:
     (s, x) and (t, x) define the same germ exactly when s.e = t.e for some
     idempotent e whose domain contains x; since idempotent domains are closed
     under products, that is equivalent to agreement against the smallest
-    idempotent at x.  Classes are canonicalized by their least (element, point)
-    member and sorted, so arrow ids are deterministic.
+    idempotent at x.  A class's representative is its least (element, point)
+    member, met first as s runs upward; arrow ids follow the sorted representatives.
     """
     sg = action.semigroup
-    k = len(sg)
 
     min_idem: list[int] = []
     for x in range(action.n_points):
@@ -257,16 +255,14 @@ def germ_groupoid(action: SemigroupAction) -> GermGroupoid:
             raise ActionError(f"point {x} lies in no idempotent domain")
         min_idem.append(ex)
 
-    classes: dict[tuple[int, int], list[int]] = {}
-    for s in range(k):
+    least: dict[tuple[int, int], int] = {}
+    for s in range(len(sg)):
         for x in action.maps[s]:
-            key = (sg.mul(s, min_idem[x]), x)
-            classes.setdefault(key, []).append(s)
+            least.setdefault((sg.mul(s, min_idem[x]), x), s)
 
-    reps = sorted((min(members), x) for (key, x), members in classes.items())
-    arrow_of = {}
-    for i, (s_min, x) in enumerate(reps):
-        arrow_of[(sg.mul(s_min, min_idem[x]), x)] = i
+    keys = sorted(least, key=lambda key: (least[key], key[1]))
+    reps = [(least[key], key[1]) for key in keys]
+    arrow_of = {key: i for i, key in enumerate(keys)}
 
     def germ(s: int, x: int) -> int:
         return arrow_of[(sg.mul(s, min_idem[x]), x)]

@@ -1,6 +1,7 @@
 """Shared fixtures: hand-built groupoids, independent of the family constructors."""
 
 import os
+import random
 from pathlib import Path
 
 import pytest
@@ -67,3 +68,30 @@ def bundle_hand():
 @pytest.fixture(scope="session")
 def corpus():
     return standard_corpus()
+
+
+def _relabelled(g, seed):
+    """The same groupoid with its arrow ids permuted by a seeded shuffle."""
+    new = list(g.arrows())
+    random.Random(seed).shuffle(new)
+
+    def moved(table):
+        out = [0] * g.arrow_count
+        for a, v in enumerate(table):
+            out[new[a]] = new[v]
+        return out
+
+    return FiniteGroupoid(
+        g.arrow_count, [new[x] for x in g.units], moved(g.src), moved(g.rng),
+        {(new[a], new[b]): new[c] for (a, b), c in g.compose.items()}, moved(g.inv))
+
+
+@pytest.fixture(scope="session")
+def corpus_and_relabellings(corpus):
+    """The corpus, each member followed by three arrow-relabelled copies."""
+    out = []
+    for name, g in corpus:
+        out.append((name, g))
+        out += [(f"{name} relabelled by seed {seed}", _relabelled(g, seed))
+                for seed in range(3)]
+    return out

@@ -14,7 +14,8 @@ from etale_kit import io as kio
 from etale_kit.cstar import AlgebraElement
 from etale_kit.decomposition import HomMatrix, quotient_hom
 from etale_kit.errors import CAP_ENV_VAR, ConfigError, enum_cap
-from etale_kit.families import cyclic_groupoid, pair_groupoid
+from etale_kit.families import cyclic_groupoid, group_bundle, pair_groupoid
+from etale_kit.groupoid import invariant_subsets
 
 
 def run_cli(*args, env=None, input=None):
@@ -90,6 +91,25 @@ def test_analyze(docs):
     data = json.loads(out.stdout)["data"]
     assert data["arrows"] == 4 and data["effective"] is True
     assert data["automorphisms"] == 2
+
+
+def _analyze_in_process(g, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(kio.canonical_json(kio.groupoid_to_doc(g)))
+    assert cli.main(["--json", "analyze", str(path)]) == 0
+    return json.loads(capsys.readouterr().out)["data"]
+
+
+def test_analyze_counts_invariant_subsets(corpus, tmp_path, capsys):
+    for name, g in corpus:
+        data = _analyze_in_process(g, tmp_path, capsys)
+        assert data["invariant_subsets"] == len(invariant_subsets(g)), name
+
+
+def test_analyze_counts_invariant_subsets_without_enumerating(tmp_path, capsys):
+    # 40 one-point orbits: 2**40 invariant subsets, far too many to list
+    data = _analyze_in_process(group_bundle([1] * 40), tmp_path, capsys)
+    assert data["invariant_subsets"] == 2 ** 40
 
 
 def test_bisections_count(docs):

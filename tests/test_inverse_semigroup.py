@@ -6,7 +6,7 @@ from math import comb, factorial
 import pytest
 
 from etale_kit.errors import ActionError, CapExceeded, StructuralError
-from etale_kit.families import cyclic_groupoid, disjoint_union, pair_groupoid
+from etale_kit.families import cyclic_groupoid, disjoint_union, group_bundle, pair_groupoid
 from etale_kit.groupoid import validation_report
 from etale_kit.inverse_semigroup import (
     Bisection,
@@ -47,11 +47,27 @@ def test_bisection_validation(r2_hand):
         Bisection(r2_hand, (0, 3))  # shared source at point 1
 
 
-def test_enumeration_matches_bruteforce(r2_hand, z2_hand, bundle_hand):
-    for g in (r2_hand, z2_hand, bundle_hand, cyclic_groupoid(3)):
+def test_enumeration_matches_bruteforce(r2_hand, z2_hand, bundle_hand,
+                                        corpus_and_relabellings):
+    small = [g for _, g in corpus_and_relabellings if g.arrow_count <= 12]
+    for g in (r2_hand, z2_hand, bundle_hand, cyclic_groupoid(3), *small):
         semigroup = enumerate_bisections(g)
         got = sorted(b.arrows for b in semigroup.elements)
         assert got == bisections_bruteforce(g)
+
+
+def test_table_and_star_match_the_pairwise_definition(corpus_and_relabellings):
+    """u.v = {a.b : a in u, b in v, src a = rng b} and u* = {inv a : a in u}."""
+    for name, g in corpus_and_relabellings:
+        if g.arrow_count > 7:
+            continue
+        semigroup = enumerate_bisections(g)
+        elements = [set(b.arrows) for b in semigroup.elements]
+        for s, u in enumerate(elements):
+            assert elements[semigroup.star[s]] == {g.inv[a] for a in u}, (name, s)
+            for t, v in enumerate(elements):
+                product = {g.compose[(a, b)] for a in u for b in v if g.src[a] == g.rng[b]}
+                assert elements[semigroup.mul(s, t)] == product, (name, s, t)
 
 
 def test_partial_injection_counts():
@@ -120,6 +136,12 @@ def test_duplicate_inverse_table_is_rejected():
 def test_cap_refusal():
     with pytest.raises(CapExceeded):
         enumerate_bisections(pair_groupoid(3), cap=5)
+
+
+def test_element_bound_refusal():
+    # 11 units with trivial isotropy: every unit subset is a bisection, 2**11 in all
+    with pytest.raises(CapExceeded, match="table bound 1024"):
+        enumerate_bisections(group_bundle([1] * 11))
 
 
 def test_canonical_action_is_validated(corpus):
