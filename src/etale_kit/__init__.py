@@ -1,80 +1,7 @@
 """Finite etale groupoids, their reduced C*-algebras, and the decomposition of
-diagonal-compatible *-homomorphisms into (invariant set, arrow map, twist)."""
+diagonal-compatible *-homomorphisms into (invariant set, arrow map, twist).
 
-from .cocycles import Cocycle, Phase, PHASE_ONE, enumerate_cocycles, trivial_cocycle
-from .cstar import (
-    AlgebraElement,
-    convolve,
-    delta,
-    is_normalizer,
-    left_regular,
-    reduced_norm,
-    Slice,
-    slice_of_bisection,
-    slice_product,
-    slice_to_bisection,
-    star,
-    unit_indicator,
-)
-from .decomposition import (
-    build_hom,
-    decompose,
-    DecompositionData,
-    enumerate_decomposition_data,
-    HomMatrix,
-    quotient_hom,
-    rigidity_check,
-    validate_hom,
-)
-from .aut_group import (
-    AutPair,
-    classify_faut,
-    factors_through_abelianization,
-    FiniteGroupAction,
-    fixes_diagonal,
-    identity_pair,
-    pair_matrix,
-    sd_inverse,
-    sd_multiply,
-)
-from .families import (
-    cyclic_groupoid,
-    disjoint_union,
-    group_bundle,
-    make_family,
-    pair_arrow,
-    pair_groupoid,
-    standard_corpus,
-    transformation_groupoid,
-)
-from .groupoid import (
-    enumerate_automorphisms,
-    enumerate_homomorphisms,
-    FiniteGroupoid,
-    GroupoidHom,
-    identity_hom,
-    invariant_subsets,
-    is_effective,
-    is_topologically_principal,
-    isotropy_interior,
-    orbits,
-    quotient_by_isotropy,
-    restrict,
-    restriction_arrows,
-    validation_report,
-)
-from .inverse_semigroup import (
-    Bisection,
-    bisection_inverse,
-    bisection_product,
-    canonical_action,
-    canonical_germ_iso,
-    enumerate_bisections,
-    germ_groupoid,
-    GermGroupoid,
-    induced_germ_hom,
-    InverseSemigroup,
-    SemigroupAction,
-)
+The package root re-exports nothing: import each name from the submodule that
+defines it, so that the combinatorial layers load without numpy."""
 
 __version__ = "0.1.0"

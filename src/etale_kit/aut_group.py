@@ -46,7 +46,6 @@ __all__ = [
     "FiniteGroupAction",
     "AbelianizationCertificate",
     "factors_through_abelianization",
-    "group_inverses",
     "commutator_closure",
 ]
 

@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 parse/IO error or a malformed ETALE_KIT_CAP,
 2 hypothesis or validation failure, 3 internal inconsistency (corrupted
 input or failed selftest).
+
+The numpy-backed layers (cstar, decomposition, aut_group, selftest) are
+imported inside the commands that call them, so validate, analyze,
+bisections, quotient and aut start without loading numpy.
 """
 
 from __future__ import annotations
@@ -14,10 +18,7 @@ import time
 from pathlib import Path
 
 from . import io as kio
-from .aut_group import AutPair, fixes_diagonal
 from .cocycles import enumerate_cocycles
-from .cstar import reduced_norm
-from .decomposition import decompose, numerical_rank, require_valid, rigidity_check
 from .errors import (
     ActionError,
     CapExceeded,
@@ -40,7 +41,6 @@ from .groupoid import (
     validation_report,
 )
 from .inverse_semigroup import enumerate_bisections
-from .selftest import run_selftest
 
 _PARSE_ERRORS = (StructuralError, ConfigError, OSError, json.JSONDecodeError)
 _HYPOTHESIS_ERRORS = (HypothesisError, CapExceeded, HomomorphismError,
@@ -166,6 +166,7 @@ def _cmd_bisections(args) -> tuple[int, Report]:
 
 
 def _cmd_norm(args) -> tuple[int, Report]:
+    from .cstar import reduced_norm
     report = Report("norm")
     g, dig = _load_groupoid_arg(args.groupoid)
     report.inputs["groupoid"] = dig
@@ -179,6 +180,7 @@ def _cmd_norm(args) -> tuple[int, Report]:
 
 
 def _cmd_decompose(args) -> tuple[int, Report]:
+    from .decomposition import decompose
     report = Report("decompose")
     hm = _load_hom_arg(args.hom)
     report.inputs["hom"] = kio.digest(kio.hom_to_doc(hm))
@@ -205,6 +207,7 @@ def _cmd_quotient(args) -> tuple[int, Report]:
 
 
 def _cmd_rigidity(args) -> tuple[int, Report]:
+    from .decomposition import rigidity_check
     report = Report("rigidity")
     hm = _load_hom_arg(args.hom)
     report.inputs["hom"] = kio.digest(kio.hom_to_doc(hm))
@@ -244,6 +247,8 @@ def _cmd_aut(args) -> tuple[int, Report]:
 
 
 def _cmd_faut(args) -> tuple[int, Report]:
+    from .aut_group import AutPair, fixes_diagonal
+    from .decomposition import decompose, numerical_rank, require_valid
     report = Report("faut")
     g, dig = _load_groupoid_arg(args.groupoid)
     report.inputs["groupoid"] = dig
@@ -266,6 +271,7 @@ def _cmd_faut(args) -> tuple[int, Report]:
 
 
 def _cmd_selftest(args) -> tuple[int, Report]:
+    from .selftest import run_selftest
     report = Report("selftest")
     report.inputs["seed"] = args.seed
     report.inputs["cap"] = args.cap

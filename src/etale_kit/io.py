@@ -1,4 +1,7 @@
-"""JSON interchange for groupoids, algebra elements, and homomorphism matrices."""
+"""JSON interchange for groupoids, algebra elements, and homomorphism matrices.
+
+The numpy-backed classes are imported by the two functions that build them,
+so that reading a groupoid document does not load numpy."""
 
 from __future__ import annotations
 
@@ -6,10 +9,6 @@ import hashlib
 import json
 from pathlib import Path
 
-import numpy as np
-
-from .cstar import AlgebraElement
-from .decomposition import HomMatrix
 from .errors import HypothesisError, StructuralError
 from .groupoid import FiniteGroupoid, validation_report
 from .inverse_semigroup import Bisection, GermGroupoid
@@ -137,6 +136,7 @@ def _complex_pairs(items: list, what: str) -> list[complex]:
 def element_from_doc(doc: dict, g: FiniteGroupoid) -> AlgebraElement:
     if not (isinstance(doc, dict) and isinstance(doc.get("coeff"), list)):
         raise StructuralError("element document must be an object with a 'coeff' list")
+    from .cstar import AlgebraElement
     return AlgebraElement(g, _complex_pairs(doc["coeff"], "coeff entries"))
 
 
@@ -180,6 +180,9 @@ def hom_from_doc(doc: dict, *, base: Path | None = None) -> HomMatrix:
     if not isinstance(flat, list) or len(flat) != rows * cols:
         raise StructuralError("entries must hold rows*cols [re, im] pairs")
     values = _complex_pairs(flat, "entries")
+    import numpy as np
+    from .decomposition import HomMatrix
+    # reshape, not nested lists, keeps the (0, cols) shape of an empty target
     entries = np.array(values, dtype=complex).reshape(rows, cols)
     return HomMatrix(source, target, entries)
 

@@ -13,7 +13,6 @@ from etale_kit.aut_group import (
     commutator_closure,
     factors_through_abelianization,
     fixes_diagonal,
-    group_inverses,
     identity_pair,
     pair_matrix,
     sd_inverse,
@@ -22,7 +21,7 @@ from etale_kit.aut_group import (
 from etale_kit.cocycles import enumerate_cocycles, trivial_cocycle
 from etale_kit.decomposition import decompose, validate_hom
 from etale_kit.errors import HypothesisError, StructuralError
-from etale_kit.families import cyclic_table, pair_groupoid
+from etale_kit.families import cyclic_table, group_inverses, pair_groupoid
 from etale_kit.groupoid import (
     enumerate_automorphisms,
     identity_hom,

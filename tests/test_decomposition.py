@@ -1,6 +1,7 @@
 """Building, validating, and decomposing diagonal-compatible homomorphism matrices."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,53 @@ def test_validate_random_dense_matrix_fails_with_witness(r2_hand):
     report = validate_hom(HomMatrix(r2_hand, r2_hand, m))
     assert not report.is_star_hom
     assert report.star_witness is not None
+
+
+def test_validate_peak_memory_stays_below_a_dense_product_table():
+    # a dense (|compose|, n, n) complex table for pair(8) alone is 32 MB
+    g = pair_groupoid(8)
+    hm = HomMatrix(g, g, np.eye(g.arrow_count))
+    tracemalloc.start()
+    try:
+        assert validate_hom(hm).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+
+
+def first_max_residual(g, h, m):
+    """(a, b, residual) at the first maximum in (w, a, b) order of
+    |m(a.b) - m(a) * m(b)| at target arrow w, from the two compose tables."""
+    best = None
+    for w in h.arrows():
+        for a in g.arrows():
+            for b in g.arrows():
+                image = m[w][g.compose[(a, b)]] if (a, b) in g.compose else 0
+                product = sum(m[l][a] * m[r][b]
+                              for (l, r), c in h.compose.items() if c == w)
+                residual = abs(image - product)
+                if best is None or residual > best[2]:
+                    best = (a, b, residual)
+    return best
+
+
+@pytest.mark.parametrize("source, target", [
+    (pair_groupoid(2), pair_groupoid(2)),
+    (group_bundle([2, 1]), pair_groupoid(2)),
+    (cyclic_groupoid(3), cyclic_groupoid(3)),
+])
+@pytest.mark.parametrize("kind", ["ones", "twos", "random"])
+def test_star_witness_is_the_first_maximum(source, target, kind):
+    # integer entries keep every residual exact, so ties are real ties
+    shape = (target.arrow_count, source.arrow_count)
+    m = {"ones": np.ones(shape, dtype=int),
+         "twos": 2 * np.ones(shape, dtype=int),
+         "random": np.random.default_rng(2).integers(-2, 3, size=shape)}[kind]
+    expected = first_max_residual(source, target, m.tolist())
+    assert expected[2] > 0
+    report = validate_hom(HomMatrix(source, target, m))
+    assert report.star_witness == expected
 
 
 def test_validate_diagonal_escape_detected(r2_hand):

@@ -7,7 +7,7 @@ import pytest
 
 from etale_kit import io as kio
 from etale_kit.cstar import AlgebraElement
-from etale_kit.decomposition import HomMatrix
+from etale_kit.decomposition import HomMatrix, validate_hom
 from etale_kit.errors import HypothesisError, StructuralError
 from etale_kit.families import (
     cyclic_groupoid,
@@ -20,7 +20,7 @@ from etale_kit.families import (
     pair_groupoid,
     transformation_groupoid,
 )
-from etale_kit.groupoid import enumerate_homomorphisms, validation_report
+from etale_kit.groupoid import FiniteGroupoid, enumerate_homomorphisms, validation_report
 from etale_kit.inverse_semigroup import Bisection, canonical_action, germ_groupoid
 
 
@@ -211,6 +211,16 @@ def test_hom_roundtrip_inline_and_path(tmp_path, r2_hand):
     hpath.write_text(kio.canonical_json(doc))
     loaded = kio.load_hom(hpath)
     assert np.allclose(loaded.entries, hm.entries)
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 4), (4, 0), (0, 0)])
+def test_hom_documents_over_the_empty_groupoid_roundtrip(rows, cols):
+    empty = FiniteGroupoid(0, [], [], [], {}, [])
+    by_size = {0: empty, 4: pair_groupoid(2)}
+    hm = HomMatrix(by_size[cols], by_size[rows], np.zeros((rows, cols)))
+    again = kio.hom_from_doc(json.loads(json.dumps(kio.hom_to_doc(hm))))
+    assert again.entries.shape == (rows, cols)
+    assert validate_hom(again).ok == validate_hom(hm).ok
 
 
 def test_hom_doc_shape_mismatch_rejected(r2_hand):
