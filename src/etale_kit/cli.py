@@ -326,8 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aut", help="automorphism and cocycle counts")
     p.add_argument("groupoid")
-    p.add_argument("--phases", type=int, default=2,
-                   help="root-of-unity order for cocycles")
+    p.add_argument("--phases", type=int, default=2, metavar="N",
+                   help="root-of-unity order of the cocycles; Z/N has N arrows, "
+                        "so N counts against the cap (--phases N needs --cap "
+                        ">= N), and the search budget applies")
     p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=_cmd_aut)
 

@@ -1,9 +1,13 @@
-"""Circle-valued phases and groupoid 1-cocycles, with exact root-of-unity arithmetic."""
+"""Circle-valued phases and groupoid 1-cocycles, with exact root-of-unity arithmetic.
+
+A cocycle valued in the n-th roots of unity is a groupoid homomorphism into
+Z/n, so `enumerate_cocycles` is the homomorphism search with codomain
+`cyclic_groupoid(n)`, bounded by the same enumeration cap and search budget.
+"""
 
 from __future__ import annotations
 
 import cmath
-from itertools import product as iproduct
 from math import gcd, pi
 
 from .errors import (
@@ -14,7 +18,8 @@ from .errors import (
     StructuralError,
     check_enum_cap,
 )
-from .groupoid import FiniteGroupoid, GroupoidHom, orbits
+from .families import cyclic_groupoid
+from .groupoid import FiniteGroupoid, GroupoidHom, enumerate_homomorphisms
 
 __all__ = [
     "Phase",
@@ -186,86 +191,17 @@ def act_on_cocycle(aut: GroupoidHom, c: Cocycle) -> Cocycle:
 # -- enumeration of root-of-unity valued cocycles ----------------------------
 
 
-def _homs_to_cyclic(elements: list[int], mul, unit: int, n: int) -> list[dict[int, int]]:
-    """All homomorphisms from a finite group (given by a multiplication
-    callback) into Z/n, as exponent dictionaries, deterministically ordered."""
-    gens: list[int] = []
-    expr: dict[int, list[int]] = {unit: []}
-    for g in sorted(elements):
-        if g in expr:
-            continue
-        gens.append(g)
-        expr = {unit: [0] * len(gens)}
-        queue = [unit]
-        while queue:
-            a = queue.pop()
-            for j, h in enumerate(gens):
-                b = mul(a, h)
-                if b not in expr:
-                    vec = expr[a].copy()
-                    vec[j] += 1
-                    expr[b] = vec
-                    queue.append(b)
-    homs = []
-    order = sorted(elements)
-    for vals in iproduct(range(n), repeat=len(gens)):
-        phi = {e: sum(k * v for k, v in zip(expr[e], vals)) % n for e in elements}
-        if all(phi[mul(a, b)] == (phi[a] + phi[b]) % n
-               for a in elements for b in elements):
-            homs.append(phi)
-    homs.sort(key=lambda phi: tuple(phi[e] for e in order))
-    # distinct generator vectors give distinct homs, so no deduplication needed
-    return homs
-
-
 def enumerate_cocycles(g: FiniteGroupoid, n: int, cap: int | None = None) -> list[Cocycle]:
     """All cocycles valued in the n-th roots of unity, sorted by exponent vector.
 
-    Per orbit, a cocycle is a free phase per non-base unit plus a homomorphism
-    from the isotropy group at the base into Z/n; arrows factor through a
-    spanning family of arrows out of the base unit.  Refuses groupoids with
-    more arrows than the enumeration cap.
+    Such a cocycle is exactly a groupoid homomorphism into Z/n, taken as a
+    one-unit groupoid, so this runs the homomorphism search and reads each
+    mapping as its exponent vector.  Refuses groupoids with more arrows than
+    the enumeration cap, and orders n above the cap, since Z/n has n arrows.
     """
     if n < 1:
         raise StructuralError(f"root-of-unity order must be >= 1, got {n}")
     check_enum_cap(g.arrow_count, cap, "cocycle enumeration")
-    by_src = g.by_src()
-    per_orbit: list[list[dict[int, int]]] = []
-    for orbit in orbits(g):
-        base = orbit[0]
-        spanning = {base: base}
-        for y in orbit[1:]:
-            spanning[y] = min(a for a in by_src[base] if g.rng[a] == y)
-        iso = [a for a in by_src[base] if g.rng[a] == base]
-
-        def mul(a: int, b: int) -> int:
-            return g.compose[(a, b)]
-
-        homs = _homs_to_cyclic(iso, mul, base, n)
-        arrows = [a for a in g.arrows() if g.src[a] in orbit]
-        # g_loop(a) = spanning[rng]^-1 . a . spanning[src], an isotropy element at base
-        loops = {}
-        for a in arrows:
-            t_out = g.inv[spanning[g.rng[a]]]
-            loops[a] = g.compose[(g.compose[(t_out, a)], spanning[g.src[a]])]
-        choices = []
-        for psi_vals in iproduct(range(n), repeat=len(orbit) - 1):
-            psi = {base: 0}
-            for y, v in zip(orbit[1:], psi_vals):
-                psi[y] = v
-            for phi in homs:
-                choices.append({
-                    a: (psi[g.rng[a]] - psi[g.src[a]] + phi[loops[a]]) % n
-                    for a in arrows
-                })
-        per_orbit.append(choices)
-
-    vectors = []
-    for combo in iproduct(*per_orbit) if per_orbit else [()]:
-        exps = [0] * g.arrow_count
-        for part in combo:
-            for a, k in part.items():
-                exps[a] = k
-        vectors.append(tuple(exps))
-    vectors.sort()
-    return [Cocycle(g, [Phase.exact(k, n) for k in vec]) for vec in vectors]
+    check_enum_cap(n, cap, f"cocycle enumeration into Z/{n}")
+    return [Cocycle(g, [Phase.exact(k, n) for k in hom.mapping])
+            for hom in enumerate_homomorphisms(g, cyclic_groupoid(n))]

@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .cocycles import Cocycle, Phase, enumerate_cocycles
+from .cocycles import Cocycle, Phase, enumerate_cocycles, trivial_cocycle
 from .cstar import _conv_arrays
 from .errors import (
     SUPPORT_TOL,
@@ -140,8 +140,12 @@ def validate_hom(hm: HomMatrix) -> HomReport:
             lhs = np.zeros((k, n), dtype=complex)
             lhs[:, g_right[pairs]] = m[:, g_out[pairs]]
             rhs = np.zeros((k, n), dtype=complex)
-            np.add.at(rhs, out, m_left[:, a, None] * m_right)
-            diff = np.abs(lhs - rhs)
+            # products that overflow leave inf - inf = NaN residuals, which
+            # would compare below TOL; they count as infinite instead
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.add.at(rhs, out, m_left[:, a, None] * m_right)
+                diff = np.abs(lhs - rhs)
+            diff[np.isnan(diff)] = np.inf
             w, b = divmod(int(np.argmax(diff)), n)
             peaks.append((-float(diff[w, b]), w, a, b))
         neg_peak, _, a, b = min(peaks, default=(0.0, 0, 0, 0))
@@ -315,13 +319,10 @@ def decompose(hm: HomMatrix, *, trust: bool = False) -> DecompositionData:
 
 def quotient_hom(h: FiniteGroupoid) -> HomMatrix:
     """The fiber-summing map onto the algebra of the isotropy-collapsed
-    quotient: entry 1 wherever the collapse map sends the column arrow to the
-    row arrow."""
+    quotient: the triple (all units, collapse map, trivial twist), so entry 1
+    wherever the collapse map sends the column arrow to the row arrow."""
     quotient, q = quotient_by_isotropy(h)
-    entries = np.zeros((quotient.arrow_count, h.arrow_count), dtype=complex)
-    for a in h.arrows():
-        entries[q.mapping[a], a] = 1.0
-    return HomMatrix(h, quotient, entries)
+    return build_hom(h, quotient, DecompositionData(h.units, q, trivial_cocycle(h)))
 
 
 def rigidity_check(hm: HomMatrix) -> GroupoidHom:

@@ -9,6 +9,9 @@ import os
 DEFAULT_ENUM_CAP = 16
 # Explicit inverse-semigroup tables are quadratic in the element count.
 SEMIGROUP_ELEMENT_CAP = 1024
+# The homomorphism search (automorphisms, decomposition data, cocycles)
+# refuses once it has tried this many candidate images in one call.
+SEARCH_BUDGET = 1_000_000
 CAP_ENV_VAR = "ETALE_KIT_CAP"
 
 # Numerical tolerances, one name per decision (README, "Tolerances").

@@ -7,6 +7,8 @@ from itertools import islice
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
+    SEARCH_BUDGET,
+    CapExceeded,
     HomomorphismError,
     HypothesisError,
     StructuralError,
@@ -453,6 +455,8 @@ def enumerate_homomorphisms(
 
     Units are assigned first so that src/rng constraints prune non-unit
     candidates down to the arrows between the already-chosen unit images.
+    Refuses with `CapExceeded` once the search has tried more than
+    SEARCH_BUDGET candidate images.
     """
     if bijective and domain.arrow_count != codomain.arrow_count:
         return []
@@ -470,6 +474,7 @@ def enumerate_homomorphisms(
     image = [-1] * n
     uses = [0] * codomain.arrow_count
     found: list[tuple[int, ...]] = []
+    tried = 0
 
     def consistent(a: int) -> bool:
         ia = image[a]
@@ -483,6 +488,7 @@ def enumerate_homomorphisms(
         return True
 
     def extend(k: int) -> None:
+        nonlocal tried
         if k == n:
             found.append(tuple(image))
             return
@@ -492,6 +498,11 @@ def enumerate_homomorphisms(
         else:
             key = (image[domain.src[a]], image[domain.rng[a]])
             candidates = cod_by_src_rng.get(key, ())
+        tried += len(candidates)
+        if tried > SEARCH_BUDGET:
+            raise CapExceeded(
+                f"homomorphism search refused: more than the search budget of "
+                f"{SEARCH_BUDGET} candidate images")
         fresh_only = bijective or (injective_on_units and domain.is_unit(a))
         for c in candidates:
             if fresh_only and uses[c]:

@@ -87,6 +87,12 @@ def _relabelled(g, seed):
 
 
 @pytest.fixture(scope="session")
+def relabel():
+    """The seeded arrow relabelling, for tests that build their own groupoids."""
+    return _relabelled
+
+
+@pytest.fixture(scope="session")
 def corpus_and_relabellings(corpus):
     """The corpus, each member followed by three arrow-relabelled copies."""
     out = []

@@ -1,7 +1,7 @@
 """The command-line surface: every command and every exit code."""
 
+import io
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -18,16 +18,22 @@ from etale_kit.families import cyclic_groupoid, group_bundle, pair_groupoid
 from etale_kit.groupoid import invariant_subsets
 
 
-def run_cli(*args, env=None, input=None):
-    """Run the CLI in a subprocess; `env` entries override the inherited environment.
-
-    Inheriting the environment keeps the interpreter's import path, so the
-    package is found whether it is installed or on PYTHONPATH.
-    """
-    return subprocess.run(
-        [sys.executable, "-m", "etale_kit.cli", *args],
-        capture_output=True, text=True, input=input,
-        env={**os.environ, **(env or {})})
+@pytest.fixture
+def run_cli(capsys, monkeypatch):
+    """Run `cli.main` in process and return its exit code and output as a
+    finished child process would: `env` entries are set as environment
+    variables and `input` is read as stdin, for the one call only."""
+    def run(*args, env=None, input=None):
+        capsys.readouterr()
+        with monkeypatch.context() as mp:
+            for key, value in (env or {}).items():
+                mp.setenv(key, value)
+            if input is not None:
+                mp.setattr(sys, "stdin", io.StringIO(input))
+            code = cli.main(list(args))
+        out = capsys.readouterr()
+        return subprocess.CompletedProcess(args, code, out.out, out.err)
+    return run
 
 
 @pytest.fixture(scope="module")
@@ -65,14 +71,14 @@ def docs(tmp_path_factory):
     return paths
 
 
-def test_validate_pass(docs):
+def test_validate_pass(docs, run_cli):
     out = run_cli("--json", "validate", docs["r2"])
     assert out.returncode == 0
     report = json.loads(out.stdout)
     assert report["ok"] and report["data"]["violations"] == []
 
 
-def test_validate_failure_exits_two(docs):
+def test_validate_failure_exits_two(docs, run_cli):
     out = run_cli("--json", "validate", docs["bad"])
     assert out.returncode == 2
     report = json.loads(out.stdout)
@@ -80,12 +86,12 @@ def test_validate_failure_exits_two(docs):
     assert report["data"]["violations"]
 
 
-def test_parse_error_exits_one(docs):
+def test_parse_error_exits_one(docs, run_cli):
     assert run_cli("validate", docs["broken"]).returncode == 1
     assert run_cli("validate", "no_such_file.json").returncode == 1
 
 
-def test_analyze(docs):
+def test_analyze(docs, run_cli):
     out = run_cli("--json", "analyze", docs["r2"])
     assert out.returncode == 0
     data = json.loads(out.stdout)["data"]
@@ -112,19 +118,19 @@ def test_analyze_counts_invariant_subsets_without_enumerating(tmp_path, capsys):
     assert data["invariant_subsets"] == 2 ** 40
 
 
-def test_bisections_count(docs):
+def test_bisections_count(docs, run_cli):
     out = run_cli("--json", "bisections", docs["r2"])
     assert out.returncode == 0
     assert json.loads(out.stdout)["data"]["count"] == 7
 
 
-def test_norm_prints_twelve_digits(docs):
+def test_norm_prints_twelve_digits(docs, run_cli):
     out = run_cli("--json", "norm", docs["r2"], "--element", docs["ones"])
     assert out.returncode == 0
     assert json.loads(out.stdout)["data"]["reduced_norm"] == "2"
 
 
-def test_non_numeric_element_exits_one(docs, tmp_path):
+def test_non_numeric_element_exits_one(docs, tmp_path, run_cli):
     element = tmp_path / "element.json"
     element.write_text(json.dumps({"coeff": [["a", 0]] + [[0, 0]] * 3}))
     out = run_cli("norm", docs["r2"], "--element", str(element))
@@ -133,7 +139,7 @@ def test_non_numeric_element_exits_one(docs, tmp_path):
     assert "pairs of numbers" in out.stderr
 
 
-def test_decompose_success(docs):
+def test_decompose_success(docs, run_cli):
     out = run_cli("--json", "decompose", "--hom", docs["sign"])
     assert out.returncode == 0
     data = json.loads(out.stdout)["data"]
@@ -142,18 +148,18 @@ def test_decompose_success(docs):
     assert data["twist"][2].startswith("-1")
 
 
-def test_decompose_hypothesis_failure_exits_two(docs):
+def test_decompose_hypothesis_failure_exits_two(docs, run_cli):
     assert run_cli("decompose", "--hom", docs["ident_z2"]).returncode == 2
     assert run_cli("decompose", "--hom", docs["corrupt"]).returncode == 2
 
 
-def test_decompose_corruption_exits_three(docs):
+def test_decompose_corruption_exits_three(docs, run_cli):
     out = run_cli("decompose", "--hom", docs["corrupt"], "--trust")
     assert out.returncode == 3
     assert "inconsistency" in out.stderr
 
 
-def test_quotient_writes_effective_doc(docs, tmp_path):
+def test_quotient_writes_effective_doc(docs, tmp_path, run_cli):
     out_path = tmp_path / "q.json"
     out = run_cli("--json", "quotient", docs["z2"], "--out", str(out_path))
     assert out.returncode == 0
@@ -161,13 +167,13 @@ def test_quotient_writes_effective_doc(docs, tmp_path):
     assert saved["arrows"] == 1
 
 
-def test_rigidity(docs):
+def test_rigidity(docs, run_cli):
     out = run_cli("--json", "rigidity", "--hom", docs["collapse"])
     assert out.returncode == 0
     assert json.loads(out.stdout)["data"]["quotient_arrows"] == 1
 
 
-def test_aut_counts(docs):
+def test_aut_counts(docs, run_cli):
     out = run_cli("--json", "aut", docs["r2"], "--phases", "2")
     assert out.returncode == 0
     data = json.loads(out.stdout)["data"]
@@ -176,7 +182,7 @@ def test_aut_counts(docs):
     assert data["semidirect_order"] == 4
 
 
-def test_faut_reports_pair(docs):
+def test_faut_reports_pair(docs, run_cli):
     out = run_cli("--json", "faut", docs["r2"], "--hom", docs["sign"])
     assert out.returncode == 0
     data = json.loads(out.stdout)["data"]
@@ -184,11 +190,11 @@ def test_faut_reports_pair(docs):
     assert data["arrow_map"] == [0, 1, 2, 3]
 
 
-def test_faut_rejects_mismatched_groupoid(docs):
+def test_faut_rejects_mismatched_groupoid(docs, run_cli):
     assert run_cli("faut", docs["z2"], "--hom", docs["sign"]).returncode == 2
 
 
-def test_boolean_ids_exit_one():
+def test_boolean_ids_exit_one(run_cli):
     doc = ('{"arrows": true, "units": [0], "src": [0], "rng": [0], '
            '"compose": [[0, 0, 0]], "inv": [0]}')
     out = run_cli("validate", "-", input=doc)
@@ -196,18 +202,18 @@ def test_boolean_ids_exit_one():
     assert "'arrows'" in out.stderr and "Traceback" not in out.stderr
 
 
-def test_cap_refusal_exits_two(docs):
+def test_cap_refusal_exits_two(docs, run_cli):
     assert run_cli("bisections", docs["r2"], "--cap", "2").returncode == 2
 
 
-def test_cap_env_override(docs):
+def test_cap_env_override(docs, run_cli):
     out = run_cli("bisections", docs["r2"], env={CAP_ENV_VAR: "2"})
     assert out.returncode == 2
     assert "cap" in out.stderr
     assert "exceeds the cap 2" in out.stderr
 
 
-def test_malformed_cap_env_exits_one(docs):
+def test_malformed_cap_env_exits_one(docs, run_cli):
     out = run_cli("bisections", docs["r2"], env={CAP_ENV_VAR: "abc"})
     assert out.returncode == 1
     assert CAP_ENV_VAR in out.stderr and "'abc'" in out.stderr
@@ -229,7 +235,7 @@ def test_enum_cap_reads_environment(monkeypatch, value, expected):
         assert enum_cap() == expected
 
 
-def test_selftest_json_is_deterministic():
+def test_selftest_json_is_deterministic(run_cli):
     first = run_cli("--json", "selftest", "--seed", "7", "--cap", "9")
     second = run_cli("--json", "selftest", "--seed", "7", "--cap", "9")
     assert first.returncode == 0
@@ -248,14 +254,63 @@ def test_selftest_refuses_a_cap_that_admits_no_groupoid(cap, capsys):
     assert "Traceback" not in out.err
 
 
-def test_table_output_mentions_checks(docs):
+def test_table_output_mentions_checks(docs, run_cli):
     out = run_cli("validate", docs["r2"])
     assert out.returncode == 0
     assert "[pass] axioms" in out.stdout
 
 
-def test_documents_can_arrive_on_stdin(docs):
+def test_documents_can_arrive_on_stdin(docs, run_cli):
     payload = Path(docs["r2"]).read_text()
     out = run_cli("--json", "validate", "-", input=payload)
     assert out.returncode == 0
     assert json.loads(out.stdout)["ok"]
+
+
+def test_cli_runs_as_a_module(docs):
+    """The one child process: `python -m etale_kit.cli` exits with the code
+    of `cli.main` and prints its report."""
+    out = subprocess.run(
+        [sys.executable, "-m", "etale_kit.cli", "--json", "validate", docs["bad"]],
+        capture_output=True, text=True)
+    assert out.returncode == 2
+    assert json.loads(out.stdout)["data"]["violations"]
+
+
+@pytest.fixture(scope="module")
+def discrete16(tmp_path_factory):
+    """16 points and no other arrows: within the cap, but 16! automorphisms."""
+    path = tmp_path_factory.mktemp("budget") / "discrete16.json"
+    path.write_text(kio.canonical_json(kio.groupoid_to_doc(group_bundle([1] * 16))))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["aut", "analyze"])
+def test_search_budget_refusal_exits_two(discrete16, command, run_cli):
+    out = run_cli(command, discrete16)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "search budget" in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+
+
+def test_phase_order_counts_against_the_cap(docs, tmp_path, run_cli):
+    pair4 = tmp_path / "pair4.json"
+    pair4.write_text(kio.canonical_json(kio.groupoid_to_doc(pair_groupoid(4))))
+    out = run_cli("aut", str(pair4), "--phases", "1000")
+    assert out.returncode == 2
+    assert "cocycle enumeration into Z/1000" in out.stderr
+    assert run_cli("aut", docs["r2"], "--phases", "17").returncode == 2
+    out = run_cli("--json", "aut", docs["r2"], "--phases", "17", "--cap", "17")
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["data"]["cocycles_mu17"] == 17
+
+
+def test_decompose_of_an_overflowing_matrix_exits_two_cleanly(tmp_path, run_cli):
+    r1 = pair_groupoid(1)
+    path = tmp_path / "huge.json"
+    path.write_text(kio.canonical_json(kio.hom_to_doc(HomMatrix(r1, r1, [[1e200]]))))
+    out = run_cli("decompose", "--hom", str(path))
+    assert out.returncode == 2
+    assert out.stderr.splitlines() == [
+        "hypothesis failure: matrix fails validation: is_star_hom"]

@@ -1,6 +1,7 @@
 """Phases and cocycle enumeration, checked against brute-force assignments."""
 
 import cmath
+from itertools import permutations
 from itertools import product as iproduct
 from math import pi
 
@@ -19,7 +20,13 @@ from etale_kit.cocycles import (
 )
 from etale_kit.aut_group import classify_faut
 from etale_kit.errors import CapExceeded, CocycleError, StructuralError
-from etale_kit.families import cyclic_groupoid, group_bundle, pair_groupoid
+from etale_kit.families import (
+    cyclic_groupoid,
+    disjoint_union,
+    group_bundle,
+    pair_groupoid,
+    transformation_groupoid,
+)
 from etale_kit.groupoid import enumerate_automorphisms
 
 
@@ -72,6 +79,43 @@ def _cocycles_bruteforce(g, n):
     return sorted(out)
 
 
+def _group_table(elements, mul):
+    """Multiplication table of `elements` (identity first) under `mul`."""
+    index = {e: i for i, e in enumerate(elements)}
+    return [[index[mul(a, b)] for b in elements] for a in elements]
+
+
+def _s3_table():
+    """S3 as permutations of three points, composed right to left."""
+    perms = sorted(permutations(range(3)))  # the identity (0, 1, 2) first
+    return _group_table(perms, lambda p, q: tuple(p[q[x]] for x in range(3)))
+
+
+def _q8_table():
+    """The quaternion group {±1, ±i, ±j, ±k} under the Hamilton product."""
+    def hamilton(p, q):
+        a1, b1, c1, d1 = p
+        a2, b2, c2, d2 = q
+        return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+                a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+                a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+                a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+    quaternions = [tuple(sign if i == axis else 0 for i in range(4))
+                   for axis in range(4) for sign in (1, -1)]
+    return _group_table(quaternions, hamilton)
+
+
+def _one_unit(table):
+    """A finite group as a groupoid with a single unit."""
+    return transformation_groupoid(table, 1, [[0]] * len(table))
+
+
+def _s3_on_two_points():
+    """S3 acting trivially on two points: a bundle of two copies of S3."""
+    return transformation_groupoid(_s3_table(), 2, [[0, 1]] * 6)
+
+
+# the non-abelian cases keep n ** arrows within ~5e4 brute-force assignments
 @pytest.mark.parametrize("maker,n", [
     (lambda: pair_groupoid(2), 2),
     (lambda: pair_groupoid(2), 4),
@@ -80,12 +124,23 @@ def _cocycles_bruteforce(g, n):
     (lambda: cyclic_groupoid(4), 4),
     (lambda: group_bundle([2, 1]), 2),
     (lambda: group_bundle([2, 2]), 4),
+    *(pytest.param(lambda: _one_unit(_s3_table()), n, id=f"S3-mu{n}")
+      for n in (1, 2, 3, 6)),
+    pytest.param(lambda: _one_unit(_q8_table()), 2, id="Q8-mu2"),
+    pytest.param(_s3_on_two_points, 2, id="S3_on_2_points-mu2"),
 ])
-def test_enumeration_matches_bruteforce(maker, n):
-    g = maker()
-    got = [tuple(v.num * (n // v.den) % n for v in c.values)
-           for c in enumerate_cocycles(g, n)]
-    assert got == _cocycles_bruteforce(g, n)
+def test_enumeration_matches_bruteforce(maker, n, relabel):
+    for g in (maker(), relabel(maker(), 5)):
+        got = [tuple(v.num * (n // v.den) % n for v in c.values)
+               for c in enumerate_cocycles(g, n)]
+        assert got == _cocycles_bruteforce(g, n)
+
+
+def test_counts_on_non_abelian_isotropy():
+    # |Hom(G, Z/n)| = |Hom(G_ab, Z/n)| with S3_ab = Z/2 and Q8_ab = Z/2 x Z/2
+    s3, q8 = _one_unit(_s3_table()), _one_unit(_q8_table())
+    assert [len(enumerate_cocycles(s3, n)) for n in (1, 2, 3, 6)] == [1, 2, 1, 2]
+    assert [len(enumerate_cocycles(q8, n)) for n in (2, 4)] == [4, 4]
 
 
 def test_counts_from_examples():
@@ -138,3 +193,16 @@ def test_cocycle_enumeration_enforces_the_cap():
     with pytest.raises(CapExceeded, match="cocycle enumeration"):
         classify_faut(cyclic_groupoid(3), 3, cap=2)
     assert len(enumerate_cocycles(cyclic_groupoid(3), 3, cap=3)) == 3
+
+
+def test_the_root_of_unity_order_counts_against_the_cap():
+    # Z/17 has 17 arrows, more than the default cap of 16
+    with pytest.raises(CapExceeded, match="cocycle enumeration"):
+        enumerate_cocycles(pair_groupoid(1), 17)
+    assert len(enumerate_cocycles(pair_groupoid(1), 17, cap=17)) == 1
+
+
+def test_cocycle_enumeration_enforces_the_search_budget():
+    # 16 arrows and order 16 pass the cap; the 16^4 cocycles blow the budget
+    with pytest.raises(CapExceeded, match="search budget"):
+        enumerate_cocycles(disjoint_union([pair_groupoid(2)] * 4), 16)

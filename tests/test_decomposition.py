@@ -119,6 +119,16 @@ def test_validate_random_dense_matrix_fails_with_witness(r2_hand):
     assert report.star_witness is not None
 
 
+def test_validate_counts_overflowing_products_as_failures():
+    # every product overflows to +-inf, and their sums to inf - inf = NaN
+    r2 = pair_groupoid(2)
+    m = np.full((4, 4), 1e200)
+    m[0] = -1e200
+    report = validate_hom(HomMatrix(r2, r2, m))
+    assert not report.is_star_hom
+    assert report.star_witness == (0, 0, np.inf)
+
+
 def test_validate_peak_memory_stays_below_a_dense_product_table():
     # a dense (|compose|, n, n) complex table for pair(8) alone is 32 MB
     g = pair_groupoid(8)

@@ -4,8 +4,18 @@ from itertools import permutations
 
 import pytest
 
-from etale_kit.errors import HomomorphismError, HypothesisError, StructuralError
-from etale_kit.families import cyclic_groupoid, disjoint_union, pair_groupoid
+from etale_kit.errors import (
+    CapExceeded,
+    HomomorphismError,
+    HypothesisError,
+    StructuralError,
+)
+from etale_kit.families import (
+    cyclic_groupoid,
+    disjoint_union,
+    group_bundle,
+    pair_groupoid,
+)
 from etale_kit.groupoid import (
     FiniteGroupoid,
     GroupoidHom,
@@ -198,6 +208,12 @@ def test_automorphisms_against_bruteforce(r2_hand, z2_hand, bundle_hand):
 def test_automorphisms_of_pair_groupoids():
     assert len(enumerate_automorphisms(pair_groupoid(2))) == 2
     assert len(enumerate_automorphisms(pair_groupoid(3))) == 6
+
+
+def test_automorphism_search_enforces_the_search_budget():
+    # 16 arrows pass the cap, but 16 points without arrows have 16! automorphisms
+    with pytest.raises(CapExceeded, match="search budget"):
+        enumerate_automorphisms(group_bundle([1] * 16))
 
 
 def test_automorphism_group_closed_under_composition_and_inverse(corpus):
