@@ -1,8 +1,8 @@
 """Command-line surface: validation, analysis, norms, decomposition, selftest.
 
 Exit codes: 0 success, 1 parse/IO error or a malformed ETALE_KIT_CAP,
-2 hypothesis or validation failure, 3 internal inconsistency (corrupted
-input or failed selftest).
+2 hypothesis or validation failure, or a refusal past a cap or work budget,
+3 internal inconsistency (corrupted input or failed selftest).
 
 The numpy-backed layers (cstar, decomposition, aut_group, selftest) are
 imported inside the commands that call them, so validate, analyze,
@@ -43,8 +43,8 @@ from .groupoid import (
 from .inverse_semigroup import enumerate_bisections
 
 _PARSE_ERRORS = (StructuralError, ConfigError, OSError, json.JSONDecodeError)
-_HYPOTHESIS_ERRORS = (HypothesisError, CapExceeded, HomomorphismError,
-                      CocycleError, ActionError, SliceError)
+_HYPOTHESIS_ERRORS = (HypothesisError, HomomorphismError, CocycleError,
+                      ActionError, SliceError)
 
 
 def _fmt(x: float) -> str:
@@ -355,6 +355,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except _HYPOTHESIS_ERRORS as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
+        return 2
+    except CapExceeded as exc:
+        print(f"refused: {exc}", file=sys.stderr)
         return 2
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)

@@ -17,8 +17,10 @@ import numpy as np
 from .cocycles import Cocycle, Phase, enumerate_cocycles, trivial_cocycle
 from .cstar import _conv_arrays
 from .errors import (
+    DENSE_PRODUCT_BUDGET,
     SUPPORT_TOL,
     TOL,
+    CapExceeded,
     HomomorphismError,
     HypothesisError,
     InternalInconsistencyError,
@@ -112,43 +114,128 @@ def numerical_rank(mat: np.ndarray) -> int:
     return int(np.sum(sv > TOL * max(1.0, float(sv[0]))))
 
 
+def _monomial_residual(g: FiniteGroupoid, h: FiniteGroupoid, m: np.ndarray):
+    """The dense loop's `(-peak, w, a, b)` for a matrix with at most one
+    nonzero entry per column, or None for any other matrix.
+
+    If column a is nonzero only in row r(a), the multiplicativity residual
+    image(a.b) - image(a) * image(b) at target arrow w can be nonzero only at
+    w = r(a.b), for a composable source pair, or at w = r(a).r(b), where the
+    rows compose in the target; every other cell is an exact zero.  Only these
+    cells are evaluated, with the dense loop's array operations, so the floats
+    and the first maximum in (w, a, b) order are the same.  A matrix with more
+    cells of the second kind than the source has composable pairs plus the
+    matrix has entries also gets None, so that the arrays here stay within
+    the size of the input."""
+    n, k = g.arrow_count, h.arrow_count
+    nonzero = m != 0
+    per_col = nonzero.sum(axis=0)
+    if per_col.max() > 1:
+        return None
+    rows = np.where(per_col == 1, nonzero.argmax(axis=0), -1)
+    g_left, g_right, g_out = _conv_arrays(g)
+    h_left, h_right, h_out = _conv_arrays(h)
+
+    # second kind: the support columns grouped by row, then for each target
+    # pair (x, y) every column of row x against every column of row y
+    cols = np.flatnonzero(rows >= 0)
+    cols = cols[np.argsort(rows[cols], kind="stable")]
+    per_row = np.bincount(rows[cols], minlength=k)
+    first = np.cumsum(per_row) - per_row
+    sizes = per_row[h_left] * per_row[h_right]
+    if sizes.sum() > len(g_out) + m.size:
+        return None
+    pair = np.repeat(np.arange(len(sizes)), sizes)
+    offset = np.arange(len(pair)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    width = per_row[h_right[pair]]
+    a2 = cols[first[h_left[pair]] + offset // width]
+    b2 = cols[first[h_right[pair]] + offset % width]
+    w2 = h_out[pair]
+    # the image side m[w, a.b] where a.b exists; the source's compose keys
+    # are sorted, as FiniteGroupoid builds its table in key order
+    keys = np.append(g_left * n + g_right, n * n)
+    query = a2 * n + b2
+    pos = np.searchsorted(keys, query)
+    hit = keys[pos] == query
+    pos = pos[hit]
+    lhs2 = np.zeros(len(pair), dtype=complex)
+    lhs2[hit] = m[w2[hit], g_out[pos]]
+    # first kind: composable source pairs with a nonzero product column, less
+    # the cells the second kind holds; the product side of the rest is zero
+    covered = np.zeros(len(g_out), dtype=bool)
+    covered[pos] = rows[g_out[pos]] == w2[hit]
+    first_kind = (rows[g_out] >= 0) & ~covered
+    a1, b1, c1 = g_left[first_kind], g_right[first_kind], g_out[first_kind]
+    w1 = rows[c1]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs2 = m[rows[a2], a2] * m[rows[b2], b2]
+        diff = np.abs(np.concatenate([m[w1, c1], lhs2 - rhs2]))
+    diff[np.isnan(diff)] = np.inf
+    peak = float(diff.max(initial=0.0))
+    if peak == 0.0:
+        # every cell is zero, and the dense loop names the first, (0, 0, 0)
+        return (-peak, 0, 0, 0)
+    cell = ((np.concatenate([w1, w2]) * n + np.concatenate([a1, a2])) * n
+            + np.concatenate([b1, b2]))
+    w, ab = divmod(int(cell[diff == peak].min()), n * n)
+    return (-peak, w) + divmod(ab, n)
+
+
 def validate_hom(hm: HomMatrix) -> HomReport:
     """Check the *-homomorphism laws on all basis pairs, that the diagonal
     lands in the diagonal, and that the diagonal image is a full function
     algebra on its support (the finite-scale ideal criterion).
 
-    The report depends on the read-only entries alone, so it is computed
-    once per matrix and stored on it."""
+    Multiplicativity is checked on the cells where the residual can be
+    nonzero when every column has at most one nonzero entry, as every matrix
+    `build_hom` makes does; any other matrix takes the dense loop over all
+    (w, a, b), which refuses with `CapExceeded` past `DENSE_PRODUCT_BUDGET`
+    products.  Both paths compute the same floats, and every decision reads
+    `TOL` (exact `Phase` arithmetic would snap within the looser
+    `PHASE_SNAP_TOL` and accept matrices the dense check refuses).  The
+    report depends on the read-only entries alone, so it is computed once
+    per matrix and stored on it."""
     if hm._report is not None:
         return hm._report
     g, h, m = hm.source, hm.target, hm.entries
     n, k = g.arrow_count, h.arrow_count
 
-    # multiplicativity: image of each basis product a.b vs product of images,
-    # one left factor a at a time so that residuals take (k, n) memory, not
-    # (k, n, n); the witness is the first maximum in (w, a, b) order
+    # multiplicativity: image of each basis product a.b vs product of images;
+    # the witness is the first maximum in (w, a, b) order
     is_star_hom = True
     star_witness = None
-    if k:
-        g_left, g_right, g_out = _conv_arrays(g)
-        bounds = np.searchsorted(g_left, np.arange(n + 1))
-        left, right, out = _conv_arrays(h)
-        m_left, m_right = m[left], m[right]
-        peaks = []
-        for a in range(n):
-            pairs = slice(bounds[a], bounds[a + 1])
-            lhs = np.zeros((k, n), dtype=complex)
-            lhs[:, g_right[pairs]] = m[:, g_out[pairs]]
-            rhs = np.zeros((k, n), dtype=complex)
-            # products that overflow leave inf - inf = NaN residuals, which
-            # would compare below TOL; they count as infinite instead
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.add.at(rhs, out, m_left[:, a, None] * m_right)
-                diff = np.abs(lhs - rhs)
-            diff[np.isnan(diff)] = np.inf
-            w, b = divmod(int(np.argmax(diff)), n)
-            peaks.append((-float(diff[w, b]), w, a, b))
-        neg_peak, _, a, b = min(peaks, default=(0.0, 0, 0, 0))
+    if n and k:
+        found = _monomial_residual(g, h, m)
+        if found is None:
+            products = n * n * len(h.compose)
+            if products > DENSE_PRODUCT_BUDGET:
+                raise CapExceeded(
+                    f"the dense multiplicativity check of a {k}x{n} matrix "
+                    f"needs {products} products, over the budget of "
+                    f"{DENSE_PRODUCT_BUDGET}")
+            # one left factor a at a time, so that residuals take (k, n)
+            # memory, not (k, n, n)
+            g_left, g_right, g_out = _conv_arrays(g)
+            bounds = np.searchsorted(g_left, np.arange(n + 1))
+            left, right, out = _conv_arrays(h)
+            m_left, m_right = m[left], m[right]
+            peaks = []
+            for a in range(n):
+                pairs = slice(bounds[a], bounds[a + 1])
+                lhs = np.zeros((k, n), dtype=complex)
+                lhs[:, g_right[pairs]] = m[:, g_out[pairs]]
+                rhs = np.zeros((k, n), dtype=complex)
+                # products that overflow leave inf - inf = NaN residuals,
+                # which would compare below TOL; they count as infinite
+                with np.errstate(over="ignore", invalid="ignore"):
+                    np.add.at(rhs, out, m_left[:, a, None] * m_right)
+                    diff = np.abs(lhs - rhs)
+                diff[np.isnan(diff)] = np.inf
+                w, b = divmod(int(np.argmax(diff)), n)
+                peaks.append((-float(diff[w, b]), w, a, b))
+            found = min(peaks)
+        neg_peak, _, a, b = found
         if -neg_peak > TOL:
             is_star_hom = False
             star_witness = (a, b, -neg_peak)

@@ -12,6 +12,10 @@ SEMIGROUP_ELEMENT_CAP = 1024
 # The homomorphism search (automorphisms, decomposition data, cocycles)
 # refuses once it has tried this many candidate images in one call.
 SEARCH_BUDGET = 1_000_000
+# The dense multiplicativity check of `validate_hom` (a matrix with more than
+# one nonzero entry in some column) refuses above this many products, counted
+# as n * n * |target compose| for an n-arrow source.
+DENSE_PRODUCT_BUDGET = 50_000_000
 CAP_ENV_VAR = "ETALE_KIT_CAP"
 
 # Numerical tolerances, one name per decision (README, "Tolerances").
@@ -55,7 +59,7 @@ class InternalInconsistencyError(RuntimeError):
 
 
 class CapExceeded(RuntimeError):
-    """An enumeration would exceed the configured size cap."""
+    """An enumeration or check would exceed a size cap or work budget."""
 
 
 def enum_cap(cap: int | None = None) -> int:

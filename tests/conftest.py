@@ -101,3 +101,27 @@ def corpus_and_relabellings(corpus):
         out += [(f"{name} relabelled by seed {seed}", _relabelled(g, seed))
                 for seed in range(3)]
     return out
+
+
+@pytest.fixture(scope="session")
+def twisted_pair16():
+    """A homomorphism matrix between two relabelled copies of pair(16), with
+    its triple: all units, the arrow map of a shuffled point bijection, and a
+    twist of 12th roots of unity (the coboundary of random point phases)."""
+    from etale_kit.cocycles import Cocycle, Phase
+    from etale_kit.decomposition import DecompositionData, build_hom
+    from etale_kit.families import pair_groupoid
+    from etale_kit.groupoid import GroupoidHom
+
+    g, h = _relabelled(pair_groupoid(16), 1), _relabelled(pair_groupoid(16), 2)
+    rnd = random.Random(3)
+    images = list(h.units)
+    rnd.shuffle(images)
+    point = dict(zip(g.units, images))
+    by_ends = {(h.src[x], h.rng[x]): x for x in h.arrows()}
+    mapping = tuple(by_ends[point[g.src[a]], point[g.rng[a]]] for a in g.arrows())
+    exponent = {x: rnd.randrange(12) for x in g.units}
+    twist = Cocycle(g, [Phase.exact(exponent[g.rng[a]] - exponent[g.src[a]], 12)
+                        for a in g.arrows()])
+    data = DecompositionData(g.units, GroupoidHom(g, h, mapping), twist)
+    return data, build_hom(g, h, data)

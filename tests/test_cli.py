@@ -290,7 +290,23 @@ def test_search_budget_refusal_exits_two(discrete16, command, run_cli):
     out = run_cli(command, discrete16)
     assert out.returncode == 2
     assert out.stdout == ""
+    assert out.stderr.startswith("refused: ")
     assert "search budget" in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+
+
+def test_dense_check_refusal_exits_two(twisted_pair16, tmp_path, run_cli):
+    # one extra entry sends pair(16) to the dense multiplicativity check
+    _, built = twisted_pair16
+    m = built.entries.copy()
+    m[0, 0] += 0.5
+    path = tmp_path / "extra_entry.json"
+    path.write_text(kio.canonical_json(
+        kio.hom_to_doc(HomMatrix(built.source, built.target, m))))
+    out = run_cli("decompose", "--hom", str(path))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("refused: the dense multiplicativity check")
     assert len(out.stderr.splitlines()) == 1
 
 

@@ -1,16 +1,18 @@
 """Building, validating, and decomposing diagonal-compatible homomorphism matrices."""
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from etale_kit.cocycles import Cocycle, Phase, PHASE_ONE, trivial_cocycle
-from etale_kit.cstar import AlgebraElement, reduced_norm
+from etale_kit.cstar import AlgebraElement, _conv_arrays, reduced_norm
 from etale_kit.decomposition import (
     DecompositionData,
     HomMatrix,
+    _monomial_residual,
     build_hom,
     decompose,
     enumerate_decomposition_data,
@@ -19,6 +21,7 @@ from etale_kit.decomposition import (
     validate_hom,
 )
 from etale_kit.errors import (
+    CapExceeded,
     HypothesisError,
     InternalInconsistencyError,
     StructuralError,
@@ -28,6 +31,7 @@ from etale_kit.families import (
     disjoint_union,
     group_bundle,
     pair_groupoid,
+    standard_corpus,
 )
 from etale_kit.groupoid import (
     GroupoidHom,
@@ -174,6 +178,132 @@ def test_star_witness_is_the_first_maximum(source, target, kind):
     assert expected[2] > 0
     report = validate_hom(HomMatrix(source, target, m))
     assert report.star_witness == expected
+
+
+def dense_residual(g, h, m):
+    """The dense multiplicativity loop of `validate_hom`, one left factor a at
+    a time: (-peak, w, a, b) at the first maximum in (w, a, b) order."""
+    n, k = g.arrow_count, h.arrow_count
+    g_left, g_right, g_out = _conv_arrays(g)
+    bounds = np.searchsorted(g_left, np.arange(n + 1))
+    left, right, out = _conv_arrays(h)
+    m_left, m_right = m[left], m[right]
+    peaks = []
+    for a in range(n):
+        pairs = slice(bounds[a], bounds[a + 1])
+        lhs = np.zeros((k, n), dtype=complex)
+        lhs[:, g_right[pairs]] = m[:, g_out[pairs]]
+        rhs = np.zeros((k, n), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.at(rhs, out, m_left[:, a, None] * m_right)
+            diff = np.abs(lhs - rhs)
+        diff[np.isnan(diff)] = np.inf
+        w, b = divmod(int(np.argmax(diff)), n)
+        peaks.append((-float(diff[w, b]), w, a, b))
+    return min(peaks)
+
+
+def monomial_cases(g, h, rng):
+    """Matrices with at most one nonzero entry per column: up to two
+    `build_hom` images, each with one entry moved to another row, rescaled,
+    zeroed, or set to an overflowing 1e200; random ones with tied integer
+    entries; and ones that put every column in the same row."""
+    k, n = h.arrow_count, g.arrow_count
+    images = [build_hom(g, h, data).entries for data in
+              itertools.islice(enumerate_decomposition_data(g, h, 2), 2)]
+    for m in images:
+        yield "image", m
+        col = int(rng.integers(n))
+        rows = np.flatnonzero(m[:, col])
+        if rows.size:
+            row = int(rows[0])
+            for name, value in (("rescaled", 1.5 * m[row, col]), ("zeroed", 0),
+                                ("overflow", 1e200), ("overflow-", -1e200 + 1e200j)):
+                x = m.copy()
+                x[row, col] = value
+                yield name, x
+            x = m.copy()
+            x[row, col], x[(row + 1) % k, col] = 0, m[row, col]
+            yield "moved", x
+        yield "all-overflow", 1e200 * m
+    ties = np.zeros((k, n), dtype=complex)
+    hit = rng.integers(-1, k, size=n)
+    ties[hit[hit >= 0], np.flatnonzero(hit >= 0)] = rng.integers(1, 3, size=n)[hit >= 0]
+    yield "ties", ties
+    one_row = np.zeros((k, n), dtype=complex)
+    one_row[int(rng.integers(k))] = rng.normal(size=n) + 1j * rng.normal(size=n)
+    yield "one-row", one_row
+
+
+def test_monomial_residual_matches_the_dense_loop():
+    # every ordered pair of the corpus, square or not, with rows * cols <= 900
+    rng = np.random.default_rng(10)
+    compared = fallbacks = 0
+    corpus = [g for _, g in standard_corpus()]
+    for g, h in itertools.product(corpus, repeat=2):
+        if g.arrow_count * h.arrow_count > 900:
+            continue
+        for name, m in monomial_cases(g, h, rng):
+            found = _monomial_residual(g, h, m)
+            if found is None:
+                # more cells than composable pairs plus entries: dense loop
+                assert name in ("ties", "one-row")
+                fallbacks += 1
+                continue
+            expected = dense_residual(g, h, m)
+            assert (repr(found[0]),) + found[1:] == \
+                (repr(expected[0]),) + expected[1:], (name, g, h)
+            compared += 1
+    assert compared > 2000 and fallbacks > 10, (compared, fallbacks)
+
+
+def test_only_matrices_with_one_entry_per_column_take_the_monomial_path(r2_hand):
+    m = np.eye(4, dtype=complex)
+    assert _monomial_residual(r2_hand, r2_hand, m) == (-0.0, 0, 0, 0)
+    m[2, 0] = 1e-300
+    assert _monomial_residual(r2_hand, r2_hand, m) is None
+
+
+def test_many_columns_in_one_row_take_the_dense_loop_in_small_memory():
+    # 2000 points onto one: 2000^2 column pairs have rows that compose, far
+    # more than the 2000 composable pairs plus 2000 entries
+    g, pt = group_bundle([1] * 2000), pair_groupoid(1)
+    m = np.ones((1, 2000))
+    assert _monomial_residual(g, pt, m) is None
+    tracemalloc.start()
+    try:
+        report = validate_hom(HomMatrix(g, pt, m))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.star_witness == (0, 1, 1.0)
+    assert peak < 8 * 2**20, peak
+
+
+def test_twisted_pair16_validates_and_decomposes_in_small_memory(twisted_pair16):
+    data, built = twisted_pair16
+    hm = HomMatrix(built.source, built.target, built.entries)
+    tracemalloc.start()
+    try:
+        assert validate_hom(hm).ok
+        recovered = decompose(hm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20, peak
+    assert recovered.invariant_units == data.invariant_units
+    assert recovered.hom.mapping == data.hom.mapping
+    assert recovered.cocycle.values == data.cocycle.values
+
+
+def test_dense_check_refuses_past_its_budget(twisted_pair16):
+    # one extra entry leaves the monomial path; pair(16) then needs
+    # 256 * 256 * 4096 products
+    _, built = twisted_pair16
+    m = built.entries.copy()
+    m[0, 0] += 0.5
+    with pytest.raises(CapExceeded, match="dense multiplicativity check"):
+        validate_hom(HomMatrix(built.source, built.target, m))
 
 
 def test_validate_diagonal_escape_detected(r2_hand):
