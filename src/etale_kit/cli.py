@@ -104,10 +104,16 @@ class Report:
 
 def _read_json(path: str):
     """Load a JSON document from a path, or from stdin when the path is '-'."""
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise StructuralError(f"{path}: JSON nested too deeply to parse") from None
+    except UnicodeDecodeError as exc:
+        raise StructuralError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _load_groupoid_arg(path: str, *, validate: bool = True):

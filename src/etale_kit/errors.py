@@ -77,4 +77,4 @@ def enum_cap(cap: int | None = None) -> int:
 def check_enum_cap(n: int, cap: int | None = None, what: str = "enumeration") -> None:
     limit = enum_cap(cap)
     if n > limit:
-        raise CapExceeded(f"{what} refused: {n} arrows exceeds the cap {limit}")
+        raise CapExceeded(f"{what}: {n} arrows exceeds the cap {limit}")

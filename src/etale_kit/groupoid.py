@@ -343,8 +343,11 @@ def restriction_arrows(g: FiniteGroupoid, subset: Iterable[int]) -> tuple[int, .
 
 
 def restrict(g: FiniteGroupoid, subset: Iterable[int]) -> FiniteGroupoid:
-    """Subgroupoid over an invariant unit set (all arrows with source inside)."""
+    """Subgroupoid over an invariant unit set (all arrows with source inside);
+    g itself when the set is every unit."""
     f = normalize_unit_set(g, subset)
+    if f == g.units:
+        return g
     w = invariance_witness(g, f)
     if w is not None:
         raise HypothesisError(
@@ -501,7 +504,7 @@ def enumerate_homomorphisms(
         tried += len(candidates)
         if tried > SEARCH_BUDGET:
             raise CapExceeded(
-                f"homomorphism search refused: more than the search budget of "
+                f"homomorphism search tried more than the search budget of "
                 f"{SEARCH_BUDGET} candidate images")
         fresh_only = bijective or (injective_on_units and domain.is_unit(a))
         for c in candidates:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from operator import add, itemgetter
 from typing import Sequence
 
 from .errors import (
@@ -57,18 +59,31 @@ class Bisection:
         return all(a in self.groupoid.unit_set for a in self.arrows)
 
 
-def _product(g: FiniteGroupoid, u_at: dict[int, int], v: tuple[int, ...]) -> tuple[int, ...]:
-    """Arrows of u.v, with `u_at` the arrow of u leaving each unit: each b in v
-    composes with u's arrow at rng(b), if u has one."""
-    return tuple(sorted(g.compose[(u_at[g.rng[b]], b)] for b in v if g.rng[b] in u_at))
+def _gather(seq, indices) -> tuple:
+    """tuple(seq[i] for i in indices), in one C-level pass."""
+    indices = tuple(indices)
+    if len(indices) > 1:
+        return itemgetter(*indices)(seq)
+    return tuple(seq[i] for i in indices)
+
+
+def _positions(seq: tuple, value) -> list[int]:
+    """The indices at which `value` occurs in `seq`, ascending."""
+    found: list[int] = []
+    for _ in range(seq.count(value)):
+        found.append(seq.index(value, found[-1] + 1 if found else 0))
+    return found
 
 
 def bisection_product(u: Bisection, v: Bisection) -> Bisection:
-    """{a.b : a in u, b in v, composable}; again a bisection."""
+    """{a.b : a in u, b in v, composable}; again a bisection.  Each b in v
+    composes with u's arrow leaving rng(b), if u has one."""
     if u.groupoid != v.groupoid:
         raise StructuralError("bisections live on different groupoids")
     g = u.groupoid
-    return Bisection(g, _product(g, {g.src[a]: a for a in u.arrows}, v.arrows))
+    u_at = {g.src[a]: a for a in u.arrows}
+    return Bisection(g, tuple(g.compose[(u_at[g.rng[b]], b)]
+                              for b in v.arrows if g.rng[b] in u_at))
 
 
 def bisection_inverse(u: Bisection) -> Bisection:
@@ -78,8 +93,10 @@ def bisection_inverse(u: Bisection) -> Bisection:
 class InverseSemigroup:
     """A finite inverse semigroup as an element list with explicit tables.
 
-    Construction verifies that every element has exactly one generalized
-    inverse (matching the declared star) and that idempotents commute.
+    `table[s][t]` is s.t; `columns[t][s]` is the same product read by its
+    right factor.  Rows given as tuples are kept as they are.  Construction
+    verifies that every element has exactly one generalized inverse (matching
+    the declared star) and that idempotents commute.
     """
 
     def __init__(self, elements: Sequence, table: Sequence[Sequence[int]],
@@ -87,17 +104,21 @@ class InverseSemigroup:
         self.elements = tuple(elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
         k = len(self.elements)
-        self.table = tuple(tuple(int(x) for x in row) for row in table)
+        self.table = tuple(row if type(row) is tuple else tuple(map(int, row))
+                           for row in table)
         self.star = tuple(int(x) for x in star)
         self.zero = zero
         if len(self.table) != k or any(len(row) != k for row in self.table):
             raise StructuralError("product table must be square over the elements")
         if len(self.star) != k:
             raise StructuralError("star table length mismatch")
+        self.columns = tuple(zip(*self.table))
         for s in range(k):
-            generalized = [t for t in range(k)
-                           if self.table[self.table[s][t]][s] == s
-                           and self.table[self.table[t][s]][t] == t]
+            # t is a generalized inverse of s when (s.t).s = s and (t.s).t = t;
+            # the first test runs over a whole row, the second on its matches
+            column = self.columns[s]
+            generalized = [t for t in _positions(_gather(column, self.table[s]), s)
+                           if self.table[column[t]][t] == t]
             if generalized != [self.star[s]]:
                 raise StructuralError(
                     f"element {s} has generalized inverses {generalized}, "
@@ -129,10 +150,23 @@ def enumerate_bisections(g: FiniteGroupoid, cap: int | None = None) -> InverseSe
     """The inverse semigroup of all bisections, elements in lexicographic
     order of their sorted arrow tuples; the empty bisection is the zero.
 
-    Built unit by unit: a bisection takes at most one arrow leaving each unit,
-    with distinct ranges.  Assumes the groupoid axioms."""
+    Enumerated unit by unit: a bisection takes at most one arrow leaving each
+    unit, with distinct ranges.  So with arrow a weighted (1 + its slot among
+    the arrows leaving src a) times a mixed-radix place per unit, the sum of
+    an element's weights is a key that names it.  The table is built column
+    by column, in keys: for each arrow b, one pass over the elements gives
+    every left factor u the weight of (u's arrow leaving rng b).b, 0 where u
+    has none.  The keys of the products u.v are then those of u.v', where v'
+    drops the last arrow b of v, plus that pass for b: a C-level gather and
+    addition per cell, with no product formed as a set of arrows.  The rows
+    are made once, as tuples, by transposing the columns.
+
+    The groupoid's cache holds the semigroup weakly: it is reused while a
+    caller still holds it, and a dropped groupoid is freed without the cycle
+    collector.  Assumes the groupoid axioms."""
     check_enum_cap(g.arrow_count, cap, "bisection enumeration")
-    cached = g._cache.get("bisections")
+    ref = g._cache.get("bisections")
+    cached = ref() if ref is not None else None
     if cached is not None:
         return cached
     by_src = g.by_src()
@@ -145,15 +179,41 @@ def enumerate_bisections(g: FiniteGroupoid, cap: int | None = None) -> InverseSe
             raise CapExceeded(
                 f"bisection count exceeds the table bound {SEMIGROUP_ELEMENT_CAP}")
     found = sorted(tuple(sorted(arrows)) for arrows, _ in partial)
-    index = {arrows: i for i, arrows in enumerate(found)}
-    table = []
-    for u in found:
-        u_at = {g.src[a]: a for a in u}
-        table.append([index[_product(g, u_at, v)] for v in found])
+    k = len(found)
+    weight = [0] * g.arrow_count
+    place = 1
+    for x in g.units:
+        for slot, a in enumerate(by_src[x], 1):
+            weight[a] = slot * place
+        place *= len(by_src[x]) + 1
+    keys = [sum(weight[a] for a in arrows) for arrows in found]
+    index = {key: i for i, key in enumerate(keys)}
+    # leaving[x][i]: the arrow of element i leaving unit x, or the sink id
+    sink = g.arrow_count
+    leaving = {x: [sink] * k for x in g.units}
+    for i, arrows in enumerate(found):
+        for a in arrows:
+            leaving[g.src[a]][i] = a
+    # term[b][i]: the weight of (element i's arrow leaving rng b).b, 0 if none
+    term = []
+    for b in g.arrows():
+        moved = [0] * (sink + 1)
+        for a in by_src[g.rng[b]]:
+            moved[a] = weight[g.compose[(a, b)]]
+        term.append(_gather(moved, leaving[g.rng[b]]))
+    # the column of v: u.v is u.v' plus (u's arrow leaving rng b).b, where v'
+    # drops the last arrow b of v and so comes earlier in the order
+    columns = [(index[0],) * k]
+    for v, key in zip(found[1:], keys[1:]):
+        b = v[-1]
+        before = _gather(keys, columns[index[key - weight[b]]])
+        columns.append(_gather(index, map(add, before, term[b])))
+    table = list(zip(*columns))
+    del columns, term  # before the semigroup transposes the table back
     elements = [Bisection(g, arrows) for arrows in found]
-    star = [index[bisection_inverse(u).arrows] for u in elements]
-    semigroup = InverseSemigroup(elements, table, star, zero=index[()])
-    g._cache["bisections"] = semigroup
+    star = [index[sum(weight[g.inv[a]] for a in arrows)] for arrows in found]
+    semigroup = InverseSemigroup(elements, table, star, zero=index[0])
+    g._cache["bisections"] = weakref.ref(semigroup)
     return semigroup
 
 
@@ -161,9 +221,12 @@ class SemigroupAction:
     """An inverse semigroup acting by partial bijections on a finite point set.
 
     `maps[s]` is the partial bijection of element s as a dict; its key set is
-    the domain of the idempotent s*s.  Construction checks the composition law
-    exhaustively, that every map is a bijection onto the domain of s s*, and
-    that the idempotent domains cover the space.
+    the domain of the idempotent s*s.  Construction checks that every map is a
+    bijection onto the domain of s s*, that the idempotent domains cover the
+    space, and the composition law s(t(x)) = (s.t)(x) exhaustively, one
+    (t, x) column at a time: the images under every s of the point t(x) are
+    compared, as one tuple, with the column of s.t read at x.  A failure names
+    the first failing (s, t) in row-major order.
     """
 
     def __init__(self, semigroup: InverseSemigroup, n_points: int,
@@ -187,14 +250,23 @@ class SemigroupAction:
             ran = set(self.maps[semigroup.mul(s, semigroup.star[s])].keys())
             if set(m.values()) != ran:
                 raise ActionError(f"range of element {s} differs from dom(ss*)")
-        for s in range(k):
-            for t in range(k):
-                st = semigroup.mul(s, t)
-                composed = {x: self.maps[s][y] for x, y in self.maps[t].items()
-                            if y in self.maps[s]}
-                if composed != self.maps[st]:
-                    raise ActionError(
-                        f"composition law fails at elements ({s},{t})")
+        # each map as a dense tuple over the points, the sink n_points standing
+        # for "undefined" and fixed by every map; at[y][s] is s(y)
+        sink = self.n_points
+        at = tuple(zip(*(tuple(m.get(x, sink) for x in range(sink)) + (sink,)
+                         for m in self.maps)))
+        failures = []
+        for t in range(k):
+            column = semigroup.columns[t]
+            for x in range(sink):
+                # s(t(x)) against (s.t)(x), for every s at once
+                composed, product = at[at[x][t]], _gather(at[x], column)
+                if composed != product:
+                    s = next(s for s in range(k) if composed[s] != product[s])
+                    failures.append((s, t))
+        if failures:
+            raise ActionError(
+                "composition law fails at elements ({},{})".format(*min(failures)))
         covered = set()
         for e in semigroup.idempotents():
             covered |= set(self.maps[e].keys())

@@ -81,7 +81,7 @@ def run_selftest(seed: int = 0, cap: int = 16) -> list[dict]:
     nprng = np.random.default_rng(seed)
     corpus = standard_corpus(cap)
     if not corpus:
-        raise CapExceeded(f"selftest refused: the cap {cap} admits no corpus groupoid")
+        raise CapExceeded(f"selftest: the cap {cap} admits no corpus groupoid")
     small = [(n, g) for n, g in corpus if g.arrow_count <= min(cap, 9)]
     checks: list[dict] = []
 

@@ -330,3 +330,35 @@ def test_decompose_of_an_overflowing_matrix_exits_two_cleanly(tmp_path, run_cli)
     assert out.returncode == 2
     assert out.stderr.splitlines() == [
         "hypothesis failure: matrix fails validation: is_star_hom"]
+
+
+def test_refusal_says_refused_once(tmp_path, run_cli):
+    pair4 = tmp_path / "pair4.json"
+    pair4.write_text(kio.canonical_json(kio.groupoid_to_doc(pair_groupoid(4))))
+    out = run_cli("aut", str(pair4), "--phases", "1000")
+    assert out.returncode == 2
+    assert out.stderr.count("refused") == 1
+    assert out.stderr.splitlines() == [
+        "refused: cocycle enumeration into Z/1000: 1000 arrows exceeds the cap 16"]
+
+
+def test_deeply_nested_document_exits_one(tmp_path, run_cli):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000)
+    out = run_cli("validate", str(path))
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: ")
+    assert "nested too deeply" in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+
+
+def test_document_that_is_not_utf8_exits_one(tmp_path, run_cli):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"arrows": 1, "name": "é"}'.encode("latin-1"))
+    out = run_cli("analyze", str(path))
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: ")
+    assert "not UTF-8" in out.stderr
+    assert len(out.stderr.splitlines()) == 1

@@ -34,6 +34,7 @@ from etale_kit.groupoid import (
     validation_report,
 )
 from etale_kit.mutate import enumerate_mutations
+from test_cocycles import _one_unit, _q8_table
 
 
 def test_hand_built_pair_groupoid_passes(r2_hand):
@@ -141,6 +142,12 @@ def test_restrict_examples():
     assert restriction_arrows(g, (0, 1)) == (0, 1, 2, 3)
 
 
+def test_restricting_to_every_unit_returns_the_groupoid_itself():
+    g = disjoint_union([pair_groupoid(2), group_bundle([3])])
+    assert restrict(g, reversed(g.units)) is g
+    assert restriction_arrows(g, g.units) == tuple(g.arrows())
+
+
 def test_restrict_rejects_noninvariant_sets(r2_hand):
     with pytest.raises(HypothesisError):
         restrict(r2_hand, (0,))
@@ -208,6 +215,12 @@ def test_automorphisms_against_bruteforce(r2_hand, z2_hand, bundle_hand):
 def test_automorphisms_of_pair_groupoids():
     assert len(enumerate_automorphisms(pair_groupoid(2))) == 2
     assert len(enumerate_automorphisms(pair_groupoid(3))) == 6
+
+
+def test_quaternion_group_has_24_automorphisms():
+    # i may go to any of the 6 elements of order 4, and j to any of the 4 of
+    # them outside ±(the image of i); Aut(Q8) is S4
+    assert len(enumerate_automorphisms(_one_unit(_q8_table()))) == 24
 
 
 def test_automorphism_search_enforces_the_search_budget():

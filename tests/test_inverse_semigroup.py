@@ -1,5 +1,6 @@
 """Bisections, the inverse semigroup laws, actions, and germ groupoids."""
 
+import gc
 from itertools import combinations
 from math import comb, factorial
 
@@ -133,6 +134,14 @@ def test_duplicate_inverse_table_is_rejected():
         InverseSemigroup(["0", "1"], table, [1, 0])
 
 
+def test_every_generalized_inverse_is_named():
+    # a left-zero semigroup (x.y = x): each element is a generalized inverse
+    # of each, so a star that picks one of them is still refused
+    with pytest.raises(StructuralError) as err:
+        InverseSemigroup(["a", "b"], [[0, 0], [1, 1]], [0, 1])
+    assert str(err.value) == "element 0 has generalized inverses [0, 1], declared 0"
+
+
 def test_cap_refusal():
     with pytest.raises(CapExceeded):
         enumerate_bisections(pair_groupoid(3), cap=5)
@@ -158,6 +167,94 @@ def test_action_rejects_composition_violation(z2_hand):
     maps = [dict(), {0: 0}, {}]
     with pytest.raises(ActionError):
         SemigroupAction(semigroup, 1, maps)
+
+
+def _first_composition_failure(semigroup, maps):
+    """The first (s, t) in row-major order at which s(t(x)) and (s.t)(x)
+    differ for some point x, found by composing the maps as dicts."""
+    k = len(semigroup)
+    for s in range(k):
+        for t in range(k):
+            composed = {x: maps[s][y] for x, y in maps[t].items() if y in maps[s]}
+            if composed != maps[semigroup.mul(s, t)]:
+                return s, t
+    return None
+
+
+def test_action_names_the_first_failing_pair_on_pair3():
+    action = canonical_action(pair_groupoid(3))
+    semigroup = action.semigroup
+    assert len(semigroup) == 34
+    witnesses = set()
+    for s0, m in enumerate(action.maps):
+        if len(m) < 2 or s0 in semigroup.idempotents():
+            continue
+        # one wrong map: the same domain and range, two images swapped
+        (x1, y1), (x2, y2) = list(m.items())[:2]
+        maps = list(action.maps)
+        maps[s0] = {**m, x1: y2, x2: y1}
+        expected = _first_composition_failure(semigroup, maps)
+        with pytest.raises(ActionError) as err:
+            SemigroupAction(semigroup, action.n_points, maps)
+        assert str(err.value) == (
+            f"composition law fails at elements ({expected[0]},{expected[1]})")
+        witnesses.add(expected)
+    assert len(witnesses) >= 10
+
+
+def test_semigroup_names_a_wrong_star_entry_on_pair3():
+    semigroup = enumerate_bisections(pair_groupoid(3))
+    table, k = semigroup.table, len(semigroup)
+    for s0 in range(k):
+        star = list(semigroup.star)
+        star[s0] = wrong = (star[s0] + 1) % k
+        generalized = [t for t in range(k)
+                       if table[table[s0][t]][s0] == s0
+                       and table[table[t][s0]][t] == t]
+        with pytest.raises(StructuralError) as err:
+            InverseSemigroup(semigroup.elements, [list(row) for row in table],
+                             star, zero=semigroup.zero)
+        assert str(err.value) == (
+            f"element {s0} has generalized inverses {generalized}, declared {wrong}")
+
+
+def test_semigroup_names_the_first_element_a_wrong_product_breaks():
+    semigroup = enumerate_bisections(pair_groupoid(3))
+    k = len(semigroup)
+    named = 0
+    for s0 in range(1, k, 3):
+        # a wrong s.s* breaks s.s*.s = s
+        table = [list(row) for row in semigroup.table]
+        t0 = semigroup.star[s0]
+        table[s0][t0] = (table[s0][t0] + 7) % k
+        failing = [(s, generalized) for s in range(k)
+                   for generalized in [[t for t in range(k)
+                                        if table[table[s][t]][s] == s
+                                        and table[table[t][s]][t] == t]]
+                   if generalized != [semigroup.star[s]]]
+        if not failing:
+            continue
+        s, generalized = failing[0]
+        with pytest.raises(StructuralError) as err:
+            InverseSemigroup(semigroup.elements, table, semigroup.star)
+        assert str(err.value) == (f"element {s} has generalized inverses "
+                                  f"{generalized}, declared {semigroup.star[s]}")
+        named += 1
+    assert named >= 5
+
+
+def test_dropped_groupoid_is_freed_without_the_cycle_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        g = pair_groupoid(3)
+        semigroup = enumerate_bisections(g)
+        assert enumerate_bisections(g) is semigroup  # reused while held
+        canonical_germ_iso(g)
+        del g, semigroup
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_germ_groupoid_counts(r2_hand, z2_hand):
