@@ -59,12 +59,47 @@ def test_phase_rejects_off_circle_values():
         Phase.approximate(1.1 + 0j)
 
 
-def test_cocycle_law_enforced(z2_hand):
-    with pytest.raises(CocycleError):
-        Cocycle(z2_hand, [PHASE_ONE, Phase.exact(1, 3)])  # g.g = e forces order 2
-    with pytest.raises(CocycleError):
-        Cocycle(z2_hand, [Phase.exact(1, 2), PHASE_ONE])  # unit value must be 1
-    assert Cocycle(z2_hand, [PHASE_ONE, Phase.exact(1, 2)])
+def _sixths(k):
+    """exp(2 pi i k/6) written over the denominators 1, 2, 3, 4 and 6."""
+    return {0: PHASE_ONE, 1: Phase.exact(1, 6), 2: Phase.exact(1, 3),
+            3: Phase.exact(2, 4), 4: Phase.exact(2, 3), 5: Phase.exact(5, 6)}[k]
+
+
+def _sixth_root(k):
+    return Phase.approximate(cmath.exp(2j * pi * k / 6))
+
+
+# Z/6 with arrow k = k mod 6; the values k -> exp(2 pi i k/6) form a cocycle,
+# so setting arrow 4 to -1 first fails at the pair (1, 3) in compose key order
+@pytest.mark.parametrize("values, message", [
+    pytest.param([_sixths(k) for k in range(6)], None, id="exact"),
+    pytest.param([_sixths(k) if k != 4 else Phase.exact(1, 2) for k in range(6)],
+                 "cocycle law fails at pair (1,3): c(4)=Phase(1/2) but "
+                 "c(1)c(3)=Phase(2/3)", id="exact-mixed-denominators"),
+    pytest.param([Phase.exact(1, 2)] + [_sixths(k) for k in range(1, 6)],
+                 "cocycle value at unit 0 is Phase(1/2), not 1", id="exact-unit"),
+    pytest.param([_sixth_root(k) for k in range(6)], None, id="approximate"),
+    pytest.param([_sixth_root(k) if k != 4 else Phase.approximate(-1)
+                  for k in range(6)],
+                 "cocycle law fails at pair (1,3): c(4)=Phase((-1+0j))",
+                 id="approximate-broken"),
+    pytest.param([_sixths(k) if k % 2 else _sixth_root(k) for k in range(6)],
+                 None, id="mixed"),
+    pytest.param([_sixths(k) if k % 2 else _sixth_root(k) for k in range(5)]
+                 + [Phase.exact(1, 3)],
+                 "cocycle law fails at pair (1,4): c(5)=Phase(1/3)", id="mixed-broken"),
+    pytest.param([_sixth_root(1)] + [_sixths(k) if k % 2 else _sixth_root(k)
+                                     for k in range(1, 6)],
+                 "cocycle value at unit 0 is Phase((0.5", id="mixed-unit"),
+])
+def test_cocycle_law_enforced(values, message):
+    g = cyclic_groupoid(6)
+    if message is None:
+        assert Cocycle(g, values).values == tuple(values)
+        return
+    with pytest.raises(CocycleError) as err:
+        Cocycle(g, values)
+    assert str(err.value).startswith(message)
 
 
 def _cocycles_bruteforce(g, n):

@@ -368,6 +368,92 @@ def test_trusted_decompose_flags_corruption(r2_hand):
         decompose(HomMatrix(r2_hand, r2_hand, off_modulus), trust=True)
 
 
+def _eye_with(**cells):
+    """The identity of pair(2), arrows 0, 1 units and 2: 1 -> 0, 3: 0 -> 1,
+    with the named cells `r<row>c<col>` overwritten."""
+    m = np.eye(4, dtype=complex)
+    for cell, value in cells.items():
+        row, col = cell[1:].split("c")
+        m[int(row), int(col)] = value
+    return HomMatrix(pair_groupoid(2), pair_groupoid(2), m)
+
+
+def _outside_entry():
+    """Two copies of pair(2) onto pair(2): the identity on the first copy,
+    and one entry in a non-unit column of the second, which lies outside
+    the recovered invariant set and so only the rebuild can see."""
+    g, h = disjoint_union([pair_groupoid(2)] * 2), pair_groupoid(2)
+    m = np.zeros((4, 8), dtype=complex)
+    m[:, :4] = np.eye(4)
+    m[0, 6] = 0.5
+    return HomMatrix(g, h, m)
+
+
+# one corrupted matrix per refusal `decompose(..., trust=True)` can reach
+@pytest.mark.parametrize("make, fragment", [
+    pytest.param(lambda: _eye_with(r1c0=1), "diagonal column 0 is supported on 2",
+                 id="unit-column-supported-twice"),
+    pytest.param(lambda: _eye_with(r0c0=0.5), "diagonal column 0 is not a unit point mass",
+                 id="unit-column-off-one"),
+    pytest.param(lambda: _eye_with(r0c0=0, r2c0=1), "diagonal column 0 is not a unit point",
+                 id="unit-column-off-the-units"),
+    pytest.param(lambda: _eye_with(r1c1=0, r0c1=1), "unit images collide",
+                 id="unit-images-collide"),
+    pytest.param(lambda: _eye_with(r1c1=0), "not invariant", id="unit-set-not-invariant"),
+    pytest.param(lambda: _eye_with(r3c2=1), "column 2 is supported on 2 arrows",
+                 id="column-supported-twice"),
+    pytest.param(lambda: _eye_with(r2c2=0), "column 2 is supported on 0 arrows",
+                 id="column-empty"),
+    pytest.param(lambda: _eye_with(r2c2=0, r3c2=1, r3c3=0, r2c3=1),
+                 "column 2 is supported at an arrow with the wrong endpoints",
+                 id="wrong-endpoints"),
+    pytest.param(lambda: _eye_with(r2c2=0.5), "column 2 has entry of modulus 0.5",
+                 id="bad-modulus"),
+    pytest.param(lambda: _eye_with(r2c2=1j, r3c3=1j),
+                 "recovered twist is not a cocycle: cocycle law fails at pair",
+                 id="twist-not-a-cocycle"),
+    pytest.param(_outside_entry, "rebuilt matrix deviates by 5.000e-01",
+                 id="rebuild-deviates-outside-the-invariant-set"),
+])
+def test_trusted_decompose_refusals(make, fragment):
+    with pytest.raises(InternalInconsistencyError) as err:
+        decompose(make(), trust=True)
+    assert fragment in str(err.value)
+
+
+# the refusals of `build_hom`, each with otherwise consistent data
+@pytest.mark.parametrize("source, target, make, fragment", [
+    pytest.param(pair_groupoid(2), pair_groupoid(2),
+                 lambda g, h: DecompositionData((0,), identity_hom(g), trivial_cocycle(g)),
+                 "unit set is not invariant", id="not-invariant"),
+    pytest.param(pair_groupoid(2), pair_groupoid(2),
+                 lambda g, h: DecompositionData((), identity_hom(g), trivial_cocycle(g)),
+                 "arrow map is not defined on the restriction", id="hom-domain"),
+    pytest.param(pair_groupoid(2), pair_groupoid(2),
+                 lambda g, h: DecompositionData(
+                     g.units, identity_hom(cyclic_groupoid(1)), trivial_cocycle(g)),
+                 "arrow map is not defined on the restriction", id="hom-domain-units"),
+    pytest.param(cyclic_groupoid(2), cyclic_groupoid(2),
+                 lambda g, h: DecompositionData(
+                     g.units, GroupoidHom(g, cyclic_groupoid(1), (0, 0)),
+                     trivial_cocycle(g)),
+                 "arrow map does not land in the target groupoid", id="hom-codomain"),
+    pytest.param(pair_groupoid(2), pair_groupoid(2),
+                 lambda g, h: DecompositionData(
+                     g.units, identity_hom(g), trivial_cocycle(pair_groupoid(1))),
+                 "twist is not defined on the restriction", id="twist-domain"),
+    pytest.param(group_bundle([1, 1]), pair_groupoid(1),
+                 lambda g, h: DecompositionData(
+                     g.units, GroupoidHom(g, h, (0, 0)), trivial_cocycle(g)),
+                 "arrow map is not injective on the restricted units: [0, 1]",
+                 id="not-injective-on-units"),
+])
+def test_build_hom_refusals(source, target, make, fragment):
+    with pytest.raises(HypothesisError) as err:
+        build_hom(source, target, make(source, target))
+    assert fragment in str(err.value)
+
+
 def test_quotient_hom_examples(r2_hand, z2_hand, bundle_hand):
     assert np.allclose(quotient_hom(r2_hand).entries, np.eye(4))
     assert np.allclose(quotient_hom(z2_hand).entries, np.ones((1, 2)))
