@@ -1,0 +1,203 @@
+"""Scaling curves of one layer, for two source trees side by side.
+
+    python3 bench_curves.py --topic bisections|hom --tree parent=PATH \
+        --tree change=. --out BENCH_<topic>.json
+
+Each PATH is the root of a checkout (its `src/` is imported).  For every
+point of the topic's curve, every tree runs in its own child interpreter and
+reports, per phase, the median wall time over fresh inputs and the
+tracemalloc peak of one more run.  The trees alternate in order from one
+point to the next, so that drift on a shared machine falls on both alike.
+
+Topics:
+
+- `bisections`: pair(n), n = 1..4, and group_bundle([3]*p), p = 1..5.
+  Phases: `table` (`enumerate_bisections`), `germ_iso`
+  (`canonical_germ_iso` with the table already held), `table_plus_germ_iso`
+  (both, from a fresh groupoid) and `classify_faut` (root-of-unity order 2
+  on pair(n), 3 on the bundles).
+- `hom`: twisted pair(n), n = 2..16: a shuffled point bijection of pair(n)
+  with the coboundary of random 12th-root point phases as its twist; and
+  pair(12)+pair(4) onto pair(12), whose invariant set is the pair(12)
+  block.  Phases: `validate` (`validate_hom` on a fresh matrix) and
+  `decompose` (on a fresh matrix already validated, so only the
+  decomposition is timed).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+BISECTIONS = r"""
+from etale_kit.aut_group import classify_faut
+from etale_kit.families import group_bundle, pair_groupoid
+from etale_kit.inverse_semigroup import canonical_germ_iso, enumerate_bisections
+
+order = 2 if family == "pair" else 3
+
+def build():
+    return pair_groupoid(size) if family == "pair" else group_bundle([3] * size)
+
+def table(g):
+    return enumerate_bisections(g, 16)
+
+def both(g):
+    held = table(g)  # the cache keeps the table only while it is held
+    canonical_germ_iso(g, 16)
+    return held
+
+# name: (preparation of a fresh groupoid, untimed, and the timed phase)
+PHASES = {
+    "table": (lambda g: g, table),
+    "germ_iso": (lambda g: (g, table(g)), lambda held: canonical_germ_iso(held[0], 16)),
+    "table_plus_germ_iso": (lambda g: g, both),
+    "classify_faut": (lambda g: g, lambda g: classify_faut(g, order, 16)),
+}
+result = {"arrows": build().arrow_count, "bisections": len(table(build()))}
+"""
+
+HOM = r"""
+import random
+from etale_kit.cocycles import Cocycle, Phase
+from etale_kit.decomposition import (
+    DecompositionData, HomMatrix, build_hom, decompose, validate_hom)
+from etale_kit.families import disjoint_union, pair_groupoid
+from etale_kit.groupoid import GroupoidHom, restrict
+
+if family == "pair":
+    source = target = pair_groupoid(size)
+    units = source.units
+else:  # pair(size) + pair(4) onto pair(size)
+    source = disjoint_union([pair_groupoid(size), pair_groupoid(4)])
+    target = pair_groupoid(size)
+    units = source.units[:size]
+sub = restrict(source, units)
+rnd = random.Random(3)
+images = list(target.units)
+rnd.shuffle(images)
+point = dict(zip(sub.units, images))
+by_ends = {(target.src[x], target.rng[x]): x for x in target.arrows()}
+mapping = tuple(by_ends[point[sub.src[a]], point[sub.rng[a]]] for a in sub.arrows())
+exponent = {x: rnd.randrange(12) for x in sub.units}
+twist = Cocycle(sub, [Phase.exact(exponent[sub.rng[a]] - exponent[sub.src[a]], 12)
+                      for a in sub.arrows()])
+entries = build_hom(source, target, DecompositionData(
+    units, GroupoidHom(sub, target, mapping), twist)).entries
+
+def build():
+    return HomMatrix(source, target, entries)
+
+def validated(hm):
+    validate_hom(hm)
+    return hm
+
+PHASES = {
+    "validate": (lambda hm: hm, validate_hom),
+    "decompose": (validated, decompose),
+}
+result = {"arrows": source.arrow_count, "kept_arrows": sub.arrow_count}
+"""
+
+CHILD = r"""
+import json, statistics, sys, time, tracemalloc
+sys.path.insert(0, sys.argv[1])
+family, size = sys.argv[2], int(sys.argv[3])
+runs, slow_runs, slow_s = int(sys.argv[4]), int(sys.argv[5]), float(sys.argv[6])
+exec(sys.argv[7])
+
+def once(prepare, run):
+    held = prepare(build())  # kept alive through the timed phase
+    start = time.perf_counter()
+    run(held)
+    return time.perf_counter() - start
+
+for name, (prepare, run) in PHASES.items():
+    times = [once(prepare, run)]
+    times += [once(prepare, run)
+              for _ in range((slow_runs if times[0] > slow_s else runs) - 1)]
+    held = prepare(build())
+    tracemalloc.start()
+    run(held)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    result[name] = {"wall_ms": round(statistics.median(times) * 1000, 3),
+                    "runs": len(times), "peak_mb": round(peak / 2**20, 3)}
+print(json.dumps(result))
+"""
+
+# topic: (child code, curve points, runs per phase, and a phase slower than
+# the given seconds takes the smaller run count instead; the phase printed
+# while the curve runs; the label of a point)
+TOPICS = {
+    "bisections": (BISECTIONS,
+                   [("pair", n) for n in range(1, 5)]
+                   + [("group_bundle", p) for p in range(1, 6)],
+                   (5, 3, 0.5), "table_plus_germ_iso",
+                   lambda family, size: f"pair({size})" if family == "pair"
+                   else f"group_bundle([3]*{size})"),
+    "hom": (HOM,
+            [("pair", n) for n in range(2, 17)] + [("pair_plus_pair4", 12)],
+            (21, 5, 0.5), "decompose",
+            lambda family, size: f"twisted pair({size})" if family == "pair"
+            else f"pair({size})+pair(4) onto pair({size})"),
+}
+
+
+def measure(root: Path, topic: str, family: str, size: int) -> dict:
+    code, _, (runs, slow_runs, slow_s), _, _ = TOPICS[topic]
+    out = subprocess.run(
+        [sys.executable, "-c", CHILD, str(root / "src"), family, str(size),
+         str(runs), str(slow_runs), str(slow_s), code],
+        check=True, capture_output=True, text=True)
+    return json.loads(out.stdout)
+
+
+def cpu_model() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--topic", required=True, choices=sorted(TOPICS))
+    parser.add_argument("--tree", action="append", required=True,
+                        metavar="NAME=PATH", help="a checkout to measure")
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args()
+    trees = [(name, Path(path).resolve())
+             for name, path in (t.split("=", 1) for t in args.tree)]
+    _, points, _, shown, label = TOPICS[args.topic]
+    curve = []
+    for i, (family, size) in enumerate(points):
+        point = {"groupoid": label(family, size)}
+        for name, root in trees[::-1] if i % 2 else trees:
+            point[name] = measure(root, args.topic, family, size)
+            print(point["groupoid"], name, point[name][shown]["wall_ms"], "ms",
+                  file=sys.stderr)
+        curve.append(point)
+    doc = {
+        "topic": args.topic,
+        "command": f"python3 bench_curves.py --topic {args.topic} " + " ".join(
+            f"--tree {name}=PATH" for name, _ in trees) + f" --out {args.out}",
+        "machine": {"cpu": cpu_model(), "cores": len(os.sched_getaffinity(0)),
+                    "python": platform.python_version()},
+        "units": {"wall_ms": "median wall time over `runs` fresh inputs, ms",
+                  "peak_mb": "tracemalloc peak of one more run, MiB"},
+        "curve": curve,
+    }
+    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -3,16 +3,18 @@
 A cocycle valued in the n-th roots of unity is a groupoid homomorphism into
 Z/n, so `enumerate_cocycles` is the homomorphism search with codomain
 `cyclic_groupoid(n)`, bounded by the same enumeration cap and search budget.
+A cocycle whose values are all exact, as every enumerated one is, has its
+law checked on integer exponents over one common order; only a cocycle
+holding an approximate value compares phases, within TOL.
 """
 
 from __future__ import annotations
 
 import cmath
-from math import gcd, pi
+from math import gcd, lcm, pi
 
 from .errors import (
     PHASE_SNAP_MAX_ORDER,
-    PHASE_SNAP_TOL,
     TOL,
     CocycleError,
     StructuralError,
@@ -66,16 +68,18 @@ class Phase:
 
     @classmethod
     def from_complex(cls, z: complex) -> "Phase":
-        """Snap to a root of unity of order <= PHASE_SNAP_MAX_ORDER within
-        PHASE_SNAP_TOL, else keep the value as an approximate phase."""
-        if abs(abs(z) - 1.0) > TOL:
-            raise StructuralError(f"phase modulus |{z}| deviates from 1 beyond 1e-9")
-        theta = cmath.phase(z)
+        """The root of unity of order <= PHASE_SNAP_MAX_ORDER whose value lies
+        within TOL of z itself, else the approximate phase z / |z|."""
+        turns = cmath.phase(z) / (2 * pi)
         for den in range(1, PHASE_SNAP_MAX_ORDER + 1):
-            num = round(theta * den / (2 * pi)) % den
-            if abs(z - cmath.exp(2j * pi * num / den)) <= PHASE_SNAP_TOL:
-                return cls.exact(num, den)
-        return cls.approximate(z)
+            # a root within TOL of z is about TOL / (2 pi) of a turn from the
+            # angle of z, so it passes this filter with room to spare
+            num = round(turns * den)
+            if abs(turns * den - num) <= TOL * den:
+                root = cls.exact(num, den)
+                if abs(z - root.value) <= TOL:
+                    return root
+        return cls.approximate(z / abs(z))
 
     @property
     def is_exact(self) -> bool:
@@ -93,7 +97,7 @@ class Phase:
 
     def times(self, other: "Phase") -> "Phase":
         if self.is_exact and other.is_exact:
-            den = self.den * other.den // gcd(self.den, other.den)
+            den = lcm(self.den, other.den)
             num = self.num * (den // self.den) + other.num * (den // other.den)
             return Phase.exact(num, den)
         return Phase.approximate(self.value * other.value)
@@ -103,15 +107,12 @@ class Phase:
             return Phase.exact(-self.num, self.den)
         return Phase.approximate(self.approx.conjugate())
 
-    def isclose(self, other: "Phase") -> bool:
-        return abs(self.value - other.value) <= TOL
-
     def __eq__(self, other):
         if not isinstance(other, Phase):
             return NotImplemented
         if self.is_exact and other.is_exact:
             return self.num == other.num and self.den == other.den
-        return self.isclose(other)
+        return abs(self.value - other.value) <= TOL
 
     __hash__ = None
 
@@ -135,25 +136,31 @@ class Cocycle:
         if len(values) != groupoid.arrow_count:
             raise StructuralError(
                 f"cocycle has {len(values)} values, expected {groupoid.arrow_count}")
-        for x in groupoid.units:
-            if not (values[x] == PHASE_ONE):
-                raise CocycleError(f"cocycle value at unit {x} is {values[x]}, not 1")
-        for (a, b), c in groupoid.compose.items():
-            if not (values[c] == values[a].times(values[b])):
-                raise CocycleError(
-                    f"cocycle law fails at pair ({a},{b}): "
-                    f"c({c})={values[c]} but c({a})c({b})={values[a].times(values[b])}")
+        units, compose = groupoid.units, groupoid.compose.items()
+        if all(v.is_exact for v in values):
+            # exponents over one common order, added in Z/order
+            order = lcm(*{v.den for v in values})
+            k = [v.num * (order // v.den) for v in values]
+            bad_units = (x for x in units if k[x])
+            bad_pairs = ((a, b, c) for (a, b), c in compose
+                         if (k[a] + k[b] - k[c]) % order)
+        else:
+            bad_units = (x for x in units if values[x] != PHASE_ONE)
+            bad_pairs = ((a, b, c) for (a, b), c in compose
+                         if values[c] != values[a].times(values[b]))
+        for x in bad_units:
+            raise CocycleError(f"cocycle value at unit {x} is {values[x]}, not 1")
+        for a, b, c in bad_pairs:
+            raise CocycleError(
+                f"cocycle law fails at pair ({a},{b}): "
+                f"c({c})={values[c]} but c({a})c({b})={values[a].times(values[b])}")
         self.groupoid = groupoid
         self.values = values
-
-    def __call__(self, a: int) -> Phase:
-        return self.values[a]
 
     def __eq__(self, other):
         if not isinstance(other, Cocycle):
             return NotImplemented
-        return (self.groupoid == other.groupoid
-                and all(u == v for u, v in zip(self.values, other.values)))
+        return self.groupoid == other.groupoid and self.values == other.values
 
     __hash__ = None
 
@@ -203,5 +210,6 @@ def enumerate_cocycles(g: FiniteGroupoid, n: int, cap: int | None = None) -> lis
         raise StructuralError(f"root-of-unity order must be >= 1, got {n}")
     check_enum_cap(g.arrow_count, cap, "cocycle enumeration")
     check_enum_cap(n, cap, f"cocycle enumeration into Z/{n}")
-    return [Cocycle(g, [Phase.exact(k, n) for k in hom.mapping])
+    phases = [Phase.exact(k, n) for k in range(n)]
+    return [Cocycle(g, [phases[k] for k in hom.mapping])
             for hom in enumerate_homomorphisms(g, cyclic_groupoid(n))]

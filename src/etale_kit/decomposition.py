@@ -18,10 +18,11 @@ from .cocycles import Cocycle, Phase, enumerate_cocycles, trivial_cocycle
 from .cstar import _conv_arrays
 from .errors import (
     DENSE_PRODUCT_BUDGET,
+    SEARCH_BUDGET,
     SUPPORT_TOL,
     TOL,
     CapExceeded,
-    HomomorphismError,
+    CocycleError,
     HypothesisError,
     InternalInconsistencyError,
     StructuralError,
@@ -29,13 +30,13 @@ from .errors import (
 from .groupoid import (
     FiniteGroupoid,
     GroupoidHom,
+    _restriction,
     enumerate_homomorphisms,
-    invariance_witness,
     invariant_subsets,
     is_effective,
+    normalize_unit_set,
     quotient_by_isotropy,
     restrict,
-    restriction_arrows,
 )
 
 __all__ = [
@@ -92,18 +93,11 @@ class HomReport:
 
     @property
     def ok(self) -> bool:
-        return (self.is_star_hom and self.diagonal_into_diagonal
-                and self.image_diag_is_ideal)
+        return not self.failed_checks()
 
     def failed_checks(self) -> list[str]:
-        out = []
-        if not self.is_star_hom:
-            out.append("is_star_hom")
-        if not self.diagonal_into_diagonal:
-            out.append("diagonal_into_diagonal")
-        if not self.image_diag_is_ideal:
-            out.append("image_diag_is_ideal")
-        return out
+        return [name for name in ("is_star_hom", "diagonal_into_diagonal",
+                                  "image_diag_is_ideal") if not getattr(self, name)]
 
 
 def numerical_rank(mat: np.ndarray) -> int:
@@ -191,9 +185,9 @@ def validate_hom(hm: HomMatrix) -> HomReport:
     nonzero when every column has at most one nonzero entry, as every matrix
     `build_hom` makes does; any other matrix takes the dense loop over all
     (w, a, b), which refuses with `CapExceeded` past `DENSE_PRODUCT_BUDGET`
-    products.  Both paths compute the same floats, and every decision reads
-    `TOL` (exact `Phase` arithmetic would snap within the looser
-    `PHASE_SNAP_TOL` and accept matrices the dense check refuses).  The
+    products.  Both paths compute the same floats, and every decision
+    compares them with `TOL` as they stand; none reads a `Phase`, so that a
+    twist near a root of unity is judged by its entry, not by the root.  The
     report depends on the read-only entries alone, so it is computed once
     per matrix and stored on it."""
     if hm._report is not None:
@@ -296,8 +290,21 @@ class DecompositionData:
     cocycle: Cocycle
 
 
-def _check_data(g: FiniteGroupoid, h: FiniteGroupoid, data: DecompositionData) -> FiniteGroupoid:
-    restriction = restrict(g, data.invariant_units)
+def _fill(g: FiniteGroupoid, h: FiniteGroupoid, keep: tuple[int, ...],
+          data: DecompositionData) -> np.ndarray:
+    """The entries of a triple: column keep[i] holds the twist value at arrow
+    i of the restriction in the row of its image, and every other entry is 0."""
+    entries = np.zeros((h.arrow_count, g.arrow_count), dtype=complex)
+    entries[list(data.hom.mapping), list(keep)] = [v.value for v in data.cocycle.values]
+    return entries
+
+
+def build_hom(g: FiniteGroupoid, h: FiniteGroupoid,
+              data: DecompositionData) -> HomMatrix:
+    """Realize (invariant set, arrow map, twist) as a matrix: the column of an
+    arrow inside the restriction has a single entry, the twist value, in the
+    row of its image; columns outside the invariant set vanish."""
+    keep, restriction = _restriction(g, normalize_unit_set(g, data.invariant_units))
     if data.hom.domain != restriction:
         raise HypothesisError("arrow map is not defined on the restriction")
     if data.hom.codomain != h:
@@ -306,24 +313,10 @@ def _check_data(g: FiniteGroupoid, h: FiniteGroupoid, data: DecompositionData) -
         raise HypothesisError("twist is not defined on the restriction")
     images = [data.hom.mapping[x] for x in restriction.units]
     if len(set(images)) != len(images):
-        dup = [x for x in restriction.units
-               if images.count(data.hom.mapping[x]) > 1]
+        dup = [x for x, y in zip(restriction.units, images) if images.count(y) > 1]
         raise HypothesisError(
             f"arrow map is not injective on the restricted units: {dup[:2]}")
-    return restriction
-
-
-def build_hom(g: FiniteGroupoid, h: FiniteGroupoid,
-              data: DecompositionData) -> HomMatrix:
-    """Realize (invariant set, arrow map, twist) as a matrix: the column of an
-    arrow inside the restriction has a single entry, the twist value, in the
-    row of its image; columns outside the invariant set vanish."""
-    restriction = _check_data(g, h, data)
-    keep = restriction_arrows(g, data.invariant_units)
-    entries = np.zeros((h.arrow_count, g.arrow_count), dtype=complex)
-    for i, orig in enumerate(keep):
-        entries[data.hom.mapping[i], orig] = data.cocycle.values[i].value
-    return HomMatrix(g, h, entries)
+    return HomMatrix(g, h, _fill(g, h, keep, data))
 
 
 def decompose(hm: HomMatrix, *, trust: bool = False) -> DecompositionData:
@@ -332,7 +325,8 @@ def decompose(hm: HomMatrix, *, trust: bool = False) -> DecompositionData:
     Requires the target to be effective and the matrix to pass `validate_hom`
     (skipped with `trust`, so that corrupted input reaches the checks below).
     Support patterns a genuine homomorphism cannot produce raise
-    `InternalInconsistencyError`, signalling corrupted input.
+    `InternalInconsistencyError`, signalling corrupted input.  A twist entry
+    becomes a root of unity only if it lies within TOL of that root.
     """
     g, h = hm.source, hm.target
     if not is_effective(h):
@@ -340,64 +334,58 @@ def decompose(hm: HomMatrix, *, trust: bool = False) -> DecompositionData:
     if not trust:
         require_valid(hm)
     m = hm.entries
+    # each column's support size and first supported row, from one mask; a
+    # target without arrows supports nothing, and has no row to point at
+    support = np.abs(m) > SUPPORT_TOL
+    counts = support.sum(axis=0).tolist()
+    rows = support.argmax(axis=0).tolist() if h.arrow_count else counts
 
-    kept_units = []
     sigma = {}
     for x in g.units:
-        col = m[:, x]
-        rows = np.nonzero(np.abs(col) > SUPPORT_TOL)[0]
-        if rows.size == 0:
-            continue
-        if rows.size > 1:
+        if counts[x] > 1:
             raise InternalInconsistencyError(
-                f"diagonal column {x} is supported on {rows.size} arrows")
-        row = int(rows[0])
-        if not h.is_unit(row) or abs(col[row] - 1.0) > SUPPORT_TOL:
-            raise InternalInconsistencyError(
-                f"diagonal column {x} is not a unit point mass")
-        kept_units.append(x)
-        sigma[x] = row
+                f"diagonal column {x} is supported on {counts[x]} arrows")
+        if counts[x]:
+            if not h.is_unit(rows[x]) or abs(m[rows[x], x] - 1.0) > SUPPORT_TOL:
+                raise InternalInconsistencyError(
+                    f"diagonal column {x} is not a unit point mass")
+            sigma[x] = rows[x]
     if len(set(sigma.values())) != len(sigma):
         raise InternalInconsistencyError("unit images collide")
-    f = tuple(kept_units)
-    if invariance_witness(g, f) is not None:
-        raise InternalInconsistencyError("recovered unit set is not invariant")
+    f = tuple(sigma)
+    try:
+        keep, restriction = _restriction(g, f)
+    except HypothesisError as exc:
+        raise InternalInconsistencyError(f"recovered {exc}") from exc
 
-    restriction = restrict(g, f)
-    keep = restriction_arrows(g, f)
     mapping = []
     values = []
-    for i, orig in enumerate(keep):
-        col = m[:, orig]
-        rows = np.nonzero(np.abs(col) > SUPPORT_TOL)[0]
-        if rows.size != 1:
+    for orig in keep:
+        if counts[orig] != 1:
             raise InternalInconsistencyError(
-                f"column {orig} is supported on {rows.size} arrows; its support "
-                f"does not lie in a single bisection")
-        row = int(rows[0])
+                f"column {orig} is supported on {counts[orig]} arrows; its "
+                f"support does not lie in a single bisection")
+        row = rows[orig]
         if h.src[row] != sigma[g.src[orig]] or h.rng[row] != sigma[g.rng[orig]]:
             raise InternalInconsistencyError(
                 f"column {orig} is supported at an arrow with the wrong endpoints")
-        value = complex(col[row])
+        value = complex(m[row, orig])
         if abs(abs(value) - 1.0) > SUPPORT_TOL:
             raise InternalInconsistencyError(
                 f"column {orig} has entry of modulus {abs(value)}, expected 1")
         mapping.append(row)
-        values.append(Phase.from_complex(value / abs(value)))
-    try:
-        hom = GroupoidHom(restriction, h, tuple(mapping))
-    except HomomorphismError as exc:
-        raise InternalInconsistencyError(
-            f"recovered arrow map is not a homomorphism: {exc}") from exc
+        values.append(Phase.from_complex(value))
+    # an effective target has one arrow per pair of endpoints, and every
+    # column's endpoints are checked above, so this is a homomorphism
+    hom = GroupoidHom(restriction, h, tuple(mapping))
     try:
         cocycle = Cocycle(restriction, values)
-    except Exception as exc:
+    except CocycleError as exc:
         raise InternalInconsistencyError(
             f"recovered twist is not a cocycle: {exc}") from exc
     data = DecompositionData(f, hom, cocycle)
 
-    rebuilt = build_hom(g, h, data)
-    residual = float(np.max(np.abs(rebuilt.entries - m))) if m.size else 0.0
+    residual = float(np.max(np.abs(_fill(g, h, keep, data) - m))) if m.size else 0.0
     if residual > TOL:
         raise InternalInconsistencyError(
             f"rebuilt matrix deviates by {residual:.3e}")
@@ -426,20 +414,12 @@ def rigidity_check(hm: HomMatrix) -> GroupoidHom:
     data = decompose(hm)
     restriction = data.hom.domain
     quotient, q = quotient_by_isotropy(restriction)
-    induced = [-1] * quotient.arrow_count
+    # a class of the quotient holds the arrows with one pair of endpoints,
+    # which the arrow map sends to the one target arrow between their images
+    induced = [0] * quotient.arrow_count
     for a in restriction.arrows():
-        cls = q.mapping[a]
-        img = data.hom.mapping[a]
-        if induced[cls] == -1:
-            induced[cls] = img
-        elif induced[cls] != img:
-            raise InternalInconsistencyError(
-                f"arrow map does not factor through the quotient at arrow {a}")
-    try:
-        iso = GroupoidHom(quotient, h, tuple(induced))
-    except HomomorphismError as exc:
-        raise InternalInconsistencyError(
-            f"induced quotient map is not a homomorphism: {exc}") from exc
+        induced[q.mapping[a]] = data.hom.mapping[a]
+    iso = GroupoidHom(quotient, h, tuple(induced))
     if not iso.is_bijective():
         raise InternalInconsistencyError(
             "induced quotient map is not bijective")
@@ -452,13 +432,20 @@ def enumerate_decomposition_data(
     phase_order: int,
 ) -> Iterator[DecompositionData]:
     """Every (invariant set, unit-injective arrow map, root-of-unity twist)
-    triple between the two groupoids, in deterministic order."""
+    triple between the two groupoids, in deterministic order; refuses with
+    `CapExceeded` before the count of triples would pass SEARCH_BUDGET."""
+    count = 0
     for f in invariant_subsets(g):
         restriction = restrict(g, f)
         homs = enumerate_homomorphisms(restriction, h, injective_on_units=True)
         if not homs:
             continue
         cocycles = enumerate_cocycles(restriction, phase_order)
+        count += len(homs) * len(cocycles)
+        if count > SEARCH_BUDGET:
+            raise CapExceeded(
+                f"decomposition data: {count} triples exceed the search "
+                f"budget of {SEARCH_BUDGET}")
         for hom in homs:
             for c in cocycles:
                 yield DecompositionData(f, hom, c)

@@ -10,7 +10,8 @@ DEFAULT_ENUM_CAP = 16
 # Explicit inverse-semigroup tables are quadratic in the element count.
 SEMIGROUP_ELEMENT_CAP = 1024
 # The homomorphism search (automorphisms, decomposition data, cocycles)
-# refuses once it has tried this many candidate images in one call.
+# refuses once it has tried this many candidate images in one call, and
+# `enumerate_decomposition_data` before it would yield more triples.
 SEARCH_BUDGET = 1_000_000
 # The dense multiplicativity check of `validate_hom` (a matrix with more than
 # one nonzero entry in some column) refuses above this many products, counted
@@ -19,10 +20,9 @@ DENSE_PRODUCT_BUDGET = 50_000_000
 CAP_ENV_VAR = "ETALE_KIT_CAP"
 
 # Numerical tolerances, one name per decision (README, "Tolerances").
-TOL = 1e-9  # law residuals, phase moduli, diagonal fixing, relative rank cut
+TOL = 1e-9  # law residuals, phases and their snapping, diagonal fixing, rank cut
 SUPPORT_TOL = 1e-6  # entries that count as support of a column in `decompose`
-PHASE_SNAP_TOL = 1e-6  # `Phase.from_complex` snaps to a root of unity this close
-PHASE_SNAP_MAX_ORDER = 24  # ... whose order is at most this
+PHASE_SNAP_MAX_ORDER = 24  # the largest root-of-unity order a phase snaps to
 ROW_SPACE_CUT = 1e-12  # relative singular-value cut of a slice basis
 
 

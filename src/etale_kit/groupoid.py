@@ -25,7 +25,6 @@ __all__ = [
     "is_topologically_principal",
     "orbits",
     "invariant_subsets",
-    "invariance_witness",
     "normalize_unit_set",
     "restriction_arrows",
     "restrict",
@@ -326,15 +325,6 @@ def normalize_unit_set(g: FiniteGroupoid, subset: Iterable[int]) -> tuple[int, .
     return out
 
 
-def invariance_witness(g: FiniteGroupoid, subset: Iterable[int]) -> int | None:
-    """An arrow leaving the subset (src inside, rng outside), or None."""
-    f = set(normalize_unit_set(g, subset))
-    for a in g.arrows():
-        if g.src[a] in f and g.rng[a] not in f:
-            return a
-    return None
-
-
 def restriction_arrows(g: FiniteGroupoid, subset: Iterable[int]) -> tuple[int, ...]:
     """Arrow ids with source in the subset, ascending; the restriction keeps
     this order, so position i corresponds to original id restriction_arrows[i]."""
@@ -345,17 +335,26 @@ def restriction_arrows(g: FiniteGroupoid, subset: Iterable[int]) -> tuple[int, .
 def restrict(g: FiniteGroupoid, subset: Iterable[int]) -> FiniteGroupoid:
     """Subgroupoid over an invariant unit set (all arrows with source inside);
     g itself when the set is every unit."""
-    f = normalize_unit_set(g, subset)
+    return _restriction(g, normalize_unit_set(g, subset))[1]
+
+
+def _restriction(g: FiniteGroupoid,
+                 f: tuple[int, ...]) -> tuple[tuple[int, ...], FiniteGroupoid]:
+    """`restriction_arrows` and `restrict` for a normalized unit set, from one
+    scan of the arrows that refuses at the first arrow leaving the set."""
     if f == g.units:
-        return g
-    w = invariance_witness(g, f)
-    if w is not None:
-        raise HypothesisError(
-            f"unit set is not invariant: arrow {w} has src {g.src[w]} inside "
-            f"but rng {g.rng[w]} outside")
-    keep = restriction_arrows(g, f)
+        return tuple(g.arrows()), g
+    inside = set(f)
+    keep = []
+    for a in g.arrows():
+        if g.src[a] in inside:
+            if g.rng[a] not in inside:
+                raise HypothesisError(
+                    f"unit set is not invariant: arrow {a} has src {g.src[a]} "
+                    f"inside but rng {g.rng[a]} outside")
+            keep.append(a)
     new_id = {a: i for i, a in enumerate(keep)}
-    return FiniteGroupoid(
+    return tuple(keep), FiniteGroupoid(
         len(keep),
         [new_id[x] for x in f],
         [new_id[g.src[a]] for a in keep],

@@ -332,6 +332,18 @@ def test_decompose_of_an_overflowing_matrix_exits_two_cleanly(tmp_path, run_cli)
         "hypothesis failure: matrix fails validation: is_star_hom"]
 
 
+def test_decompose_keeps_a_twist_near_a_root_of_unity(tmp_path, run_cli):
+    # -exp(1e-7 i) is 1e-7 from -1: snapping it would fail the rebuild
+    r2 = pair_groupoid(2)
+    z = -np.exp(1e-7j)
+    path = tmp_path / "near_root.json"
+    path.write_text(kio.canonical_json(kio.hom_to_doc(
+        HomMatrix(r2, r2, np.diag([1, 1, z, np.conj(z)])))))
+    out = run_cli("--json", "decompose", "--hom", str(path))
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["data"]["invariant_units"] == [0, 1]
+
+
 def test_refusal_says_refused_once(tmp_path, run_cli):
     pair4 = tmp_path / "pair4.json"
     pair4.write_text(kio.canonical_json(kio.groupoid_to_doc(pair_groupoid(4))))

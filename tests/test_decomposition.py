@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from etale_kit.decomposition import (
     validate_hom,
 )
 from etale_kit.errors import (
+    TOL,
     CapExceeded,
     HypothesisError,
     InternalInconsistencyError,
@@ -429,10 +431,6 @@ def test_trusted_decompose_refusals(make, fragment):
     pytest.param(pair_groupoid(2), pair_groupoid(2),
                  lambda g, h: DecompositionData((), identity_hom(g), trivial_cocycle(g)),
                  "arrow map is not defined on the restriction", id="hom-domain"),
-    pytest.param(pair_groupoid(2), pair_groupoid(2),
-                 lambda g, h: DecompositionData(
-                     g.units, identity_hom(cyclic_groupoid(1)), trivial_cocycle(g)),
-                 "arrow map is not defined on the restriction", id="hom-domain-units"),
     pytest.param(cyclic_groupoid(2), cyclic_groupoid(2),
                  lambda g, h: DecompositionData(
                      g.units, GroupoidHom(g, cyclic_groupoid(1), (0, 0)),
@@ -566,6 +564,34 @@ def test_decompose_absorbs_noise_within_tolerance(r2_hand):
     assert data.hom.is_identity()
 
 
+@pytest.mark.parametrize("modulus", [1.0, 1 + 4e-10])
+@pytest.mark.parametrize("eps", [1e-10, 1e-9, 1e-8, 1e-7, 5e-7, 2e-6])
+def test_every_accepted_twist_near_a_root_of_unity_decomposes(eps, modulus):
+    # z lies eps along the circle from -1; a phase snapped to -1 would be
+    # rebuilt further than TOL from z for eps between about 1e-9 and 5e-7
+    r2 = pair_groupoid(2)
+    z = -modulus * np.exp(1j * eps)
+    hm = HomMatrix(r2, r2, np.diag([1, 1, z, np.conj(z)]))
+    assert validate_hom(hm).ok
+    data = decompose(hm)
+    rebuilt = build_hom(r2, r2, data)
+    assert float(np.max(np.abs(rebuilt.entries - hm.entries))) <= TOL
+    assert data.cocycle.values[2].is_exact == (abs(z + 1) <= TOL)
+
+
+def test_decomposition_data_counts_its_triples_against_the_search_budget():
+    # 101,441 triples over the invariant sets before {0, 1, 2, 3}, which
+    # would add 6,144 arrow maps times 256 twists
+    g = group_bundle([4] * 4)
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="search budget"):
+        for _ in enumerate_decomposition_data(g, g, 4):
+            pass
+    assert time.perf_counter() - start < 2
+    g = group_bundle([3] * 4)
+    assert sum(1 for _ in enumerate_decomposition_data(g, g, 3)) == 233_425
+
+
 def test_irrational_twist_roundtrips_approximately(r2_hand):
     # phases off every small root of unity survive the roundtrip as
     # approximate values compared under the 1e-9 phase tolerance
@@ -587,6 +613,8 @@ def test_empty_invariant_set_roundtrip(r2_hand):
     hm = build_hom(r2_hand, r2_hand, data)
     assert np.allclose(hm.entries, 0)
     assert decompose(hm) == data
+    # a target without arrows leaves every column empty
+    assert decompose(HomMatrix(r2_hand, empty, np.zeros((0, 4)))).invariant_units == ()
 
 
 def test_hom_matrix_shape_checks(r2_hand, z2_hand):

@@ -22,7 +22,6 @@ from etale_kit.groupoid import (
     compose_homs,
     enumerate_automorphisms,
     enumerate_homomorphisms,
-    invariance_witness,
     invariant_subsets,
     is_effective,
     is_topologically_principal,
@@ -149,9 +148,8 @@ def test_restricting_to_every_unit_returns_the_groupoid_itself():
 
 
 def test_restrict_rejects_noninvariant_sets(r2_hand):
-    with pytest.raises(HypothesisError):
+    with pytest.raises(HypothesisError, match="arrow [23] has src 0 inside"):
         restrict(r2_hand, (0,))
-    assert invariance_witness(r2_hand, (0,)) in (2, 3)
 
 
 def test_restriction_nests_over_intersections():
