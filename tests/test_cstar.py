@@ -19,7 +19,7 @@ from etale_kit.cstar import (
     unit_indicator,
     Slice,
 )
-from etale_kit.errors import HypothesisError, SliceError, StructuralError
+from etale_kit.errors import TOL, HypothesisError, SliceError, StructuralError
 from etale_kit.inverse_semigroup import Bisection, bisection_product, enumerate_bisections
 
 
@@ -210,7 +210,7 @@ def test_slice_map_is_multiplicative_and_injective(r2_hand):
 def test_slice_roundtrip_on_effective(corpus):
     from etale_kit.groupoid import is_effective
     for name, g in corpus:
-        if not is_effective(g) or g.arrow_count > 9:
+        if not is_effective(g):
             continue
         for b in enumerate_bisections(g).elements:
             assert slice_to_bisection(slice_of_bisection(b)).arrows == b.arrows, name
@@ -231,3 +231,95 @@ def test_non_slices_are_rejected_with_reason(r2_hand):
     # the span of both units is fine
     diag = Slice(r2_hand, np.eye(4, dtype=complex)[:2])
     assert slice_failure(diag) is None
+
+
+def reference_slice_failure(m):
+    """slice_failure as the definition reads: each member of the basis is
+    multiplied by the point mass of each unit, on each side, by convolution,
+    and the product is tested with Slice.contains; then the support checks."""
+    g = m.groupoid
+    for x in g.units:
+        d = delta(g, x)
+        for v in m.basis:
+            fv = AlgebraElement(g, v)
+            if not m.contains(convolve(d, fv)):
+                return (f"not closed under left multiplication by the "
+                        f"diagonal at unit {x}")
+            if not m.contains(convolve(fv, d)):
+                return (f"not closed under right multiplication by the "
+                        f"diagonal at unit {x}")
+    support = sorted({int(a) for v in m.basis
+                      for a in np.nonzero(np.abs(v) > TOL)[0]})
+    try:
+        Bisection(g, tuple(support))
+    except StructuralError as exc:
+        return f"members are not normalizers: support is not a bisection ({exc})"
+    if len(support) != m.dim:
+        return (f"dimension {m.dim} does not match support size {len(support)}")
+    return None
+
+
+def _random_unitary(rng, k):
+    z = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _parity_slices(g, rng):
+    """Bisection slices, random dense slices, random rows on a few arrows,
+    rotated point masses and plain subsets of point masses of g."""
+    n = g.arrow_count
+    eye = np.eye(n, dtype=complex)
+    for b in enumerate_bisections(g).elements:
+        yield slice_of_bisection(b)
+    for _ in range(4):
+        k = int(rng.integers(1, n + 1))
+        yield Slice(g, rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n)))
+    for _ in range(8):
+        rows = rng.normal(size=(int(rng.integers(1, 3)), n))
+        rows[:, rng.choice(n, size=max(n - 3, 0), replace=False)] = 0
+        yield Slice(g, rows)
+    for _ in range(4):
+        arrows = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        yield Slice(g, _random_unitary(rng, arrows.size) @ eye[arrows])
+        yield Slice(g, eye[np.sort(arrows)])
+
+
+def test_slice_failure_matches_reference_loop(corpus):
+    rng = np.random.default_rng(29)
+    verdicts = set()
+    for name, g in corpus:
+        if not g.arrow_count or g.arrow_count > 16:
+            continue
+        for m in _parity_slices(g, rng):
+            want = reference_slice_failure(m)
+            assert slice_failure(m) == want, (name, m.basis)
+            verdicts.add(want and want.split(":")[0])
+    closure = "not closed under {} multiplication by the diagonal at unit {}"
+    assert {None, "members are not normalizers", closure.format("left", 0),
+            closure.format("right", 0), closure.format("left", 1)} <= verdicts
+
+
+@pytest.mark.parametrize("rows, message", [
+    # δ0 + δ2 is fixed on the left by unit 0, but on the right unit 0 keeps δ0
+    ([[1, 0, 1, 0]], "not closed under right multiplication by the diagonal at unit 0"),
+    # δ2 + δ3: on the left unit 0 keeps only δ2
+    ([[0, 0, 1, 1]], "not closed under left multiplication by the diagonal at unit 0"),
+])
+def test_slice_failure_names_side_and_unit_on_pair2(rows, message):
+    from etale_kit.families import pair_groupoid
+    g = pair_groupoid(2)
+    m = Slice(g, np.array(rows, dtype=complex))
+    assert slice_failure(m) == message == reference_slice_failure(m)
+
+
+def test_slice_failure_names_a_later_unit_on_pair3():
+    from etale_kit.families import pair_groupoid
+    g = pair_groupoid(3)
+    # arrows 6 (2 -> 1) and 8 (1 -> 2) avoid unit 0 on both sides; on the
+    # left, unit 1 keeps only arrow 6
+    assert (g.src[6], g.rng[6], g.src[8], g.rng[8]) == (2, 1, 1, 2)
+    m = Slice(g, np.eye(9, dtype=complex)[[6]] + np.eye(9, dtype=complex)[[8]])
+    message = "not closed under left multiplication by the diagonal at unit 1"
+    assert slice_failure(m) == message == reference_slice_failure(m)
+
