@@ -1,13 +1,14 @@
 """Scaling curves of one layer, for two source trees side by side.
 
-    python3 bench_curves.py --topic bisections|hom --tree parent=PATH \
+    python3 bench_curves.py --topic bisections|hom|slices --tree parent=PATH \
         --tree change=. --out BENCH_<topic>.json
 
 Each PATH is the root of a checkout (its `src/` is imported).  For every
-point of the topic's curve, every tree runs in its own child interpreter and
-reports, per phase, the median wall time over fresh inputs and the
-tracemalloc peak of one more run.  The trees alternate in order from one
-point to the next, so that drift on a shared machine falls on both alike.
+point of the topic's curve, every tree runs in its own child interpreter,
+with BLAS on one thread, and reports, per phase, the median wall time over
+fresh inputs and the tracemalloc peak of one more run.  The trees alternate
+in order from one point to the next, so that drift on a shared machine falls
+on both alike.
 
 Topics:
 
@@ -22,6 +23,10 @@ Topics:
   block.  Phases: `validate` (`validate_hom` on a fresh matrix) and
   `decompose` (on a fresh matrix already validated, so only the
   decomposition is timed).
+- `slices`: pair(n), n = 2..16.  Phases: `diagonal_slice` (`slice_failure`
+  on the span of the unit point masses) and, for n <= 4,
+  `bisection_slices` (`slice_failure` on the slice of every bisection,
+  made untimed from the table).
 """
 
 from __future__ import annotations
@@ -104,6 +109,28 @@ PHASES = {
 result = {"arrows": source.arrow_count, "kept_arrows": sub.arrow_count}
 """
 
+SLICES = r"""
+import numpy as np
+from etale_kit.cstar import Slice, slice_failure, slice_of_bisection
+from etale_kit.families import pair_groupoid
+from etale_kit.inverse_semigroup import enumerate_bisections
+
+def build():
+    return pair_groupoid(size)
+
+def diagonal(g):
+    return Slice(g, np.eye(g.arrow_count, dtype=complex)[list(g.units)])
+
+def bisection_slices(g):
+    return [slice_of_bisection(b) for b in enumerate_bisections(g, 16).elements]
+
+PHASES = {"diagonal_slice": (diagonal, slice_failure)}
+if size <= 4:
+    PHASES["bisection_slices"] = (
+        bisection_slices, lambda slices: [slice_failure(m) for m in slices])
+result = {"arrows": build().arrow_count}
+"""
+
 CHILD = r"""
 import json, statistics, sys, time, tracemalloc
 sys.path.insert(0, sys.argv[1])
@@ -146,15 +173,21 @@ TOPICS = {
             (21, 5, 0.5), "decompose",
             lambda family, size: f"twisted pair({size})" if family == "pair"
             else f"pair({size})+pair(4) onto pair({size})"),
+    "slices": (SLICES, [("pair", n) for n in range(2, 17)], (21, 5, 0.5),
+               "diagonal_slice", lambda family, size: f"pair({size})"),
 }
 
 
 def measure(root: Path, topic: str, family: str, size: int) -> dict:
     code, _, (runs, slow_runs, slow_s), _, _ = TOPICS[topic]
+    # BLAS runs single-threaded, as in perfbench/run.py: with its default
+    # threads, an occasional child ran small products ~40 times slower
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
     out = subprocess.run(
         [sys.executable, "-c", CHILD, str(root / "src"), family, str(size),
          str(runs), str(slow_runs), str(slow_s), code],
-        check=True, capture_output=True, text=True)
+        check=True, capture_output=True, text=True, env=env)
     return json.loads(out.stdout)
 
 

@@ -20,6 +20,7 @@ from etale_kit.cstar import (
     Slice,
 )
 from etale_kit.errors import TOL, HypothesisError, SliceError, StructuralError
+from etale_kit.families import group_bundle, pair_groupoid
 from etale_kit.inverse_semigroup import Bisection, bisection_product, enumerate_bisections
 
 
@@ -307,14 +308,12 @@ def test_slice_failure_matches_reference_loop(corpus):
     ([[0, 0, 1, 1]], "not closed under left multiplication by the diagonal at unit 0"),
 ])
 def test_slice_failure_names_side_and_unit_on_pair2(rows, message):
-    from etale_kit.families import pair_groupoid
     g = pair_groupoid(2)
     m = Slice(g, np.array(rows, dtype=complex))
     assert slice_failure(m) == message == reference_slice_failure(m)
 
 
 def test_slice_failure_names_a_later_unit_on_pair3():
-    from etale_kit.families import pair_groupoid
     g = pair_groupoid(3)
     # arrows 6 (2 -> 1) and 8 (1 -> 2) avoid unit 0 on both sides; on the
     # left, unit 1 keeps only arrow 6
@@ -323,3 +322,26 @@ def test_slice_failure_names_a_later_unit_on_pair3():
     message = "not closed under left multiplication by the diagonal at unit 1"
     assert slice_failure(m) == message == reference_slice_failure(m)
 
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 0)])
+def test_slice_rejects_nonfinite_basis(r2_hand, bad):
+    with pytest.raises(StructuralError, match="slice basis must be finite"):
+        Slice(r2_hand, [[bad, 0, 0, 0]])
+
+
+@pytest.mark.parametrize("g, limit_mb", [
+    # projecting every unit's products at once would hold units * dim * 2
+    # rows of arrow length: 2 MB on pair(16), and 256 MB on 200 points
+    (pair_groupoid(16), 2),
+    (group_bundle([1] * 200), 8),
+], ids=["pair(16)", "200 points"])
+def test_slice_check_memory_stays_within_a_block(g, limit_mb):
+    import tracemalloc
+    m = Slice(g, np.eye(g.arrow_count, dtype=complex)[list(g.units)])
+    tracemalloc.start()
+    try:
+        assert slice_failure(m) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 2**20, peak

@@ -1,6 +1,7 @@
 """Bisections, the inverse semigroup laws, actions, and germ groupoids."""
 
 import gc
+from collections import Counter
 from itertools import combinations
 from math import comb, factorial
 
@@ -358,3 +359,17 @@ def test_induced_germ_hom_rejects_nonequivariant_maps(r2_hand):
         induced_germ_hom(action, action, swap,
                          list(range(len(action.semigroup))))
     assert "equivariance" in str(err.value)
+
+
+def test_selftest_builds_each_semigroup_once(monkeypatch):
+    from etale_kit.selftest import run_selftest
+    built = []
+    init = InverseSemigroup.__init__
+
+    def counting(self, elements, *args, **kwargs):
+        built.append(elements[0].groupoid)  # held, so that no id is reused
+        init(self, elements, *args, **kwargs)
+
+    monkeypatch.setattr(InverseSemigroup, "__init__", counting)
+    assert all(check["pass"] for check in run_selftest(7, 16))
+    assert max(Counter(map(id, built)).values()) == 1
