@@ -1,22 +1,31 @@
 """Scaling curves of one layer, for two source trees side by side.
 
-    python3 bench_curves.py --topic bisections|hom|slices --tree parent=PATH \
-        --tree change=. --out BENCH_<topic>.json
+    python3 bench_curves.py --topic algebra|bisections|enum|hom|slices \
+        --tree parent=PATH --tree change=. --out BENCH_<topic>.json
 
 Each PATH is the root of a checkout (its `src/` is imported).  For every
 point of the topic's curve, every tree runs in its own child interpreter,
 with BLAS on one thread, and reports, per phase, the median wall time over
-fresh inputs and the tracemalloc peak of one more run.  The trees alternate
-in order from one point to the next, so that drift on a shared machine falls
-on both alike.
+fresh inputs and the tracemalloc peak of one more run; a phase that raises
+records the exception's name instead.  The trees alternate in order from one
+point to the next, so that drift on a shared machine falls on both alike.
 
 Topics:
 
+- `algebra`: pair(n), n = 2..16.  Phases: `regular_reps` (`left_regular`
+  at every unit of a fresh groupoid, so the index is built), and, on a
+  groupoid whose caches are already built, `reduced_norm` (a dense random
+  element) and `is_normalizer` (a normalizer supported on the shift
+  bisection x_j -> x_(j+1), so every unit is checked); for n <= 3,
+  `slice_products` (`slice_product` over all pairs of bisection slices,
+  made untimed from the table).
 - `bisections`: pair(n), n = 1..4, and group_bundle([3]*p), p = 1..5.
   Phases: `table` (`enumerate_bisections`), `germ_iso`
   (`canonical_germ_iso` with the table already held), `table_plus_germ_iso`
   (both, from a fresh groupoid) and `classify_faut` (root-of-unity order 2
   on pair(n), 3 on the bundles).
+- `enum`: `automorphisms` of group_bundle([1]*k) and `cocycles` of pair(k)
+  into Z/3 (arrow cap 2000), k = 1..9, where the search budget refuses.
 - `hom`: twisted pair(n), n = 2..16: a shuffled point bijection of pair(n)
   with the coboundary of random 12th-root point phases as its twist; and
   pair(12)+pair(4) onto pair(12), whose invariant set is the pair(12)
@@ -38,6 +47,63 @@ import platform
 import subprocess
 import sys
 from pathlib import Path
+
+ALGEBRA = r"""
+import numpy as np
+from etale_kit.cstar import (AlgebraElement, is_normalizer, left_regular,
+                             reduced_norm, slice_of_bisection, slice_product)
+from etale_kit.families import pair_groupoid
+from etale_kit.inverse_semigroup import enumerate_bisections
+
+def build():
+    return pair_groupoid(size)
+
+def dense(g):
+    rng = np.random.default_rng(5)
+    f = AlgebraElement(g, rng.normal(size=g.arrow_count)
+                       + 1j * rng.normal(size=g.arrow_count))
+    reduced_norm(f)  # builds the groupoid's caches, untimed
+    return f
+
+def shift(g):
+    v = np.zeros(g.arrow_count, dtype=complex)
+    units = g.units
+    for j, x in enumerate(units):
+        v[g.by_src_rng()[x, units[(j + 1) % len(units)]][0]] = np.exp(1j * j)
+    f = AlgebraElement(g, v)
+    if not is_normalizer(f):  # also builds the caches, untimed
+        raise ValueError("the shift element is not a normalizer")
+    return f
+
+def bisection_slices(g):
+    return [slice_of_bisection(b) for b in enumerate_bisections(g, 16).elements]
+
+PHASES = {
+    "regular_reps": (lambda g: g, lambda g: [left_regular(g, x) for x in g.units]),
+    "reduced_norm": (dense, reduced_norm),
+    "is_normalizer": (shift, is_normalizer),
+}
+if size <= 3:
+    PHASES["slice_products"] = (
+        bisection_slices, lambda slices: [slice_product(m, n) for m in slices
+                                          for n in slices])
+result = {"arrows": build().arrow_count}
+"""
+
+ENUM = r"""
+from etale_kit.cocycles import enumerate_cocycles
+from etale_kit.families import group_bundle, pair_groupoid
+from etale_kit.groupoid import enumerate_automorphisms
+
+def build():
+    return group_bundle([1] * size) if family == "group_bundle" else pair_groupoid(size)
+
+if family == "group_bundle":
+    PHASES = {"automorphisms": (lambda g: g, lambda g: enumerate_automorphisms(g, 2000))}
+else:
+    PHASES = {"cocycles": (lambda g: g, lambda g: enumerate_cocycles(g, 3, 2000))}
+result = {"arrows": build().arrow_count}
+"""
 
 BISECTIONS = r"""
 from etale_kit.aut_group import classify_faut
@@ -145,7 +211,11 @@ def once(prepare, run):
     return time.perf_counter() - start
 
 for name, (prepare, run) in PHASES.items():
-    times = [once(prepare, run)]
+    try:
+        times = [once(prepare, run)]
+    except Exception as exc:
+        result[name] = {"raised": type(exc).__name__}
+        continue
     times += [once(prepare, run)
               for _ in range((slow_runs if times[0] > slow_s else runs) - 1)]
     held = prepare(build())
@@ -159,27 +229,32 @@ print(json.dumps(result))
 """
 
 # topic: (child code, curve points, runs per phase, and a phase slower than
-# the given seconds takes the smaller run count instead; the phase printed
-# while the curve runs; the label of a point)
+# the given seconds takes the smaller run count instead; the label of a point)
 TOPICS = {
+    "algebra": (ALGEBRA, [("pair", n) for n in range(2, 17)], (21, 5, 0.5),
+                lambda family, size: f"pair({size})"),
+    "enum": (ENUM, [("group_bundle", k) for k in range(1, 10)]
+             + [("pair", k) for k in range(1, 10)], (5, 3, 0.5),
+             lambda family, size: f"group_bundle([1]*{size})"
+             if family == "group_bundle" else f"pair({size}) into Z/3"),
     "bisections": (BISECTIONS,
                    [("pair", n) for n in range(1, 5)]
                    + [("group_bundle", p) for p in range(1, 6)],
-                   (5, 3, 0.5), "table_plus_germ_iso",
+                   (5, 3, 0.5),
                    lambda family, size: f"pair({size})" if family == "pair"
                    else f"group_bundle([3]*{size})"),
     "hom": (HOM,
             [("pair", n) for n in range(2, 17)] + [("pair_plus_pair4", 12)],
-            (21, 5, 0.5), "decompose",
+            (21, 5, 0.5),
             lambda family, size: f"twisted pair({size})" if family == "pair"
             else f"pair({size})+pair(4) onto pair({size})"),
     "slices": (SLICES, [("pair", n) for n in range(2, 17)], (21, 5, 0.5),
-               "diagonal_slice", lambda family, size: f"pair({size})"),
+               lambda family, size: f"pair({size})"),
 }
 
 
 def measure(root: Path, topic: str, family: str, size: int) -> dict:
-    code, _, (runs, slow_runs, slow_s), _, _ = TOPICS[topic]
+    code, _, (runs, slow_runs, slow_s), _ = TOPICS[topic]
     # BLAS runs single-threaded, as in perfbench/run.py: with its default
     # threads, an occasional child ran small products ~40 times slower
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
@@ -210,14 +285,13 @@ def main() -> None:
     args = parser.parse_args()
     trees = [(name, Path(path).resolve())
              for name, path in (t.split("=", 1) for t in args.tree)]
-    _, points, _, shown, label = TOPICS[args.topic]
+    _, points, _, label = TOPICS[args.topic]
     curve = []
     for i, (family, size) in enumerate(points):
         point = {"groupoid": label(family, size)}
         for name, root in trees[::-1] if i % 2 else trees:
             point[name] = measure(root, args.topic, family, size)
-            print(point["groupoid"], name, point[name][shown]["wall_ms"], "ms",
-                  file=sys.stderr)
+            print(point["groupoid"], name, point[name], file=sys.stderr)
         curve.append(point)
     doc = {
         "topic": args.topic,

@@ -7,6 +7,8 @@ a finite groupoid realizes the full reduced norm.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .errors import ROW_SPACE_CUT, TOL, HypothesisError, SliceError, StructuralError
@@ -79,30 +81,37 @@ def delta(g: FiniteGroupoid, a: int) -> AlgebraElement:
 
 def unit_indicator(g: FiniteGroupoid) -> AlgebraElement:
     v = np.zeros(g.arrow_count, dtype=complex)
-    for x in g.units:
-        v[x] = 1.0
+    v[list(g.units)] = 1.0
     return AlgebraElement(g, v)
 
 
 def _conv_arrays(g: FiniteGroupoid):
     cached = g._cache.get("conv_arrays")
     if cached is None:
-        items = g.compose.items()
-        left = np.array([a for (a, _), _ in items], dtype=np.intp)
-        right = np.array([b for (_, b), _ in items], dtype=np.intp)
-        out = np.array([c for _, c in items], dtype=np.intp)
-        cached = (left, right, out)
+        k = len(g.compose)
+        pairs = np.fromiter(chain.from_iterable(g.compose), dtype=np.intp, count=2 * k)
+        left, right = pairs.reshape(k, 2).T.copy()
+        cached = (left, right, np.fromiter(g.compose.values(), dtype=np.intp, count=k))
         g._cache["conv_arrays"] = cached
     return cached
+
+
+def _convolutions(g: FiniteGroupoid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row i * len(v) + j is u[i] convolved with v[j], summed in compose order."""
+    left, right, out = _conv_arrays(g)
+    rows = len(u) * len(v)
+    terms = np.take(u, left, axis=1)[:, None] * np.take(v, right, axis=1)[None]
+    cells = np.arange(rows)[:, None] * g.arrow_count + out
+    result = np.zeros((rows, g.arrow_count), dtype=complex)
+    np.add.at(result.reshape(-1), cells.ravel(), terms.ravel())
+    return result
 
 
 def convolve(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     """(f*g)(c) = sum of f(a) g(b) over factorizations a.b = c."""
     _same_groupoid(f, g)
-    left, right, out = _conv_arrays(f.groupoid)
-    result = np.zeros(f.groupoid.arrow_count, dtype=complex)
-    np.add.at(result, out, f.coeff[left] * g.coeff[right])
-    return AlgebraElement(f.groupoid, result)
+    return AlgebraElement(
+        f.groupoid, _convolutions(f.groupoid, f.coeff[None], g.coeff[None])[0])
 
 
 def star(f: AlgebraElement) -> AlgebraElement:
@@ -124,18 +133,8 @@ class LeftRegularRep:
             raise StructuralError(f"{unit} is not a unit")
         self.groupoid = groupoid
         self.unit = unit
-        by_src = groupoid.by_src()
-        self.basis = by_src[unit]
-        pos = {a: i for i, a in enumerate(self.basis)}
-        rows, cols, coeffs = [], [], []
-        for a in self.basis:
-            for b in by_src[groupoid.rng[a]]:
-                rows.append(pos[groupoid.compose[(b, a)]])
-                cols.append(pos[a])
-                coeffs.append(b)
-        self._rows = np.array(rows, dtype=np.intp)
-        self._cols = np.array(cols, dtype=np.intp)
-        self._coeffs = np.array(coeffs, dtype=np.intp)
+        self.basis = groupoid.by_src()[unit]
+        self._rows, self._cols, self._coeffs = _regular_index(groupoid)[unit]
 
     def matrix(self, f: AlgebraElement) -> np.ndarray:
         if f.groupoid != self.groupoid:
@@ -146,13 +145,25 @@ class LeftRegularRep:
         return m
 
 
-def left_regular(g: FiniteGroupoid, unit: int) -> LeftRegularRep:
-    cache = g._cache.setdefault("left_regular", {})
-    rep = cache.get(unit)
-    if rep is None:
-        rep = LeftRegularRep(g, unit)
-        cache[unit] = rep
-    return rep
+def _regular_index(g: FiniteGroupoid) -> list[tuple[np.ndarray, ...]]:
+    """Indexed by unit x, the (row, column, coefficient arrow) triples of the
+    regular representation at x: the compose entries b.a with src(a) = x, at
+    the slots of b.a and a in by_src()[x], one per cell.  The cache holds only
+    arrays, so no reference back to the groupoid."""
+    cached = g._cache.get("regular_index")
+    if cached is None:
+        left, right, out = _conv_arrays(g)
+        slot = np.array([g.by_src()[g.src[a]].index(a) for a in g.arrows()], dtype=np.intp)
+        at = np.asarray(g.src, dtype=np.intp)[right]
+        order = np.argsort(at, kind="stable")
+        cuts = np.cumsum(np.bincount(at, minlength=g.arrow_count))[:-1]
+        table = np.stack([slot[out], slot[right], left])[:, order]
+        cached = [tuple(block) for block in np.split(table, cuts, axis=1)]
+        g._cache["regular_index"] = cached
+    return cached
+
+
+left_regular = LeftRegularRep
 
 
 def reduced_norm(f: AlgebraElement) -> float:
@@ -167,16 +178,18 @@ def reduced_norm(f: AlgebraElement) -> float:
 
 def is_normalizer(f: AlgebraElement) -> bool:
     """Whether f d f* and f* d f stay diagonal for every diagonal basis
-    element d, up to TOL * max(1, max|f|^2)."""
+    element d, up to TOL * max(1, max|f|^2).  For d the point mass at a unit
+    x, f d is f on the arrows with source x, so each is one convolution."""
     g = f.groupoid
     scale = float(np.max(np.abs(f.coeff))) if g.arrow_count else 0.0
     bound = TOL * max(1.0, scale * scale)
-    fs = star(f)
-    off_units = [a for a in g.arrows() if not g.is_unit(a)]
+    fs = star(f).coeff
+    off_units = np.array([not g.is_unit(a) for a in g.arrows()], dtype=bool)
+    src = np.asarray(g.src)
     for x in g.units:
-        d = delta(g, x)
-        for prod in (convolve(convolve(f, d), fs), convolve(convolve(fs, d), f)):
-            if off_units and np.max(np.abs(prod.coeff[off_units])) > bound:
+        for h, k in ((f.coeff, fs), (fs, f.coeff)):
+            prod = _convolutions(g, np.where(src == x, h, 0)[None], k[None])[0]
+            if np.max(np.abs(prod[off_units]), initial=0.0) > bound:
                 return False
     return True
 
@@ -218,8 +231,6 @@ class Slice:
 
 
 def _row_space_basis(mat: np.ndarray) -> np.ndarray:
-    if mat.shape[0] == 0:
-        return mat.reshape(0, mat.shape[1])
     _, s, vh = np.linalg.svd(mat, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return mat[:0]
@@ -230,8 +241,7 @@ def _row_space_basis(mat: np.ndarray) -> np.ndarray:
 def slice_of_bisection(u: Bisection) -> Slice:
     g = u.groupoid
     mat = np.zeros((len(u.arrows), g.arrow_count), dtype=complex)
-    for i, a in enumerate(u.arrows):
-        mat[i, a] = 1.0
+    mat[range(len(u.arrows)), u.arrows] = 1.0
     return Slice(g, mat, _orthonormal=True)
 
 
@@ -239,27 +249,14 @@ def slice_product(m: Slice, n: Slice) -> Slice:
     """Span of all pairwise convolutions of basis elements, re-orthonormalized."""
     if m.groupoid != n.groupoid:
         raise StructuralError("slices live on different groupoids")
-    g = m.groupoid
-    prods = []
-    for u in m.basis:
-        fu = AlgebraElement(g, u)
-        for v in n.basis:
-            prods.append(convolve(fu, AlgebraElement(g, v)).coeff)
-    if not prods:
-        return Slice(g, np.zeros((0, g.arrow_count), dtype=complex), _orthonormal=True)
-    return Slice(g, np.array(prods))
+    return Slice(m.groupoid, _convolutions(m.groupoid, m.basis, n.basis))
 
 
 def slices_equal(m: Slice, n: Slice) -> bool:
     if m.groupoid != n.groupoid or m.dim != n.dim:
         return False
-    for v in m.basis:
-        if n.project_residual(v) > TOL:
-            return False
-    for v in n.basis:
-        if m.project_residual(v) > TOL:
-            return False
-    return True
+    return not any(b.project_residual(v) > TOL
+                   for a, b in ((m, n), (n, m)) for v in a.basis)
 
 
 def slice_failure(m: Slice) -> str | None:
@@ -301,15 +298,19 @@ def slice_failure(m: Slice) -> str | None:
             k = start + failed[0]
             return (f"not closed under {('left', 'right')[sides[k]]} "
                     f"multiplication by the diagonal at unit {g.units[units[k]]}")
-    support = sorted({int(a) for v in m.basis
-                      for a in np.nonzero(np.abs(v) > TOL)[0]})
+    support = _support(m)
     try:
-        Bisection(g, tuple(support))
+        Bisection(g, support)
     except StructuralError as exc:
         return f"members are not normalizers: support is not a bisection ({exc})"
     if len(support) != m.dim:
         return (f"dimension {m.dim} does not match support size {len(support)}")
     return None
+
+
+def _support(m: Slice) -> tuple[int, ...]:
+    """The arrows where some basis row exceeds TOL in modulus, ascending."""
+    return tuple(np.flatnonzero((np.abs(m.basis) > TOL).any(axis=0)).tolist())
 
 
 def slice_to_bisection(m: Slice) -> Bisection:
@@ -320,6 +321,4 @@ def slice_to_bisection(m: Slice) -> Bisection:
     reason = slice_failure(m)
     if reason is not None:
         raise SliceError(reason)
-    support = sorted({int(a) for v in m.basis
-                      for a in np.nonzero(np.abs(v) > TOL)[0]})
-    return Bisection(m.groupoid, tuple(support))
+    return Bisection(m.groupoid, _support(m))

@@ -284,14 +284,10 @@ def is_effective(g: FiniteGroupoid) -> bool:
 
 
 def is_topologically_principal(g: FiniteGroupoid) -> bool:
-    """Units with trivial isotropy are dense; on a finite discrete space that
-    means every unit has trivial isotropy."""
-    by_src = g.by_src()
-    for x in g.units:
-        for a in by_src[x]:
-            if g.rng[a] == x and a != x:
-                return False
-    return True
+    """Units with trivial isotropy are dense.  The unit space of a finite
+    groupoid is discrete, so that means every unit has trivial isotropy: no
+    arrow but a unit has equal source and range, which is `is_effective`."""
+    return is_effective(g)
 
 
 def orbits(g: FiniteGroupoid) -> tuple[tuple[int, ...], ...]:
@@ -305,16 +301,15 @@ def orbits(g: FiniteGroupoid) -> tuple[tuple[int, ...], ...]:
 
 
 def invariant_subsets(g: FiniteGroupoid) -> list[tuple[int, ...]]:
-    """All invariant unit sets, i.e. unions of orbits, sorted lexicographically."""
+    """All invariant unit sets, i.e. unions of orbits, sorted lexicographically;
+    refuses with `CapExceeded`, building none, if its 2^orbits pass SEARCH_BUDGET."""
     orbs = orbits(g)
-    subsets = []
-    for mask in range(1 << len(orbs)):
-        chosen: list[int] = []
-        for i, orb in enumerate(orbs):
-            if mask >> i & 1:
-                chosen.extend(orb)
-        subsets.append(tuple(sorted(chosen)))
-    return sorted(subsets)
+    if 1 << len(orbs) > SEARCH_BUDGET:
+        raise CapExceeded(f"invariant subsets: 2^{len(orbs)} unions of orbits "
+                          f"exceed the search budget of {SEARCH_BUDGET}")
+    return sorted(tuple(sorted(x for i, orb in enumerate(orbs) if mask >> i & 1
+                               for x in orb))
+                  for mask in range(1 << len(orbs)))
 
 
 def normalize_unit_set(g: FiniteGroupoid, subset: Iterable[int]) -> tuple[int, ...]:
@@ -457,8 +452,10 @@ def enumerate_homomorphisms(
 
     Units are assigned first so that src/rng constraints prune non-unit
     candidates down to the arrows between the already-chosen unit images.
-    Refuses with `CapExceeded` once the search has tried more than
-    SEARCH_BUDGET candidate images.
+    The search is one loop over levels, one per domain arrow, each holding an
+    iterator over its untried candidates, so Python's recursion limit does not
+    bound its depth.  Refuses with `CapExceeded` once the search has tried
+    more than SEARCH_BUDGET candidate images.
     """
     if bijective and domain.arrow_count != codomain.arrow_count:
         return []
@@ -466,57 +463,59 @@ def enumerate_homomorphisms(
                                   if a not in domain.unit_set]
     pos = {a: i for i, a in enumerate(order)}
     n = domain.arrow_count
-    # compose-key triples checked as soon as all three members are assigned
+    # compose-key triples checked as soon as all three members are assigned;
+    # on a groupoid, (a, inv a, rng a) and (inv a, a, src a) also decide
+    # whether inv a maps to the inverse of a's image
     triggers: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for (a, b), c in domain.compose.items():
-        last = max(pos[a], pos[b], pos[c])
-        triggers[last].append((a, b, c))
+        triggers[max(pos[a], pos[b], pos[c])].append((a, b, c))
+    # per level: the arrow, whether it is a unit, whether its image must be
+    # unused so far, its endpoints and its compose checks
+    levels = [(a, domain.is_unit(a),
+               bijective or (injective_on_units and domain.is_unit(a)),
+               domain.src[a], domain.rng[a], triggers[k]) for k, a in enumerate(order)]
     cod_by_src_rng = codomain.by_src_rng()
-    cod_units = codomain.units
+    cod_compose = codomain.compose
     image = [-1] * n
     uses = [0] * codomain.arrow_count
     found: list[tuple[int, ...]] = []
     tried = 0
-
-    def consistent(a: int) -> bool:
-        ia = image[a]
-        b = domain.inv[a]
-        if image[b] != -1 and image[b] != codomain.inv[ia]:
-            return False
-        for (u, v, w) in triggers[pos[a]]:
-            img = codomain.compose.get((image[u], image[v]))
-            if img != image[w]:
-                return False
-        return True
-
-    def extend(k: int) -> None:
-        nonlocal tried
-        if k == n:
+    pending: list[Iterator[int]] = []  # the untried candidates of each assigned level
+    while True:
+        if len(pending) == n:
             found.append(tuple(image))
-            return
-        a = order[k]
-        if domain.is_unit(a):
-            candidates = cod_units
         else:
-            key = (image[domain.src[a]], image[domain.rng[a]])
-            candidates = cod_by_src_rng.get(key, ())
-        tried += len(candidates)
-        if tried > SEARCH_BUDGET:
-            raise CapExceeded(
-                f"homomorphism search tried more than the search budget of "
-                f"{SEARCH_BUDGET} candidate images")
-        fresh_only = bijective or (injective_on_units and domain.is_unit(a))
-        for c in candidates:
-            if fresh_only and uses[c]:
+            _, unit, _, s, r, _ = levels[len(pending)]
+            candidates = (codomain.units if unit
+                          else cod_by_src_rng.get((image[s], image[r]), ()))
+            tried += len(candidates)
+            if tried > SEARCH_BUDGET:
+                raise CapExceeded(
+                    f"homomorphism search tried more than the search budget of "
+                    f"{SEARCH_BUDGET} candidate images")
+            pending.append(iter(candidates))
+        # move the deepest level to its next consistent candidate, or drop it
+        while pending:
+            a, _, fresh_only, _, _, checks = levels[len(pending) - 1]
+            if image[a] != -1:
+                uses[image[a]] -= 1
+            for c in pending[-1]:
+                if fresh_only and uses[c]:
+                    continue
+                image[a] = c
+                for u, v, w in checks:
+                    if cod_compose.get((image[u], image[v])) != image[w]:
+                        break
+                else:  # every check holds: keep c and go one level deeper
+                    uses[c] += 1
+                    break
+            else:
+                image[a] = -1
+                pending.pop()
                 continue
-            image[a] = c
-            uses[c] += 1
-            if consistent(a):
-                extend(k + 1)
-            uses[c] -= 1
-            image[a] = -1
-
-    extend(0)
+            break
+        if not pending:
+            break
     return [GroupoidHom(domain, codomain, m) for m in sorted(found)]
 
 

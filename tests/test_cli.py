@@ -12,7 +12,7 @@ import pytest
 from etale_kit import cli
 from etale_kit import io as kio
 from etale_kit.cstar import AlgebraElement
-from etale_kit.decomposition import HomMatrix, quotient_hom
+from etale_kit.decomposition import HomMatrix, quotient_hom, validate_hom
 from etale_kit.errors import CAP_ENV_VAR, ConfigError, enum_cap
 from etale_kit.families import cyclic_groupoid, group_bundle, pair_groupoid
 from etale_kit.groupoid import invariant_subsets
@@ -374,3 +374,40 @@ def test_document_that_is_not_utf8_exits_one(tmp_path, run_cli):
     assert out.stderr.startswith("error: ")
     assert "not UTF-8" in out.stderr
     assert len(out.stderr.splitlines()) == 1
+
+
+def test_empty_groupoid_runs_through_every_groupoid_command(tmp_path, run_cli):
+    path = tmp_path / "empty.json"
+    path.write_text(kio.canonical_json(kio.groupoid_to_doc(pair_groupoid(0))))
+    data = {}
+    for command in ("validate", "analyze", "bisections", "quotient", "aut"):
+        out = run_cli("--json", command, str(path))
+        assert out.returncode == 0, (command, out.stderr)
+        data[command] = json.loads(out.stdout)["data"]
+    assert data["validate"]["violations"] == []
+    assert data["analyze"]["arrows"] == 0 and data["analyze"]["automorphisms"] == 1
+    assert data["bisections"]["count"] == 1 and data["bisections"]["bisections"] == [[]]
+    assert data["quotient"]["groupoid"]["arrows"] == 0
+    assert data["aut"]["automorphisms"] == 1 and data["aut"]["cocycles_mu2"] == 1
+
+
+def test_a_non_monomial_automorphism_of_a_group_is_refused(tmp_path, run_cli):
+    # C*(Z/4) is C^4 through the Fourier matrix F[m][k] = i^(mk); swapping
+    # characters 1 and 2 there gives a unital *-automorphism T = F^-1 P F
+    # that is not monomial, so it has no (units, arrow map, twist) triple.
+    # Decomposition needs an effective target, and Z/4 is not one.
+    z4 = cyclic_groupoid(4)
+    fourier = np.array([[1j ** (m * k) for k in range(4)] for m in range(4)])
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    hm = HomMatrix(z4, z4, np.linalg.inv(fourier) @ swap @ fourier)
+    assert validate_hom(hm).ok
+    hom = tmp_path / "t.json"
+    hom.write_text(kio.canonical_json(kio.hom_to_doc(hm)))
+    group = tmp_path / "z4.json"
+    group.write_text(kio.canonical_json(kio.groupoid_to_doc(z4)))
+    for args in (["decompose", "--hom", str(hom)], ["rigidity", "--hom", str(hom)],
+                 ["faut", str(group), "--hom", str(hom)]):
+        out = run_cli(*args)
+        assert out.returncode == 2, args
+        assert "requires an effective target" in out.stderr, args
+        assert out.stdout == "", args

@@ -345,3 +345,132 @@ def test_slice_check_memory_stays_within_a_block(g, limit_mb):
     finally:
         tracemalloc.stop()
     assert peak < limit_mb * 2**20, peak
+
+
+# -- the algebra layer against its first implementation ------------------------
+#
+# The regular representations, `is_normalizer` and `slice_product` read their
+# products from one convolution kernel over the compose arrays.  These are
+# the implementations they replaced, kept as the reference: each product
+# must agree with them bit for bit.
+
+
+def reference_convolve(f, h):
+    """convolve as first written: one np.add.at over the compose arrays."""
+    g = f.groupoid
+    items = list(g.compose.items())
+    left = np.array([a for (a, _), _ in items], dtype=np.intp)
+    right = np.array([b for (_, b), _ in items], dtype=np.intp)
+    out = np.array([c for _, c in items], dtype=np.intp)
+    result = np.zeros(g.arrow_count, dtype=complex)
+    np.add.at(result, out, f.coeff[left] * h.coeff[right])
+    return AlgebraElement(g, result)
+
+
+def reference_regular(g, unit, f):
+    """The basis and matrix at a unit, from a loop over by_src and compose."""
+    by_src = g.by_src()
+    basis = by_src[unit]
+    pos = {a: i for i, a in enumerate(basis)}
+    rows, cols, coeffs = [], [], []
+    for a in basis:
+        for b in by_src[g.rng[a]]:
+            rows.append(pos[g.compose[(b, a)]])
+            cols.append(pos[a])
+            coeffs.append(b)
+    m = np.zeros((len(basis), len(basis)), dtype=complex)
+    np.add.at(m, (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)),
+              f.coeff[np.array(coeffs, dtype=np.intp)])
+    return basis, m
+
+
+def reference_reduced_norm(f):
+    best = 0.0
+    for x in f.groupoid.units:
+        basis, m = reference_regular(f.groupoid, x, f)
+        if basis:
+            best = max(best, float(np.linalg.norm(m, 2)))
+    return best
+
+
+def reference_is_normalizer(f):
+    """Four convolutions per unit, with the point mass of the unit."""
+    g = f.groupoid
+    scale = float(np.max(np.abs(f.coeff))) if g.arrow_count else 0.0
+    bound = TOL * max(1.0, scale * scale)
+    fs = star(f)
+    off_units = [a for a in g.arrows() if not g.is_unit(a)]
+    for x in g.units:
+        d = delta(g, x)
+        for prod in (reference_convolve(reference_convolve(f, d), fs),
+                     reference_convolve(reference_convolve(fs, d), f)):
+            if off_units and np.max(np.abs(prod.coeff[off_units])) > bound:
+                return False
+    return True
+
+
+def reference_slice_product(m, n):
+    """One convolution per pair of basis rows, each row wrapped as an element."""
+    g = m.groupoid
+    prods = [reference_convolve(AlgebraElement(g, u), AlgebraElement(g, v)).coeff
+             for u in m.basis for v in n.basis]
+    if not prods:
+        return Slice(g, np.zeros((0, g.arrow_count), dtype=complex), _orthonormal=True)
+    return Slice(g, np.array(prods))
+
+
+def _reference_cases(corpus):
+    return list(corpus) + [(f"pair({n})", pair_groupoid(n)) for n in (0, 4, 5)]
+
+
+def _parity_elements(g, rng):
+    """Dense random elements, sparse ones, unimodular ones on bisections, and
+    the Fourier matrix f(a) = w^(rng a * src a) over the units, which on
+    pair(k) has f f* and f* f diagonal without being a normalizer."""
+    n = g.arrow_count
+    point = {x: i for i, x in enumerate(g.units)}
+    yield AlgebraElement(g, [np.exp(2j * np.pi * point[g.rng[a]] * point[g.src[a]]
+                                    / len(g.units)) for a in g.arrows()])
+    for _ in range(3):
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        v[rng.random(n) < rng.random()] = 0
+        yield AlgebraElement(g, v)
+    for b in (enumerate_bisections(g).elements[:6] if n <= 16 else ()):
+        v = np.zeros(n, dtype=complex)
+        v[list(b.arrows)] = np.exp(1j * rng.normal(size=len(b.arrows)))
+        yield AlgebraElement(g, v)
+
+
+def test_algebra_matches_the_reference_bit_for_bit(corpus):
+    rng = np.random.default_rng(31)
+    verdicts = set()
+    for name, g in _reference_cases(corpus):
+        elements = list(_parity_elements(g, rng))
+        for f, h in zip(elements, elements[1:] + elements[:1]):
+            assert (convolve(f, h).coeff.tobytes()
+                    == reference_convolve(f, h).coeff.tobytes()), name
+            for x in g.units:
+                basis, want = reference_regular(g, x, f)
+                rep = left_regular(g, x)
+                assert rep.basis == basis, (name, x)
+                assert rep.matrix(f).tobytes() == want.tobytes(), (name, x)
+            assert reduced_norm(f) == reference_reduced_norm(f), name
+            verdict = is_normalizer(f)
+            assert verdict == reference_is_normalizer(f), (name, f.coeff)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_slice_product_matches_the_reference_bit_for_bit(corpus):
+    rng = np.random.default_rng(37)
+    for name, g in _reference_cases(corpus):
+        if g.arrow_count > 16:
+            continue
+        n = g.arrow_count
+        slices = [slice_of_bisection(b) for b in enumerate_bisections(g).elements[:8]]
+        slices += [Slice(g, rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n)))
+                   for k in (1, 2, 3)]
+        for m in slices:
+            for s in slices:
+                want = reference_slice_product(m, s).basis
+                assert slice_product(m, s).basis.tobytes() == want.tobytes(), name

@@ -125,6 +125,25 @@ def test_validate_random_dense_matrix_fails_with_witness(r2_hand):
     assert report.star_witness is not None
 
 
+def test_validate_names_the_column_that_breaks_star_preservation():
+    # conjugation by diag(1, 2) on pair(2): multiplicative, keeps the
+    # diagonal, but scales arrow 2 by 1/2 and its inverse, arrow 3, by 2
+    r2 = pair_groupoid(2)
+    report = validate_hom(HomMatrix(r2, r2, np.diag([1, 1, 0.5, 2]).astype(complex)))
+    assert not report.is_star_hom
+    assert report.star_witness == (3, 1.5)
+    assert report.diagonal_into_diagonal and report.diagonal_witness is None
+    assert report.image_diag_is_ideal and report.ideal_witness is None
+
+
+def test_decomposition_data_refuses_too_many_invariant_sets_up_front():
+    # 30 one-point orbits: 2^30 invariant sets, refused before any is built
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="2\\^30 unions of orbits"):
+        next(enumerate_decomposition_data(group_bundle([1] * 30), pair_groupoid(1), 1))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_validate_counts_overflowing_products_as_failures():
     # every product overflows to +-inf, and their sums to inf - inf = NaN
     r2 = pair_groupoid(2)

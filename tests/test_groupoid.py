@@ -1,9 +1,11 @@
 """Axiom validation, isotropy, invariant subsets, restriction, quotients, homs."""
 
+import time
 from itertools import permutations
 
 import pytest
 
+from etale_kit.cocycles import enumerate_cocycles
 from etale_kit.errors import (
     CapExceeded,
     HomomorphismError,
@@ -101,8 +103,10 @@ def test_effectiveness_examples(r2_hand, z2_hand):
 
 
 def test_effective_agrees_with_principal_on_corpus(corpus):
+    # both mean that no unit has isotropy beyond itself
     for name, g in corpus:
-        assert is_effective(g) == is_topologically_principal(g), name
+        trivial = all(g.src[a] != g.rng[a] or g.is_unit(a) for a in g.arrows())
+        assert is_effective(g) == is_topologically_principal(g) == trivial, name
 
 
 def _invariant_subsets_bruteforce(g):
@@ -120,6 +124,14 @@ def test_invariant_subsets_against_bruteforce(corpus):
         if len(g.units) > 8:
             continue
         assert invariant_subsets(g) == _invariant_subsets_bruteforce(g), name
+
+
+def test_invariant_subsets_refuse_past_the_search_budget():
+    # 2^20 unions of the 20 one-point orbits: refused before any is built
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="2\\^20 unions of orbits exceed the search budget"):
+        invariant_subsets(group_bundle([1] * 20))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_invariant_subsets_examples(r2_hand):
@@ -240,6 +252,17 @@ def test_automorphism_group_closed_under_composition_and_inverse(corpus):
                 assert composed.mapping in auts, name
 
 
+@pytest.mark.parametrize("g, mapping, message", [
+    (pair_groupoid(2), (0, 0, 2, 3), "src not preserved at arrow 2"),
+    (pair_groupoid(2), (1, 1, 2, 3), "rng not preserved at arrow 2"),
+    (cyclic_groupoid(4), (0, 2, 2, 2), "composition not preserved at pair (1,1)"),
+], ids=["src", "rng", "compose"])
+def test_hom_constructor_names_the_broken_law(g, mapping, message):
+    with pytest.raises(HomomorphismError) as err:
+        GroupoidHom(g, g, mapping)
+    assert str(err.value).startswith(message)
+
+
 def test_hom_constructor_rejects_bad_maps(r2_hand, z2_hand):
     with pytest.raises(HomomorphismError):
         GroupoidHom(z2_hand, z2_hand, (0, 0) if False else (1, 0))
@@ -285,9 +308,15 @@ def _homomorphisms_bruteforce(dom, cod):
 def test_hom_enumeration_against_bruteforce(r2_hand, z2_hand, bundle_hand):
     pt = pair_groupoid(1)
     z3 = cyclic_groupoid(3)
+    z4 = cyclic_groupoid(4)
+    two_points = disjoint_union([pt, pt])
+    with_loop = disjoint_union([pt, cyclic_groupoid(2)])
     cases = [(z2_hand, z2_hand), (z2_hand, r2_hand), (r2_hand, r2_hand),
              (bundle_hand, r2_hand), (z3, z3), (r2_hand, bundle_hand),
-             (pt, r2_hand), (z2_hand, pt)]
+             (pt, r2_hand), (z2_hand, pt), (z4, z4), (z4, z2_hand),
+             (r2_hand, z4), (bundle_hand, bundle_hand), (bundle_hand, z3),
+             (two_points, bundle_hand), (with_loop, r2_hand),
+             (with_loop, with_loop), (r2_hand, with_loop), (z3, with_loop)]
     for dom, cod in cases:
         got = [h.mapping for h in enumerate_homomorphisms(dom, cod)]
         assert got == _homomorphisms_bruteforce(dom, cod)
@@ -295,6 +324,17 @@ def test_hom_enumeration_against_bruteforce(r2_hand, z2_hand, bundle_hand):
                enumerate_homomorphisms(dom, cod, injective_on_units=True)]
         assert inj == [m for m in got
                        if len({m[x] for x in dom.units}) == len(dom.units)]
+        bij = [h.mapping for h in enumerate_homomorphisms(dom, cod, bijective=True)]
+        assert bij == [m for m in got
+                       if len(set(m)) == len(m) == cod.arrow_count]
+
+
+def test_search_depth_is_not_bound_by_the_recursion_limit():
+    # pair(32) has 1,024 arrows, one search level each
+    g = pair_groupoid(32)
+    assert len(enumerate_cocycles(g, 1, cap=2000)) == 1
+    (collapse,) = enumerate_homomorphisms(g, pair_groupoid(1))
+    assert collapse.mapping == (0,) * g.arrow_count
 
 
 def test_orbits_against_networkx_components(corpus_and_relabellings):

@@ -245,6 +245,8 @@ def test_semigroup_names_the_first_element_a_wrong_product_breaks():
 
 
 def test_dropped_groupoid_is_freed_without_the_cycle_collector():
+    from etale_kit.cstar import (
+        is_normalizer, reduced_norm, slice_of_bisection, slice_product, unit_indicator)
     gc.collect()
     gc.disable()
     try:
@@ -252,7 +254,13 @@ def test_dropped_groupoid_is_freed_without_the_cycle_collector():
         semigroup = enumerate_bisections(g)
         assert enumerate_bisections(g) is semigroup  # reused while held
         canonical_germ_iso(g)
-        del g, semigroup
+        # the algebra layer caches only index arrays on the groupoid
+        f = unit_indicator(g)
+        reduced_norm(f)
+        is_normalizer(f)
+        m = slice_of_bisection(semigroup.elements[-1])
+        slice_product(m, m)
+        del g, semigroup, f, m
         assert gc.collect() == 0
     finally:
         gc.enable()
