@@ -29,9 +29,12 @@ Topics:
 - `hom`: twisted pair(n), n = 2..16: a shuffled point bijection of pair(n)
   with the coboundary of random 12th-root point phases as its twist; and
   pair(12)+pair(4) onto pair(12), whose invariant set is the pair(12)
-  block.  Phases: `validate` (`validate_hom` on a fresh matrix) and
+  block.  Phases: `validate` (`validate_hom` on a fresh matrix),
   `decompose` (on a fresh matrix already validated, so only the
-  decomposition is timed).
+  decomposition is timed) and, on twisted pair(n), `validate_extra_entry`
+  (`validate_hom` on a fresh copy with 0.5 added at [0, 0]: a second entry
+  in column 0 where that entry was zero, as for n = 2..4 and 9..16, else a
+  rescaled one).
 - `slices`: pair(n), n = 2..16.  Phases: `diagonal_slice` (`slice_failure`
   on the span of the unit point masses) and, for n <= 4,
   `bisection_slices` (`slice_failure` on the slice of every bisection,
@@ -168,10 +171,17 @@ def validated(hm):
     validate_hom(hm)
     return hm
 
+def extra_entry(hm):
+    m = hm.entries.copy()
+    m[0, 0] += 0.5
+    return HomMatrix(source, target, m)
+
 PHASES = {
     "validate": (lambda hm: hm, validate_hom),
     "decompose": (validated, decompose),
 }
+if family == "pair":
+    PHASES["validate_extra_entry"] = (extra_entry, validate_hom)
 result = {"arrows": source.arrow_count, "kept_arrows": sub.arrow_count}
 """
 

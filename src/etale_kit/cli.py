@@ -102,29 +102,9 @@ class Report:
         print(f"  ok: {self.ok}  ({elapsed:.1f} ms)")
 
 
-def _read_json(path: str):
-    """Load a JSON document from a path, or from stdin when the path is '-'."""
-    try:
-        if path == "-":
-            return json.load(sys.stdin)
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except RecursionError:
-        raise StructuralError(f"{path}: JSON nested too deeply to parse") from None
-    except UnicodeDecodeError as exc:
-        raise StructuralError(
-            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-
-
 def _load_groupoid_arg(path: str, *, validate: bool = True):
-    g = kio.groupoid_from_doc(_read_json(path), validate=validate)
-    doc = kio.groupoid_to_doc(g)
-    return g, kio.digest(doc)
-
-
-def _load_hom_arg(path: str):
-    base = None if path == "-" else Path(path).parent
-    return kio.hom_from_doc(_read_json(path), base=base)
+    g = kio.load_groupoid(path, validate=validate)
+    return g, kio.digest(kio.groupoid_to_doc(g))
 
 
 def _cmd_validate(args) -> tuple[int, Report]:
@@ -176,7 +156,7 @@ def _cmd_norm(args) -> tuple[int, Report]:
     report = Report("norm")
     g, dig = _load_groupoid_arg(args.groupoid)
     report.inputs["groupoid"] = dig
-    doc = _read_json(args.element)
+    doc = kio.read_json(args.element)
     f = kio.element_from_doc(doc, g)
     report.inputs["element"] = kio.digest(doc)
     value = reduced_norm(f)
@@ -188,7 +168,7 @@ def _cmd_norm(args) -> tuple[int, Report]:
 def _cmd_decompose(args) -> tuple[int, Report]:
     from .decomposition import decompose
     report = Report("decompose")
-    hm = _load_hom_arg(args.hom)
+    hm = kio.load_hom(args.hom)
     report.inputs["hom"] = kio.digest(kio.hom_to_doc(hm))
     data = decompose(hm, trust=args.trust)
     report.data["invariant_units"] = list(data.invariant_units)
@@ -215,7 +195,7 @@ def _cmd_quotient(args) -> tuple[int, Report]:
 def _cmd_rigidity(args) -> tuple[int, Report]:
     from .decomposition import rigidity_check
     report = Report("rigidity")
-    hm = _load_hom_arg(args.hom)
+    hm = kio.load_hom(args.hom)
     report.inputs["hom"] = kio.digest(kio.hom_to_doc(hm))
     iso = rigidity_check(hm)
     report.data["iso_arrows"] = list(iso.mapping)
@@ -258,7 +238,7 @@ def _cmd_faut(args) -> tuple[int, Report]:
     report = Report("faut")
     g, dig = _load_groupoid_arg(args.groupoid)
     report.inputs["groupoid"] = dig
-    hm = _load_hom_arg(args.hom)
+    hm = kio.load_hom(args.hom)
     report.inputs["hom"] = kio.digest(kio.hom_to_doc(hm))
     if hm.source != g or hm.target != g:
         raise HypothesisError("matrix is not a self-map of the supplied groupoid")

@@ -246,10 +246,16 @@ def slice_of_bisection(u: Bisection) -> Slice:
 
 
 def slice_product(m: Slice, n: Slice) -> Slice:
-    """Span of all pairwise convolutions of basis elements, re-orthonormalized."""
+    """Span of all pairwise convolutions of basis elements, re-orthonormalized.
+
+    The kernel takes one row of the first basis at a time, so that its terms
+    stay within dim(n) * |compose|; the rows stack in the same order."""
     if m.groupoid != n.groupoid:
         raise StructuralError("slices live on different groupoids")
-    return Slice(m.groupoid, _convolutions(m.groupoid, m.basis, n.basis))
+    g = m.groupoid
+    # an empty first basis still makes one call, for the (0, arrows) shape
+    return Slice(g, np.concatenate([_convolutions(g, m.basis[i:i + 1], n.basis)
+                                    for i in range(max(m.dim, 1))]))
 
 
 def slices_equal(m: Slice, n: Slice) -> bool:

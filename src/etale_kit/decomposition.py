@@ -17,7 +17,7 @@ import numpy as np
 from .cocycles import Cocycle, Phase, enumerate_cocycles, trivial_cocycle
 from .cstar import _conv_arrays
 from .errors import (
-    DENSE_PRODUCT_BUDGET,
+    PRODUCT_BUDGET,
     SEARCH_BUDGET,
     SUPPORT_TOL,
     TOL,
@@ -108,72 +108,107 @@ def numerical_rank(mat: np.ndarray) -> int:
     return int(np.sum(sv > TOL * max(1.0, float(sv[0]))))
 
 
-def _monomial_residual(g: FiniteGroupoid, h: FiniteGroupoid, m: np.ndarray):
-    """The dense loop's `(-peak, w, a, b)` for a matrix with at most one
-    nonzero entry per column, or None for any other matrix.
+# cells formed at once by the multiplicativity check; a left factor with more
+# cells takes a block of its own, which holds no more than the (|compose|, n)
+# products a dense pass over that factor would
+_BLOCK_CELLS = 2**15
 
-    If column a is nonzero only in row r(a), the multiplicativity residual
-    image(a.b) - image(a) * image(b) at target arrow w can be nonzero only at
-    w = r(a.b), for a composable source pair, or at w = r(a).r(b), where the
-    rows compose in the target; every other cell is an exact zero.  Only these
-    cells are evaluated, with the dense loop's array operations, so the floats
-    and the first maximum in (w, a, b) order are the same.  A matrix with more
-    cells of the second kind than the source has composable pairs plus the
-    matrix has entries also gets None, so that the arrays here stay within
-    the size of the input."""
+
+def _expand(starts: np.ndarray, counts: np.ndarray):
+    """The indices starts[i], ..., starts[i] + counts[i] - 1 for each i in
+    turn, as one array, and the i each of them came from."""
+    owner = np.arange(len(counts)).repeat(counts)
+    return np.arange(len(owner)) + (starts - counts.cumsum() + counts)[owner], owner
+
+
+def _multiplicativity(g: FiniteGroupoid, h: FiniteGroupoid, m: np.ndarray):
+    """`(-peak, w, a, b)`: the largest |image(a.b) - image(a) * image(b)| at
+    target arrow w, at the first maximum in (w, a, b) order, with a NaN
+    residual counted as infinite.
+
+    A cell (w, a, b) can be nonzero only if m[w, a.b] is, for a composable
+    source pair, or if some target compose entry (x, y) -> w has m[x, a] and
+    m[y, b] both nonzero; every other cell is an exact zero, and so is every
+    product term left out.  Each cell adds its terms in target compose order
+    from zero, as a dense sum over all of them would, so the floats are the
+    same.  Refuses with `CapExceeded` when the products to form pass
+    `PRODUCT_BUDGET`, before forming any."""
     n, k = g.arrow_count, h.arrow_count
-    nonzero = m != 0
-    per_col = nonzero.sum(axis=0)
-    if per_col.max() > 1:
-        return None
-    rows = np.where(per_col == 1, nonzero.argmax(axis=0), -1)
     g_left, g_right, g_out = _conv_arrays(g)
     h_left, h_right, h_out = _conv_arrays(h)
+    # the nonzero entries and their values by row (CSR), and by column (CSC)
+    flat = np.flatnonzero(m != 0)
+    row_y, row_b = np.divmod(flat, n)
+    row_v = m.ravel()[flat]
+    by_col = row_b.argsort(kind="stable")
+    col_a, col_x, col_v = row_b[by_col], row_y[by_col], row_v[by_col]
+    col_ptr = col_a.searchsorted(np.arange(n + 1))
+    row_ptr = row_y.searchsorted(np.arange(k + 1))
+    col_nnz, row_nnz = col_ptr[1:] - col_ptr[:-1], row_ptr[1:] - row_ptr[:-1]
+    g_ptr = g_left.searchsorted(np.arange(n + 1))
+    # the target compose entries whose right factor's row has entries
+    live = row_nnz[h_right].nonzero()[0]
+    h_ptr = h_left[live].searchsorted(np.arange(k + 1))
+    h_nnz = h_ptr[1:] - h_ptr[:-1]
 
-    # second kind: the support columns grouped by row, then for each target
-    # pair (x, y) every column of row x against every column of row y
-    cols = np.flatnonzero(rows >= 0)
-    cols = cols[np.argsort(rows[cols], kind="stable")]
-    per_row = np.bincount(rows[cols], minlength=k)
-    first = np.cumsum(per_row) - per_row
-    sizes = per_row[h_left] * per_row[h_right]
-    if sizes.sum() > len(g_out) + m.size:
-        return None
-    pair = np.repeat(np.arange(len(sizes)), sizes)
-    offset = np.arange(len(pair)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    width = per_row[h_right[pair]]
-    a2 = cols[first[h_left[pair]] + offset // width]
-    b2 = cols[first[h_right[pair]] + offset % width]
-    w2 = h_out[pair]
-    # the image side m[w, a.b] where a.b exists; the source's compose keys
-    # are sorted, as FiniteGroupoid builds its table in key order
-    keys = np.append(g_left * n + g_right, n * n)
-    query = a2 * n + b2
-    pos = np.searchsorted(keys, query)
-    hit = keys[pos] == query
-    pos = pos[hit]
-    lhs2 = np.zeros(len(pair), dtype=complex)
-    lhs2[hit] = m[w2[hit], g_out[pos]]
-    # first kind: composable source pairs with a nonzero product column, less
-    # the cells the second kind holds; the product side of the rest is zero
-    covered = np.zeros(len(g_out), dtype=bool)
-    covered[pos] = rows[g_out[pos]] == w2[hit]
-    first_kind = (rows[g_out] >= 0) & ~covered
-    a1, b1, c1 = g_left[first_kind], g_right[first_kind], g_out[first_kind]
-    w1 = rows[c1]
+    # products per target row x as left factor, then per source column a, as
+    # float sums: exact up to 2**53, far past the budget
+    per_x = np.bincount(h_left, weights=row_nnz[h_right], minlength=k)
+    products = int(per_x @ row_nnz)
+    if products > PRODUCT_BUDGET:
+        raise CapExceeded(
+            f"the multiplicativity check of a {k}x{n} matrix needs {products} "
+            f"products, over the budget of {PRODUCT_BUDGET}")
+    cells = (np.bincount(col_a, weights=per_x[col_x], minlength=n)
+             + np.bincount(g_left, weights=col_nnz[g_out], minlength=n))
+    reach = cells.cumsum()
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        rhs2 = m[rows[a2], a2] * m[rows[b2], b2]
-        diff = np.abs(np.concatenate([m[w1, c1], lhs2 - rhs2]))
-    diff[np.isnan(diff)] = np.inf
-    peak = float(diff.max(initial=0.0))
-    if peak == 0.0:
-        # every cell is zero, and the dense loop names the first, (0, 0, 0)
-        return (-peak, 0, 0, 0)
-    cell = ((np.concatenate([w1, w2]) * n + np.concatenate([a1, a2])) * n
-            + np.concatenate([b1, b2]))
-    w, ab = divmod(int(cell[diff == peak].min()), n * n)
-    return (-peak, w) + divmod(ab, n)
+    best = (-0.0, 0)  # (-peak, key) of the first maximum; min keeps the earliest
+    start = 0
+    while start < n:
+        stop = max(start + 1, int(np.searchsorted(
+            reach, reach[start] - cells[start] + _BLOCK_CELLS, side="right")))
+        # image side: m[w, c] for each composable (a, b) -> c, nonzero row w
+        pairs = np.arange(g_ptr[start], g_ptr[stop])
+        c = g_out[pairs]
+        at, i = _expand(col_ptr[c], col_nnz[c])
+        pairs = pairs[i]
+        w1, a1, b1 = col_x[at], g_left[pairs], g_right[pairs]
+        # product side: m[x, a] * m[y, b] for each compose entry (x, y) -> w;
+        # for each a the entries come in compose order, as they are sorted by x
+        ax = np.arange(col_ptr[start], col_ptr[stop])
+        x = col_x[ax]
+        entries, i = _expand(h_ptr[x], h_nnz[x])
+        ax, entries = ax[i], live[entries]
+        y = h_right[entries]
+        yb, i = _expand(row_ptr[y], row_nnz[y])
+        ax, entries = ax[i], entries[i]
+        w2, a2, b2 = h_out[entries], col_a[ax], row_b[yb]
+
+        keys = (np.concatenate([w1, w2]) * n + np.concatenate([a1, a2])) * n \
+            + np.concatenate([b1, b2])
+        order = keys.argsort()
+        ranked = keys[order]
+        fresh = np.ones(len(keys), dtype=bool)
+        fresh[1:] = ranked[1:] != ranked[:-1]
+        cell = np.empty(len(keys), dtype=np.intp)
+        cell[order] = fresh.cumsum() - 1
+        count = int(fresh.sum())
+        lhs = np.zeros(count, dtype=complex)
+        lhs[cell[:len(w1)]] = col_v[at]
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = col_v[ax] * row_v[yb]
+            rhs = np.empty(count, dtype=complex)
+            rhs.real = np.bincount(cell[len(w1):], terms.real, minlength=count)
+            rhs.imag = np.bincount(cell[len(w1):], terms.imag, minlength=count)
+            diff = np.abs(lhs - rhs)
+        diff[np.isnan(diff)] = np.inf
+        if count:
+            top = int(diff.argmax())
+            best = min(best, (-float(diff[top]), int(ranked[fresh][top])))
+        start = stop
+    w, ab = divmod(best[1], n * n)
+    return (best[0], w) + divmod(ab, n)
 
 
 def validate_hom(hm: HomMatrix) -> HomReport:
@@ -181,12 +216,10 @@ def validate_hom(hm: HomMatrix) -> HomReport:
     lands in the diagonal, and that the diagonal image is a full function
     algebra on its support (the finite-scale ideal criterion).
 
-    Multiplicativity is checked on the cells where the residual can be
-    nonzero when every column has at most one nonzero entry, as every matrix
-    `build_hom` makes does; any other matrix takes the dense loop over all
-    (w, a, b), which refuses with `CapExceeded` past `DENSE_PRODUCT_BUDGET`
-    products.  Both paths compute the same floats, and every decision
-    compares them with `TOL` as they stand; none reads a `Phase`, so that a
+    Multiplicativity is checked by `_multiplicativity` on the cells where
+    the residual can be nonzero, for every matrix, and refuses with
+    `CapExceeded` past `PRODUCT_BUDGET` products.  Every decision compares
+    the floats with `TOL` as they stand; none reads a `Phase`, so that a
     twist near a root of unity is judged by its entry, not by the root.  The
     report depends on the read-only entries alone, so it is computed once
     per matrix and stored on it."""
@@ -195,41 +228,11 @@ def validate_hom(hm: HomMatrix) -> HomReport:
     g, h, m = hm.source, hm.target, hm.entries
     n, k = g.arrow_count, h.arrow_count
 
-    # multiplicativity: image of each basis product a.b vs product of images;
-    # the witness is the first maximum in (w, a, b) order
+    # multiplicativity: image of each basis product a.b vs product of images
     is_star_hom = True
     star_witness = None
     if n and k:
-        found = _monomial_residual(g, h, m)
-        if found is None:
-            products = n * n * len(h.compose)
-            if products > DENSE_PRODUCT_BUDGET:
-                raise CapExceeded(
-                    f"the dense multiplicativity check of a {k}x{n} matrix "
-                    f"needs {products} products, over the budget of "
-                    f"{DENSE_PRODUCT_BUDGET}")
-            # one left factor a at a time, so that residuals take (k, n)
-            # memory, not (k, n, n)
-            g_left, g_right, g_out = _conv_arrays(g)
-            bounds = np.searchsorted(g_left, np.arange(n + 1))
-            left, right, out = _conv_arrays(h)
-            m_left, m_right = m[left], m[right]
-            peaks = []
-            for a in range(n):
-                pairs = slice(bounds[a], bounds[a + 1])
-                lhs = np.zeros((k, n), dtype=complex)
-                lhs[:, g_right[pairs]] = m[:, g_out[pairs]]
-                rhs = np.zeros((k, n), dtype=complex)
-                # products that overflow leave inf - inf = NaN residuals,
-                # which would compare below TOL; they count as infinite
-                with np.errstate(over="ignore", invalid="ignore"):
-                    np.add.at(rhs, out, m_left[:, a, None] * m_right)
-                    diff = np.abs(lhs - rhs)
-                diff[np.isnan(diff)] = np.inf
-                w, b = divmod(int(np.argmax(diff)), n)
-                peaks.append((-float(diff[w, b]), w, a, b))
-            found = min(peaks)
-        neg_peak, _, a, b = found
+        neg_peak, _, a, b = _multiplicativity(g, h, m)
         if -neg_peak > TOL:
             is_star_hom = False
             star_witness = (a, b, -neg_peak)

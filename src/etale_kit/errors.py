@@ -13,10 +13,10 @@ SEMIGROUP_ELEMENT_CAP = 1024
 # refuses once it has tried this many candidate images in one call, and
 # `enumerate_decomposition_data` before it would yield more triples.
 SEARCH_BUDGET = 1_000_000
-# The dense multiplicativity check of `validate_hom` (a matrix with more than
-# one nonzero entry in some column) refuses above this many products, counted
-# as n * n * |target compose| for an n-arrow source.
-DENSE_PRODUCT_BUDGET = 50_000_000
+# The multiplicativity check of `validate_hom` refuses above this many
+# products of two nonzero entries, counted before any is formed as the sum of
+# nnz(row x) * nnz(row y) over the target compose entries (x, y).
+PRODUCT_BUDGET = 50_000_000
 CAP_ENV_VAR = "ETALE_KIT_CAP"
 
 # Numerical tolerances, one name per decision (README, "Tolerances").

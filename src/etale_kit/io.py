@@ -1,12 +1,15 @@
 """JSON interchange for groupoids, algebra elements, and homomorphism matrices.
 
-The numpy-backed classes are imported by the two functions that build them,
-so that reading a groupoid document does not load numpy."""
+numpy and the numpy-backed classes are imported by the functions that build
+elements and matrices, so that reading a groupoid document does not load
+numpy."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
+from itertools import chain
 from pathlib import Path
 
 from .errors import HypothesisError, StructuralError
@@ -16,6 +19,7 @@ from .inverse_semigroup import Bisection, GermGroupoid
 __all__ = [
     "canonical_json",
     "digest",
+    "read_json",
     "groupoid_to_doc",
     "groupoid_from_doc",
     "load_groupoid",
@@ -38,6 +42,22 @@ def digest(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 
+def read_json(path: str | Path):
+    """The JSON document at a path, or on stdin when the path is the string
+    '-'.  Every document is read here, as UTF-8; one nested too deeply to
+    parse, or not UTF-8, is a `StructuralError`."""
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise StructuralError(f"{path}: JSON nested too deeply to parse") from None
+    except UnicodeDecodeError as exc:
+        raise StructuralError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 # -- groupoid documents --------------------------------------------------------
 
 
@@ -55,11 +75,6 @@ def groupoid_to_doc(g: FiniteGroupoid, meta: dict | None = None) -> dict:
     return doc
 
 
-def _is_int(value) -> bool:
-    """A JSON integer: booleans, floats and strings are not ids or counts."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _require(doc: dict, key: str, kind) -> object:
     if key not in doc:
         raise StructuralError(f"groupoid document is missing {key!r}")
@@ -72,7 +87,8 @@ def _require(doc: dict, key: str, kind) -> object:
 
 def _require_ids(doc: dict, key: str) -> list:
     ids = _require(doc, key, list)
-    if not all(_is_int(v) for v in ids):
+    # one scan of the element types; a boolean's type is bool, not int
+    if not set(map(type, ids)) <= {int}:
         raise StructuralError(f"groupoid field {key!r} must hold integer ids")
     return ids
 
@@ -85,13 +101,10 @@ def groupoid_from_doc(doc: dict, *, validate: bool = True) -> FiniteGroupoid:
     src = _require_ids(doc, "src")
     rng = _require_ids(doc, "rng")
     inv = _require_ids(doc, "inv")
-    compose_triples = _require(doc, "compose", list)
-    triples = []
-    for item in compose_triples:
-        if not (isinstance(item, list) and len(item) == 3
-                and all(_is_int(v) for v in item)):
-            raise StructuralError("compose entries must be [a, b, ab] id triples")
-        triples.append(tuple(item))
+    triples = _require(doc, "compose", list)
+    if not (set(map(type, triples)) <= {list} and set(map(len, triples)) <= {3}
+            and set(map(type, chain.from_iterable(triples))) <= {int}):
+        raise StructuralError("compose entries must be [a, b, ab] id triples")
     g = FiniteGroupoid(n, units, src, rng, triples, inv)
     if validate:
         report = validation_report(g, stop_early=True)
@@ -102,10 +115,8 @@ def groupoid_from_doc(doc: dict, *, validate: bool = True) -> FiniteGroupoid:
     return g
 
 
-def load_groupoid(path: str | Path) -> FiniteGroupoid:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return groupoid_from_doc(doc)
+def load_groupoid(path: str | Path, *, validate: bool = True) -> FiniteGroupoid:
+    return groupoid_from_doc(read_json(path), validate=validate)
 
 
 # -- algebra elements ------------------------------------------------------------
@@ -115,22 +126,17 @@ def element_to_doc(f: AlgebraElement) -> dict:
     return {"coeff": [[float(z.real), float(z.imag)] for z in f.coeff]}
 
 
-def _is_number(value) -> bool:
-    """A JSON number: booleans and strings are not coefficients."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _complex_pairs(items: list, what: str) -> list[complex]:
-    values = []
-    for item in items:
-        if not (isinstance(item, list) and len(item) == 2
-                and _is_number(item[0]) and _is_number(item[1])):
-            raise StructuralError(f"{what} must be [re, im] pairs of numbers")
-        try:
-            values.append(complex(item[0], item[1]))
-        except OverflowError:  # an integer beyond the float range
-            raise StructuralError(f"{what} must be finite") from None
-    return values
+def _complex_pairs(items: list, what: str):
+    """The [re, im] pairs of numbers as a complex array."""
+    if not (set(map(type, items)) <= {list} and set(map(len, items)) <= {2}
+            and set(map(type, chain.from_iterable(items))) <= {int, float}):
+        raise StructuralError(f"{what} must be [re, im] pairs of numbers")
+    import numpy as np
+    try:
+        pairs = np.array(items, dtype=float).reshape(-1, 2)
+    except OverflowError:  # an integer beyond the float range
+        raise StructuralError(f"{what} must be finite") from None
+    return pairs.view(complex)[:, 0]
 
 
 def element_from_doc(doc: dict, g: FiniteGroupoid) -> AlgebraElement:
@@ -172,26 +178,24 @@ def hom_from_doc(doc: dict, *, base: Path | None = None) -> HomMatrix:
     source = _resolve_groupoid(doc["source"], base)
     target = _resolve_groupoid(doc["target"], base)
     rows, cols = doc["rows"], doc["cols"]
-    if not (_is_int(rows) and _is_int(cols)):
+    if not {type(rows), type(cols)} <= {int}:
         raise StructuralError("rows and cols must be integers")
     if rows != target.arrow_count or cols != source.arrow_count:
         raise StructuralError("declared shape does not match the groupoids")
     flat = doc["entries"]
     if not isinstance(flat, list) or len(flat) != rows * cols:
         raise StructuralError("entries must hold rows*cols [re, im] pairs")
-    values = _complex_pairs(flat, "entries")
-    import numpy as np
     from .decomposition import HomMatrix
     # reshape, not nested lists, keeps the (0, cols) shape of an empty target
-    entries = np.array(values, dtype=complex).reshape(rows, cols)
+    entries = _complex_pairs(flat, "entries").reshape(rows, cols)
     return HomMatrix(source, target, entries)
 
 
 def load_hom(path: str | Path) -> HomMatrix:
-    path = Path(path)
-    with open(path) as fh:
-        doc = json.load(fh)
-    return hom_from_doc(doc, base=path.parent)
+    """A homomorphism document; groupoids it names by a relative path are
+    read from the document's directory, or the working one for stdin."""
+    base = None if path == "-" else Path(path).parent
+    return hom_from_doc(read_json(path), base=base)
 
 
 # -- bisections and germ groupoids ---------------------------------------------

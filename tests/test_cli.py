@@ -296,17 +296,17 @@ def test_search_budget_refusal_exits_two(discrete16, command, run_cli):
 
 
 def test_dense_check_refusal_exits_two(twisted_pair16, tmp_path, run_cli):
-    # one extra entry sends pair(16) to the dense multiplicativity check
+    # all ones on pair(16) needs 4096 * 256 * 256 products
     _, built = twisted_pair16
-    m = built.entries.copy()
-    m[0, 0] += 0.5
-    path = tmp_path / "extra_entry.json"
+    m = np.ones_like(built.entries)
+    path = tmp_path / "all_ones.json"
     path.write_text(kio.canonical_json(
         kio.hom_to_doc(HomMatrix(built.source, built.target, m))))
     out = run_cli("decompose", "--hom", str(path))
     assert out.returncode == 2
     assert out.stdout == ""
-    assert out.stderr.startswith("refused: the dense multiplicativity check")
+    assert out.stderr.startswith("refused: the multiplicativity check of a "
+                                 "256x256 matrix needs 268435456 products")
     assert len(out.stderr.splitlines()) == 1
 
 
@@ -373,6 +373,26 @@ def test_document_that_is_not_utf8_exits_one(tmp_path, run_cli):
     assert out.stdout == ""
     assert out.stderr.startswith("error: ")
     assert "not UTF-8" in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"[" * 100_000, "nested too deeply"),
+    ('{"arrows": 1, "name": "\u00e9"}'.encode("latin-1"), "not UTF-8"),
+], ids=["nested", "latin-1"])
+def test_groupoid_named_by_a_hom_document_is_read_as_the_cli_reads(
+        tmp_path, run_cli, content, message):
+    # the groupoid files a hom document names go through the same reader
+    (tmp_path / "source.json").write_bytes(content)
+    doc = kio.hom_to_doc(quotient_hom(pair_groupoid(1)))
+    doc["source"] = "source.json"
+    path = tmp_path / "hom.json"
+    path.write_text(kio.canonical_json(doc))
+    out = run_cli("decompose", "--hom", str(path))
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: ")
+    assert message in out.stderr
     assert len(out.stderr.splitlines()) == 1
 
 

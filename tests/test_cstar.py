@@ -474,3 +474,22 @@ def test_slice_product_matches_the_reference_bit_for_bit(corpus):
             for s in slices:
                 want = reference_slice_product(m, s).basis
                 assert slice_product(m, s).basis.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("n, dim, limit_mb", [(16, 16, 8), (8, 64, 16)])
+def test_slice_product_of_random_slices_in_small_memory(n, dim, limit_mb):
+    # the kernel takes one row of the first basis at a time; all rows at
+    # once held dim * dim * |compose| terms, 25 MB and 52 MB here
+    import tracemalloc
+    g = pair_groupoid(n)
+    rng = np.random.default_rng(41)
+    m, s = (Slice(g, rng.normal(size=(dim, g.arrow_count))
+                  + 1j * rng.normal(size=(dim, g.arrow_count))) for _ in range(2))
+    tracemalloc.start()
+    try:
+        product = slice_product(m, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 2**20, peak
+    assert product.basis.tobytes() == reference_slice_product(m, s).basis.tobytes()

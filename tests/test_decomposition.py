@@ -10,10 +10,11 @@ import pytest
 
 from etale_kit.cocycles import Cocycle, Phase, PHASE_ONE, trivial_cocycle
 from etale_kit.cstar import AlgebraElement, _conv_arrays, reduced_norm
+from etale_kit import decomposition
 from etale_kit.decomposition import (
     DecompositionData,
     HomMatrix,
-    _monomial_residual,
+    _multiplicativity,
     build_hom,
     decompose,
     enumerate_decomposition_data,
@@ -202,8 +203,9 @@ def test_star_witness_is_the_first_maximum(source, target, kind):
 
 
 def dense_residual(g, h, m):
-    """The dense multiplicativity loop of `validate_hom`, one left factor a at
-    a time: (-peak, w, a, b) at the first maximum in (w, a, b) order."""
+    """A dense multiplicativity loop over every cell, one left factor a at a
+    time, summing all products in target compose order: (-peak, w, a, b) at
+    the first maximum in (w, a, b) order."""
     n, k = g.arrow_count, h.arrow_count
     g_left, g_right, g_out = _conv_arrays(g)
     bounds = np.searchsorted(g_left, np.arange(n + 1))
@@ -224,11 +226,16 @@ def dense_residual(g, h, m):
     return min(peaks)
 
 
-def monomial_cases(g, h, rng):
+def residual_cases(g, h, rng):
     """Matrices with at most one nonzero entry per column: up to two
     `build_hom` images, each with one entry moved to another row, rescaled,
-    zeroed, or set to an overflowing 1e200; random ones with tied integer
-    entries; and ones that put every column in the same row."""
+    zeroed, or set to an overflowing 1e200; the identity (a true one where
+    the groupoids are equal); random ones with tied integer entries; and ones
+    that put every column in the same row.  Then matrices with more: each
+    image with one extra entry, or with one column added to its shift by a
+    row; dense random complex ones, two of random integers in -2..2, all
+    ones, 60 % and 90 % sparse random ones, random +-1e200 entries, and
+    zero."""
     k, n = h.arrow_count, g.arrow_count
     images = [build_hom(g, h, data).entries for data in
               itertools.islice(enumerate_decomposition_data(g, h, 2), 2)]
@@ -247,6 +254,7 @@ def monomial_cases(g, h, rng):
             x[row, col], x[(row + 1) % k, col] = 0, m[row, col]
             yield "moved", x
         yield "all-overflow", 1e200 * m
+    yield "identity", np.eye(k, n, dtype=complex)
     ties = np.zeros((k, n), dtype=complex)
     hit = rng.integers(-1, k, size=n)
     ties[hit[hit >= 0], np.flatnonzero(hit >= 0)] = rng.integers(1, 3, size=n)[hit >= 0]
@@ -254,43 +262,55 @@ def monomial_cases(g, h, rng):
     one_row = np.zeros((k, n), dtype=complex)
     one_row[int(rng.integers(k))] = rng.normal(size=n) + 1j * rng.normal(size=n)
     yield "one-row", one_row
+    for m in images:
+        x = m.copy()
+        x[int(rng.integers(k)), int(rng.integers(n))] += 0.5
+        yield "extra-entry", x
+        col = int(rng.integers(n))
+        x = m.copy()
+        x[:, col] = np.roll(m[:, col], 1) + m[:, col]
+        yield "spread", x
+    yield "dense", rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
+    for _ in range(2):
+        yield "integers", rng.integers(-2, 3, size=(k, n)).astype(complex)
+    yield "ones", np.ones((k, n), dtype=complex)
+    for zeros in (0.6, 0.9):
+        sparse = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
+        sparse[rng.random((k, n)) < zeros] = 0
+        yield "sparse", sparse
+    huge = 1e200 * rng.choice([-1, 1, 1j, -1j], size=(k, n))
+    huge[rng.random((k, n)) < 0.5] = 0
+    yield "huge", huge
+    yield "zero", np.zeros((k, n), dtype=complex)
 
 
-def test_monomial_residual_matches_the_dense_loop():
-    # every ordered pair of the corpus, square or not, with rows * cols <= 900
+def test_multiplicativity_matches_the_dense_loop(monkeypatch):
+    # every ordered pair of the corpus, square or not, with rows * cols <= 900;
+    # each matrix also in blocks of 7 cells, so that most left factors take a
+    # block of their own and a witness must be carried across blocks
     rng = np.random.default_rng(10)
-    compared = fallbacks = 0
+    compared = non_monomial = 0
     corpus = [g for _, g in standard_corpus()]
+    block_cells = decomposition._BLOCK_CELLS
     for g, h in itertools.product(corpus, repeat=2):
         if g.arrow_count * h.arrow_count > 900:
             continue
-        for name, m in monomial_cases(g, h, rng):
-            found = _monomial_residual(g, h, m)
-            if found is None:
-                # more cells than composable pairs plus entries: dense loop
-                assert name in ("ties", "one-row")
-                fallbacks += 1
-                continue
+        for name, m in residual_cases(g, h, rng):
             expected = dense_residual(g, h, m)
-            assert (repr(found[0]),) + found[1:] == \
-                (repr(expected[0]),) + expected[1:], (name, g, h)
+            expected = (repr(expected[0]),) + expected[1:]
+            for cells in (block_cells, 7):
+                monkeypatch.setattr(decomposition, "_BLOCK_CELLS", cells)
+                found = _multiplicativity(g, h, m)
+                assert (repr(found[0]),) + found[1:] == expected, (name, cells, g, h)
             compared += 1
-    assert compared > 2000 and fallbacks > 10, (compared, fallbacks)
+            non_monomial += int((m != 0).sum(axis=0).max() > 1)
+    assert compared >= 5000 and non_monomial >= 1000, (compared, non_monomial)
 
 
-def test_only_matrices_with_one_entry_per_column_take_the_monomial_path(r2_hand):
-    m = np.eye(4, dtype=complex)
-    assert _monomial_residual(r2_hand, r2_hand, m) == (-0.0, 0, 0, 0)
-    m[2, 0] = 1e-300
-    assert _monomial_residual(r2_hand, r2_hand, m) is None
-
-
-def test_many_columns_in_one_row_take_the_dense_loop_in_small_memory():
-    # 2000 points onto one: 2000^2 column pairs have rows that compose, far
-    # more than the 2000 composable pairs plus 2000 entries
+def test_many_columns_in_one_row_are_checked_in_small_memory():
+    # 2000 points onto one: each of the 2000^2 column pairs forms a product
     g, pt = group_bundle([1] * 2000), pair_groupoid(1)
     m = np.ones((1, 2000))
-    assert _monomial_residual(g, pt, m) is None
     tracemalloc.start()
     try:
         report = validate_hom(HomMatrix(g, pt, m))
@@ -317,13 +337,24 @@ def test_twisted_pair16_validates_and_decomposes_in_small_memory(twisted_pair16)
     assert recovered.cocycle.values == data.cocycle.values
 
 
-def test_dense_check_refuses_past_its_budget(twisted_pair16):
-    # one extra entry leaves the monomial path; pair(16) then needs
-    # 256 * 256 * 4096 products
+def test_one_extra_entry_on_pair16_is_answered_with_a_witness(twisted_pair16):
     _, built = twisted_pair16
     m = built.entries.copy()
     m[0, 0] += 0.5
-    with pytest.raises(CapExceeded, match="dense multiplicativity check"):
+    start = time.perf_counter()
+    report = validate_hom(HomMatrix(built.source, built.target, m))
+    assert time.perf_counter() - start < 1.0
+    assert not report.is_star_hom
+    assert report.star_witness is not None
+
+
+def test_dense_check_refuses_past_its_budget(twisted_pair16):
+    # all ones on pair(16): 4096 target compose entries, each pairing two
+    # rows of 256 entries, so 4096 * 256 * 256 products
+    _, built = twisted_pair16
+    m = np.ones_like(built.entries)
+    with pytest.raises(CapExceeded, match="the multiplicativity check of a "
+                       "256x256 matrix needs 268435456 products"):
         validate_hom(HomMatrix(built.source, built.target, m))
 
 
