@@ -32,7 +32,7 @@ from .groupoid import (
     compose_homs,
     enumerate_automorphisms,
     identity_hom,
-    is_topologically_principal,
+    is_effective,
 )
 
 __all__ = [
@@ -117,7 +117,7 @@ def classify_faut(g: FiniteGroupoid, phase_order: int,
     diagonal-fixing monomial automorphisms.  On a principal groupoid the
     bijection is verified against the enumerated automorphism pairs."""
     cocycles = enumerate_cocycles(g, phase_order, cap)
-    if is_topologically_principal(g):
+    if is_effective(g):
         for c in cocycles:
             if not fixes_diagonal(AutPair(identity_hom(g), c)):
                 raise HypothesisError(

@@ -34,7 +34,6 @@ from .errors import (
 from .groupoid import (
     enumerate_automorphisms,
     is_effective,
-    is_topologically_principal,
     isotropy_interior,
     orbits,
     quotient_by_isotropy,
@@ -130,7 +129,7 @@ def _cmd_analyze(args) -> tuple[int, Report]:
         "invariant_subsets": 2 ** len(orbits(g)),
         "isotropy": len(isotropy_interior(g)),
         "effective": is_effective(g),
-        "topologically_principal": is_topologically_principal(g),
+        "topologically_principal": is_effective(g),
         "quotient_arrows": quotient.arrow_count,
     })
     if g.arrow_count <= enum_cap(args.cap):
@@ -245,7 +244,7 @@ def _cmd_faut(args) -> tuple[int, Report]:
     require_valid(hm)
     if numerical_rank(hm.entries) != g.arrow_count:
         raise HypothesisError("matrix is not invertible")
-    data = decompose(hm)
+    data = decompose(hm, trust=True)
     if data.invariant_units != g.units:
         raise HypothesisError("matrix does not preserve the diagonal globally")
     pair = AutPair(data.hom, data.cocycle)

@@ -3,9 +3,9 @@
 A cocycle valued in the n-th roots of unity is a groupoid homomorphism into
 Z/n, so `enumerate_cocycles` is the homomorphism search with codomain
 `cyclic_groupoid(n)`, bounded by the same enumeration cap and search budget.
-A cocycle whose values are all exact, as every enumerated one is, has its
-law checked on integer exponents over one common order; only a cocycle
-holding an approximate value compares phases, within TOL.
+The public `Cocycle` constructor checks the law on integer exponents over
+one common order when every value is exact; only a cocycle holding an
+approximate value compares phases, within TOL.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import (
     check_enum_cap,
 )
 from .families import cyclic_groupoid
-from .groupoid import FiniteGroupoid, GroupoidHom, enumerate_homomorphisms
+from .groupoid import FiniteGroupoid, GroupoidHom, _unchecked, enumerate_homomorphisms
 
 __all__ = [
     "Phase",
@@ -127,7 +127,8 @@ PHASE_ONE = Phase.exact(0, 1)
 
 class Cocycle:
     """An arrow-indexed phase assignment that is 1 on units and multiplicative
-    over composition."""
+    over composition.  The public constructor checks both laws; cocycles the
+    library builds from checked parts are not checked again."""
 
     __slots__ = ("groupoid", "values")
 
@@ -169,25 +170,27 @@ class Cocycle:
 
 
 def trivial_cocycle(g: FiniteGroupoid) -> Cocycle:
-    return Cocycle(g, [PHASE_ONE] * g.arrow_count)
+    return _unchecked(Cocycle, groupoid=g, values=(PHASE_ONE,) * g.arrow_count)
 
 
 def cocycle_product(c1: Cocycle, c2: Cocycle) -> Cocycle:
+    """Pointwise; not re-checked, so rounding may leave an approximate law residual past TOL."""
     if c1.groupoid != c2.groupoid:
         raise StructuralError("cocycles live on different groupoids")
-    return Cocycle(c1.groupoid, [u.times(v) for u, v in zip(c1.values, c2.values)])
+    values = tuple(u.times(v) for u, v in zip(c1.values, c2.values))
+    return _unchecked(Cocycle, groupoid=c1.groupoid, values=values)
 
 
 def cocycle_conj(c: Cocycle) -> Cocycle:
-    return Cocycle(c.groupoid, [v.conj() for v in c.values])
+    return _unchecked(Cocycle, groupoid=c.groupoid, values=tuple(v.conj() for v in c.values))
 
 
 def precompose_cocycle(c: Cocycle, hom: GroupoidHom) -> Cocycle:
     """The cocycle a -> c(hom(a)) on the domain of the homomorphism."""
     if hom.codomain != c.groupoid:
         raise StructuralError("homomorphism codomain does not carry the cocycle")
-    return Cocycle(hom.domain, [c.values[hom.mapping[a]]
-                                for a in hom.domain.arrows()])
+    return _unchecked(Cocycle, groupoid=hom.domain,
+                      values=tuple(c.values[b] for b in hom.mapping))
 
 
 def act_on_cocycle(aut: GroupoidHom, c: Cocycle) -> Cocycle:
@@ -211,5 +214,5 @@ def enumerate_cocycles(g: FiniteGroupoid, n: int, cap: int | None = None) -> lis
     check_enum_cap(g.arrow_count, cap, "cocycle enumeration")
     check_enum_cap(n, cap, f"cocycle enumeration into Z/{n}")
     phases = [Phase.exact(k, n) for k in range(n)]
-    return [Cocycle(g, [phases[k] for k in hom.mapping])
+    return [_unchecked(Cocycle, groupoid=g, values=tuple(phases[k] for k in hom.mapping))
             for hom in enumerate_homomorphisms(g, cyclic_groupoid(n))]

@@ -31,6 +31,7 @@ from .groupoid import (
     FiniteGroupoid,
     GroupoidHom,
     _restriction,
+    _unchecked,
     enumerate_homomorphisms,
     invariant_subsets,
     is_effective,
@@ -58,7 +59,8 @@ class HomMatrix:
 
     Column a holds the image of the point mass at arrow a of the source,
     expressed over the arrows of the target.  No algebra conditions are
-    assumed until `validate_hom` establishes them.
+    assumed until `validate_hom` establishes them.  The public constructor
+    checks shape and finiteness; `build_hom`'s matrices are not checked again.
     """
 
     __slots__ = ("source", "target", "entries", "_report")
@@ -295,10 +297,11 @@ class DecompositionData:
 
 def _fill(g: FiniteGroupoid, h: FiniteGroupoid, keep: tuple[int, ...],
           data: DecompositionData) -> np.ndarray:
-    """The entries of a triple: column keep[i] holds the twist value at arrow
-    i of the restriction in the row of its image, and every other entry is 0."""
+    """The read-only entries of a triple: column keep[i] holds the twist value
+    at arrow i of the restriction in the row of its image, every other entry 0."""
     entries = np.zeros((h.arrow_count, g.arrow_count), dtype=complex)
     entries[list(data.hom.mapping), list(keep)] = [v.value for v in data.cocycle.values]
+    entries.flags.writeable = False
     return entries
 
 
@@ -319,7 +322,7 @@ def build_hom(g: FiniteGroupoid, h: FiniteGroupoid,
         dup = [x for x, y in zip(restriction.units, images) if images.count(y) > 1]
         raise HypothesisError(
             f"arrow map is not injective on the restricted units: {dup[:2]}")
-    return HomMatrix(g, h, _fill(g, h, keep, data))
+    return _unchecked(HomMatrix, source=g, target=h, entries=_fill(g, h, keep, data), _report=None)
 
 
 def decompose(hm: HomMatrix, *, trust: bool = False) -> DecompositionData:
@@ -380,7 +383,7 @@ def decompose(hm: HomMatrix, *, trust: bool = False) -> DecompositionData:
         values.append(Phase.from_complex(value))
     # an effective target has one arrow per pair of endpoints, and every
     # column's endpoints are checked above, so this is a homomorphism
-    hom = GroupoidHom(restriction, h, tuple(mapping))
+    hom = _unchecked(GroupoidHom, domain=restriction, codomain=h, mapping=tuple(mapping))
     try:
         cocycle = Cocycle(restriction, values)
     except CocycleError as exc:
@@ -414,15 +417,13 @@ def rigidity_check(hm: HomMatrix) -> GroupoidHom:
     if rank < h.arrow_count:
         raise HypothesisError(
             f"matrix is not surjective: rank {rank} < {h.arrow_count}")
-    data = decompose(hm)
-    restriction = data.hom.domain
-    quotient, q = quotient_by_isotropy(restriction)
+    data = decompose(hm, trust=True)
+    quotient, q = quotient_by_isotropy(data.hom.domain)
     # a class of the quotient holds the arrows with one pair of endpoints,
     # which the arrow map sends to the one target arrow between their images
-    induced = [0] * quotient.arrow_count
-    for a in restriction.arrows():
-        induced[q.mapping[a]] = data.hom.mapping[a]
-    iso = GroupoidHom(quotient, h, tuple(induced))
+    induced = dict(zip(q.mapping, data.hom.mapping))
+    iso = _unchecked(GroupoidHom, domain=quotient, codomain=h,
+                     mapping=tuple(induced[c] for c in quotient.arrows()))
     if not iso.is_bijective():
         raise InternalInconsistencyError(
             "induced quotient map is not bijective")

@@ -22,7 +22,6 @@ __all__ = [
     "validation_report",
     "isotropy_interior",
     "is_effective",
-    "is_topologically_principal",
     "orbits",
     "invariant_subsets",
     "normalize_unit_set",
@@ -283,13 +282,6 @@ def is_effective(g: FiniteGroupoid) -> bool:
     return isotropy_interior(g) == g.units
 
 
-def is_topologically_principal(g: FiniteGroupoid) -> bool:
-    """Units with trivial isotropy are dense.  The unit space of a finite
-    groupoid is discrete, so that means every unit has trivial isotropy: no
-    arrow but a unit has equal source and range, which is `is_effective`."""
-    return is_effective(g)
-
-
 def orbits(g: FiniteGroupoid) -> tuple[tuple[int, ...], ...]:
     """Partition of the units under the reachability relation, sorted.
 
@@ -363,12 +355,20 @@ def _restriction(g: FiniteGroupoid,
 # -- groupoid homomorphisms --------------------------------------------------
 
 
+def _unchecked(cls, **fields):
+    """A `cls` holding already checked, normalised fields, made without its checks."""
+    value = object.__new__(cls)
+    for name, field in fields.items():
+        object.__setattr__(value, name, field)
+    return value
+
+
 @dataclass(frozen=True)
 class GroupoidHom:
     """A map of arrows that preserves units, src, rng, inverse and composition.
 
-    Construction verifies all the laws and raises `HomomorphismError` with a
-    witness on failure.
+    The public constructor verifies every law, raising `HomomorphismError` with a
+    witness; homomorphisms the library builds from checked parts skip the check.
     """
 
     domain: FiniteGroupoid
@@ -406,9 +406,6 @@ class GroupoidHom:
                     f"composition not preserved at pair ({a},{b}): "
                     f"map({a}.{b})={m[c]}, map({a}).map({b})={img}")
 
-    def __call__(self, a: int) -> int:
-        return self.mapping[a]
-
     def is_bijective(self) -> bool:
         return (self.domain.arrow_count == self.codomain.arrow_count
                 and len(set(self.mapping)) == self.domain.arrow_count)
@@ -420,22 +417,20 @@ class GroupoidHom:
     def inverse(self) -> "GroupoidHom":
         if not self.is_bijective():
             raise HypothesisError("cannot invert a non-bijective homomorphism")
-        back = [0] * len(self.mapping)
-        for a, b in enumerate(self.mapping):
-            back[b] = a
-        return GroupoidHom(self.codomain, self.domain, tuple(back))
+        back = tuple(sorted(self.domain.arrows(), key=self.mapping.__getitem__))
+        return _unchecked(GroupoidHom, domain=self.codomain, codomain=self.domain, mapping=back)
 
 
 def identity_hom(g: FiniteGroupoid) -> GroupoidHom:
-    return GroupoidHom(g, g, tuple(g.arrows()))
+    return _unchecked(GroupoidHom, domain=g, codomain=g, mapping=tuple(g.arrows()))
 
 
 def compose_homs(outer: GroupoidHom, inner: GroupoidHom) -> GroupoidHom:
     """outer after inner."""
     if inner.codomain != outer.domain:
         raise StructuralError("homomorphisms are not composable")
-    return GroupoidHom(inner.domain, outer.codomain,
-                       tuple(outer.mapping[b] for b in inner.mapping))
+    return _unchecked(GroupoidHom, domain=inner.domain, codomain=outer.codomain,
+                      mapping=tuple(outer.mapping[b] for b in inner.mapping))
 
 
 # -- enumeration -------------------------------------------------------------
@@ -455,7 +450,8 @@ def enumerate_homomorphisms(
     The search is one loop over levels, one per domain arrow, each holding an
     iterator over its untried candidates, so Python's recursion limit does not
     bound its depth.  Refuses with `CapExceeded` once the search has tried
-    more than SEARCH_BUDGET candidate images.
+    more than SEARCH_BUDGET candidate images.  Assumes the groupoid axioms on
+    both sides, under which the search's checks imply every homomorphism law.
     """
     if bijective and domain.arrow_count != codomain.arrow_count:
         return []
@@ -516,7 +512,8 @@ def enumerate_homomorphisms(
             break
         if not pending:
             break
-    return [GroupoidHom(domain, codomain, m) for m in sorted(found)]
+    return [_unchecked(GroupoidHom, domain=domain, codomain=codomain, mapping=m)
+            for m in sorted(found)]
 
 
 def enumerate_automorphisms(g: FiniteGroupoid, cap: int | None = None) -> list[GroupoidHom]:
@@ -550,4 +547,4 @@ def quotient_by_isotropy(g: FiniteGroupoid) -> tuple[FiniteGroupoid, GroupoidHom
         {(cls_of[a], cls_of[b]): cls_of[c] for (a, b), c in g.compose.items()},
         [cls_of[g.inv[r]] for r in reps],
     )
-    return quotient, GroupoidHom(g, quotient, tuple(cls_of))
+    return quotient, _unchecked(GroupoidHom, domain=g, codomain=quotient, mapping=tuple(cls_of))

@@ -51,7 +51,6 @@ from .groupoid import (
     identity_hom,
     invariant_subsets,
     is_effective,
-    is_topologically_principal,
     quotient_by_isotropy,
     validation_report,
 )
@@ -314,7 +313,7 @@ def run_selftest(seed: int = 0, cap: int = 16) -> list[dict]:
     # 19. diagonal-fixing pairs have identity arrow maps on principal groupoids
     witness = None
     for name, g in small:
-        if not is_topologically_principal(g):
+        if not is_effective(g):
             continue
         for phi in enumerate_automorphisms(g):
             for c in enumerate_cocycles(g, 2):

@@ -58,7 +58,6 @@ from etale_kit.groupoid import (
     enumerate_automorphisms,
     identity_hom,
     is_effective,
-    is_topologically_principal,
     validation_report,
 )
 from etale_kit.inverse_semigroup import (
@@ -299,7 +298,7 @@ def test_criterion_7_semidirect_product(capsys):
 
 
 def test_criterion_8_diagonal_fixing_automorphisms(capsys):
-    principal = [(n, g) for n, g in CORPUS if is_topologically_principal(g)]
+    principal = [(n, g) for n, g in CORPUS if is_effective(g)]
     pairs_checked = 0
     for name, g in principal:
         cocycles = enumerate_cocycles(g, 2)

@@ -25,7 +25,7 @@ from etale_kit.families import cyclic_table, group_inverses, pair_groupoid
 from etale_kit.groupoid import (
     enumerate_automorphisms,
     identity_hom,
-    is_topologically_principal,
+    is_effective,
 )
 
 
@@ -149,7 +149,7 @@ def test_fixes_diagonal_examples(r2_hand):
 
 def test_fixes_diagonal_iff_identity_on_principal(corpus):
     for name, g in corpus:
-        if not is_topologically_principal(g) or g.arrow_count > 9:
+        if not is_effective(g) or g.arrow_count > 9:
             continue
         for pair in all_pairs(g, 2):
             assert fixes_diagonal(pair) == pair.phi.is_identity(), name

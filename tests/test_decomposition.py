@@ -1,5 +1,6 @@
 """Building, validating, and decomposing diagonal-compatible homomorphism matrices."""
 
+import collections
 import dataclasses
 import itertools
 import time
@@ -8,7 +9,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from etale_kit.cocycles import Cocycle, Phase, PHASE_ONE, trivial_cocycle
+from etale_kit.cocycles import (
+    PHASE_ONE,
+    Cocycle,
+    Phase,
+    cocycle_conj,
+    cocycle_product,
+    enumerate_cocycles,
+    precompose_cocycle,
+    trivial_cocycle,
+)
 from etale_kit.cstar import AlgebraElement, _conv_arrays, reduced_norm
 from etale_kit import decomposition
 from etale_kit.decomposition import (
@@ -38,8 +48,12 @@ from etale_kit.families import (
 )
 from etale_kit.groupoid import (
     GroupoidHom,
+    compose_homs,
+    enumerate_automorphisms,
+    enumerate_homomorphisms,
     identity_hom,
     is_effective,
+    quotient_by_isotropy,
     restrict,
     restriction_arrows,
 )
@@ -495,6 +509,12 @@ def test_trusted_decompose_refusals(make, fragment):
                      g.units, GroupoidHom(g, h, (0, 0)), trivial_cocycle(g)),
                  "arrow map is not injective on the restricted units: [0, 1]",
                  id="not-injective-on-units"),
+    # only units 1 and 2 share an image, so unit 0 is not named
+    pytest.param(group_bundle([1, 1, 1]), group_bundle([1, 1]),
+                 lambda g, h: DecompositionData(
+                     g.units, GroupoidHom(g, h, (0, 1, 1)), trivial_cocycle(g)),
+                 "arrow map is not injective on the restricted units: [1, 2]",
+                 id="names-only-the-colliding-units"),
 ])
 def test_build_hom_refusals(source, target, make, fragment):
     with pytest.raises(HypothesisError) as err:
@@ -629,6 +649,16 @@ def test_every_accepted_twist_near_a_root_of_unity_decomposes(eps, modulus):
     assert data.cocycle.values[2].is_exact == (abs(z + 1) <= TOL)
 
 
+def test_decomposition_data_refuses_one_triple_past_the_search_budget(monkeypatch):
+    g = pair_groupoid(2)
+    triples = list(enumerate_decomposition_data(g, g, 2))
+    monkeypatch.setattr(decomposition, "SEARCH_BUDGET", len(triples))
+    assert list(enumerate_decomposition_data(g, g, 2)) == triples
+    monkeypatch.setattr(decomposition, "SEARCH_BUDGET", len(triples) - 1)
+    with pytest.raises(CapExceeded, match="search budget"):
+        list(enumerate_decomposition_data(g, g, 2))
+
+
 def test_decomposition_data_counts_its_triples_against_the_search_budget():
     # 101,441 triples over the invariant sets before {0, 1, 2, 3}, which
     # would add 6,144 arrow maps times 256 twists
@@ -667,6 +697,90 @@ def test_empty_invariant_set_roundtrip(r2_hand):
     assert decompose(HomMatrix(r2_hand, empty, np.zeros((0, 4)))).invariant_units == ()
 
 
+def test_matrices_without_rows_or_without_columns_validate(r2_hand):
+    empty = restrict(r2_hand, ())
+    for hm in (HomMatrix(r2_hand, empty, np.zeros((0, 4))),
+               HomMatrix(empty, r2_hand, np.zeros((4, 0)))):
+        assert validate_hom(hm).ok, hm
+
+
 def test_hom_matrix_shape_checks(r2_hand, z2_hand):
     with pytest.raises(StructuralError):
         HomMatrix(r2_hand, z2_hand, np.eye(4))
+
+
+# -- values the library builds from checked parts -------------------------------
+
+
+@pytest.fixture
+def constructor_checks(monkeypatch):
+    """Counts, by type, of the public constructors' checks run since the
+    counter was last cleared."""
+    counts = collections.Counter()
+
+    def counted(name, check):
+        def wrapper(self, *args, **kwargs):
+            counts[name] += 1
+            return check(self, *args, **kwargs)
+        return wrapper
+
+    for cls, attr in ((GroupoidHom, "__post_init__"), (Cocycle, "__init__"),
+                      (HomMatrix, "__init__")):
+        monkeypatch.setattr(cls, attr, counted(cls.__name__, getattr(cls, attr)))
+    return counts
+
+
+def test_library_built_values_skip_the_constructor_checks(constructor_checks):
+    g = pair_groupoid(3)
+    bundle = group_bundle([2, 1])
+    phi, psi = enumerate_automorphisms(g)[1:3]
+    c1, c2 = enumerate_cocycles(g, 4)[1:3]
+    data = DecompositionData(g.units, phi, c1)
+
+    def checks(build):
+        constructor_checks.clear()
+        build()
+        return dict(constructor_checks)
+
+    for build in (lambda: enumerate_homomorphisms(g, g),
+                  lambda: identity_hom(g),
+                  lambda: compose_homs(phi, psi),
+                  phi.inverse,
+                  lambda: quotient_by_isotropy(bundle),
+                  lambda: enumerate_cocycles(g, 4),
+                  lambda: trivial_cocycle(g),
+                  lambda: cocycle_product(c1, c2),
+                  lambda: cocycle_conj(c1),
+                  lambda: precompose_cocycle(c1, phi),
+                  lambda: build_hom(g, g, data),
+                  lambda: quotient_hom(bundle)):
+        assert checks(build) == {}, build
+    # the twist read off the matrix enters through the public constructor
+    assert checks(lambda: decompose(build_hom(g, g, data))) == {"Cocycle": 1}
+    assert checks(lambda: rigidity_check(build_hom(g, g, data))) == {"Cocycle": 1}
+
+
+def test_library_built_values_pass_the_constructor_checks(corpus):
+    for name, g in corpus:
+        if g.arrow_count > 12:
+            continue
+        auts = enumerate_automorphisms(g)
+        homs = auts + [a.inverse() for a in auts] + [
+            compose_homs(a, b) for a, b in zip(auts, auts[1:] + auts[:1])]
+        for phi in homs:
+            assert GroupoidHom(g, g, phi.mapping) == phi, name
+        quotient, collapse = quotient_by_isotropy(g)
+        assert GroupoidHom(g, quotient, collapse.mapping) == collapse, name
+        iso = rigidity_check(quotient_hom(g))
+        assert GroupoidHom(iso.domain, iso.codomain, iso.mapping) == iso, name
+        cocycles = enumerate_cocycles(g, 4)
+        if is_effective(g):
+            for phi in auts:
+                data = DecompositionData(g.units, phi, cocycles[-1])
+                read = decompose(build_hom(g, g, data)).hom
+                assert GroupoidHom(g, g, read.mapping) == read == phi, name
+        built = (cocycles + [cocycle_conj(c) for c in cocycles]
+                 + [cocycle_product(c, d) for c in cocycles for d in cocycles]
+                 + [precompose_cocycle(c, phi) for c in cocycles for phi in auts])
+        for c in built:
+            assert Cocycle(g, c.values) == c, name

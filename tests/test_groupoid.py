@@ -26,7 +26,6 @@ from etale_kit.groupoid import (
     enumerate_homomorphisms,
     invariant_subsets,
     is_effective,
-    is_topologically_principal,
     isotropy_interior,
     orbits,
     quotient_by_isotropy,
@@ -96,17 +95,18 @@ def test_isotropy_examples(r2_hand, z2_hand, bundle_hand):
 
 
 def test_effectiveness_examples(r2_hand, z2_hand):
-    assert is_effective(r2_hand) and is_topologically_principal(r2_hand)
-    assert not is_effective(z2_hand) and not is_topologically_principal(z2_hand)
+    assert is_effective(r2_hand)
+    assert not is_effective(z2_hand)
     union = disjoint_union([pair_groupoid(2), cyclic_groupoid(2)])
-    assert not is_effective(union) and not is_topologically_principal(union)
+    assert not is_effective(union)
 
 
 def test_effective_agrees_with_principal_on_corpus(corpus):
-    # both mean that no unit has isotropy beyond itself
+    # on a discrete unit space, topological principality means that no unit
+    # has isotropy beyond itself
     for name, g in corpus:
         trivial = all(g.src[a] != g.rng[a] or g.is_unit(a) for a in g.arrows())
-        assert is_effective(g) == is_topologically_principal(g) == trivial, name
+        assert is_effective(g) == trivial, name
 
 
 def _invariant_subsets_bruteforce(g):
