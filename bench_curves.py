@@ -1,6 +1,6 @@
 """Scaling curves of one layer, for two source trees side by side.
 
-    python3 bench_curves.py --topic algebra|bisections|enum|hom|slices \
+    python3 bench_curves.py --topic algebra|bisections|enum|hom|slices|table \
         --tree parent=PATH --tree change=. --out BENCH_<topic>.json
 
 Each PATH is the root of a checkout (its `src/` is imported).  For every
@@ -39,6 +39,12 @@ Topics:
   on the span of the unit point masses) and, for n <= 4,
   `bisection_slices` (`slice_failure` on the slice of every bisection,
   made untimed from the table).
+- `table`: pair(n), n = 2..16, 24, 32, 48 and 64.  Phases: `construct`
+  (`FiniteGroupoid` from the tables of a groupoid document, compose as
+  [a, b, ab] triples) and `validate` (`validation_report` on a fresh
+  groupoid).  Then, for n = 16, 24, 32, 48 and 64, `cli_validate`: `python
+  -m etale_kit.cli validate` on the document of pair(n), as a child process
+  whose peak RSS is recorded as `child_peak_mb`.
 """
 
 from __future__ import annotations
@@ -207,6 +213,58 @@ if size <= 4:
 result = {"arrows": build().arrow_count}
 """
 
+TABLE = r"""
+import os, subprocess, tempfile
+
+WRITE_PAIR = '''
+import sys
+from etale_kit.families import pair_groupoid
+from etale_kit.io import canonical_json, groupoid_to_doc
+with open(sys.argv[1], "w") as fh:
+    fh.write(canonical_json(groupoid_to_doc(pair_groupoid(int(sys.argv[2])))))
+'''
+
+if family == "pair":
+    from etale_kit.families import pair_groupoid
+    from etale_kit.groupoid import FiniteGroupoid, validation_report
+    from etale_kit.io import groupoid_to_doc
+
+    doc = groupoid_to_doc(pair_groupoid(size))
+    fields = [doc[key] for key in ("arrows", "units", "src", "rng", "compose", "inv")]
+
+    def build():
+        return FiniteGroupoid(*fields)
+
+    PHASES = {
+        "construct": (lambda g: None, lambda _: build()),
+        "validate": (lambda g: g, validation_report),
+    }
+    result = {"arrows": len(doc["src"]), "compose": len(doc["compose"])}
+else:
+    # a child writes the document, so that this process stays small: a
+    # child's peak RSS includes the pages of its parent at the fork
+    env = dict(os.environ, PYTHONPATH=sys.argv[1])
+    scratch = tempfile.TemporaryDirectory()
+    path = os.path.join(scratch.name, "pair.json")
+    subprocess.run([sys.executable, "-c", WRITE_PAIR, path, str(size)], check=True, env=env)
+    CHILD_PEAK_KB = {"cli_validate": 0}
+
+    def build():
+        return path
+
+    def cli_validate(path):
+        child = subprocess.Popen([sys.executable, "-m", "etale_kit.cli", "validate", path],
+                                 stdout=subprocess.DEVNULL, env=env)
+        _, status, usage = os.wait4(child.pid, 0)  # this child's own rusage
+        child.returncode = os.waitstatus_to_exitcode(status)
+        if child.returncode:
+            raise subprocess.CalledProcessError(child.returncode, child.args)
+        CHILD_PEAK_KB["cli_validate"] = max(CHILD_PEAK_KB["cli_validate"], usage.ru_maxrss)
+
+    PHASES = {"cli_validate": (lambda path: path, cli_validate)}
+    result = {"document_bytes": os.path.getsize(path)}
+"""
+
 CHILD = r"""
 import json, statistics, sys, time, tracemalloc
 sys.path.insert(0, sys.argv[1])
@@ -235,6 +293,8 @@ for name, (prepare, run) in PHASES.items():
     tracemalloc.stop()
     result[name] = {"wall_ms": round(statistics.median(times) * 1000, 3),
                     "runs": len(times), "peak_mb": round(peak / 2**20, 3)}
+    if name in globals().get("CHILD_PEAK_KB", {}):  # ru_maxrss is in KiB on Linux
+        result[name]["child_peak_mb"] = round(CHILD_PEAK_KB[name] / 2**10, 1)
 print(json.dumps(result))
 """
 
@@ -260,6 +320,10 @@ TOPICS = {
             else f"pair({size})+pair(4) onto pair({size})"),
     "slices": (SLICES, [("pair", n) for n in range(2, 17)], (21, 5, 0.5),
                lambda family, size: f"pair({size})"),
+    "table": (TABLE, [("pair", n) for n in [*range(2, 17), 24, 32, 48, 64]]
+              + [("cli", n) for n in (16, 24, 32, 48, 64)], (21, 3, 0.5),
+              lambda family, size: f"pair({size})" if family == "pair"
+              else f"etale-kit validate on pair({size})"),
 }
 
 
@@ -310,7 +374,8 @@ def main() -> None:
         "machine": {"cpu": cpu_model(), "cores": len(os.sched_getaffinity(0)),
                     "python": platform.python_version()},
         "units": {"wall_ms": "median wall time over `runs` fresh inputs, ms",
-                  "peak_mb": "tracemalloc peak of one more run, MiB"},
+                  "peak_mb": "tracemalloc peak of one more run, MiB",
+                  "child_peak_mb": "largest peak RSS of the phase's child processes, MiB"},
         "curve": curve,
     }
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -330,7 +331,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# BLAS runs on one thread unless the caller's environment says otherwise:
+# the matrices are small, and a child on the default threads of a shared
+# machine was seen to run slice checks ~40 times slower for its whole life
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def main(argv: list[str] | None = None) -> int:
+    # before any command imports numpy, which reads these once, at load
+    for var in BLAS_THREAD_VARS:
+        os.environ.setdefault(var, "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -193,8 +194,29 @@ def validation_report(g: FiniteGroupoid, *, stop_early: bool = False) -> Validat
     return ValidationReport(list(islice(_violations(g), 1 if stop_early else None)))
 
 
+def _reader(indices: tuple[int, ...]):
+    """A function taking seq to tuple(seq[i] for i in indices) in one C-level
+    pass; `itemgetter` alone gives a bare item for one index and fails on none."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        i, = indices
+        return lambda seq: (seq[i],)
+    return lambda seq: ()
+
+
 def _violations(g: FiniteGroupoid) -> Iterator[Violation]:
-    """Every axiom violation of the tables, lazily, in a fixed order."""
+    """Every axiom violation of the tables, lazily, in a fixed order.
+
+    Associativity is decided one compose entry at a time on product rows:
+    rows[a] lists the products a.c over the arrows c with rng c = src a, in
+    `by_rng` order.  Once axiom 3 holds, src(ab) = src(b) and rng(bc) =
+    src(a), so at the entry (a, b) -> ab the products (ab).c are rows[ab]
+    and the products a.(bc) are rows[a] read at the bucket positions of
+    rows[b]: one gather and one tuple comparison.  Rows decide, the
+    per-triple loop names the witness: it runs only for an entry whose rows
+    disagree, or for every entry of a table that fails axiom 3, so the
+    violations and their order are those of the loop alone."""
     units = g.unit_set
     src, rng, inv, table = g.src, g.rng, g.inv, g.compose
 
@@ -210,20 +232,30 @@ def _violations(g: FiniteGroupoid) -> Iterator[Violation]:
         if rng[a] not in units:
             yield Violation("axiom1_units", (a,), f"rng[{a}] = {rng[a]} is not a unit")
 
-    # axiom 3, table shape: keys are exactly the composable pairs
+    # axiom 3, table shape: keys are exactly the composable pairs, and each
+    # product has the endpoints of its factors
+    shaped = True
     for (a, b), c in table.items():
         if src[a] != rng[b]:
+            shaped = False
             yield Violation(
                 "axiom3_composability", (a, b),
                 f"compose defined on ({a},{b}) but src[{a}]={src[a]} != rng[{b}]={rng[b]}")
     by_rng = g.by_rng()
+    rows = []
     for a in g.arrows():
-        for b in by_rng[src[a]]:
-            if (a, b) not in table:
-                yield Violation("axiom3_composability", (a, b),
-                                f"composable pair ({a},{b}) has no compose entry")
+        bucket = by_rng[src[a]]
+        row = tuple(map(table.get, zip(repeat(a), bucket)))
+        rows.append(row)
+        if None in row:
+            shaped = False
+            for b, ab in zip(bucket, row):
+                if ab is None:
+                    yield Violation("axiom3_composability", (a, b),
+                                    f"composable pair ({a},{b}) has no compose entry")
     for (a, b), c in table.items():
         if src[c] != src[b] or rng[c] != rng[a]:
+            shaped = False
             yield Violation("axiom3_composability", (a, b, c),
                             f"product {c} of ({a},{b}) has src/rng ({src[c]},{rng[c]}), "
                             f"expected ({src[b]},{rng[a]})")
@@ -246,7 +278,15 @@ def _violations(g: FiniteGroupoid) -> Iterator[Violation]:
             yield Violation("axiom5_inverse", (a, b), f"inv[inv[{a}]] = {inv[b]} != {a}")
 
     # axiom 4: associativity over all composable triples
+    if shaped:
+        at = [0] * g.arrow_count  # each arrow's position in its range bucket
+        for bucket in by_rng:
+            for i, x in enumerate(bucket):
+                at[x] = i
+        readers = [_reader(tuple(map(at.__getitem__, row))) for row in rows]
     for (a, b), ab in table.items():
+        if shaped and readers[b](rows[a]) == rows[ab]:
+            continue
         for c in by_rng[src[b]]:
             bc = table.get((b, c))
             left = table.get((ab, c))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from operator import add, itemgetter
+from operator import add
 from typing import Sequence
 
 from .errors import (
@@ -15,7 +15,7 @@ from .errors import (
     StructuralError,
     check_enum_cap,
 )
-from .groupoid import FiniteGroupoid, GroupoidHom, validation_report
+from .groupoid import FiniteGroupoid, GroupoidHom, _reader, _unchecked, validation_report
 
 __all__ = [
     "Bisection",
@@ -61,10 +61,7 @@ class Bisection:
 
 def _gather(seq, indices) -> tuple:
     """tuple(seq[i] for i in indices), in one C-level pass."""
-    indices = tuple(indices)
-    if len(indices) > 1:
-        return itemgetter(*indices)(seq)
-    return tuple(seq[i] for i in indices)
+    return _reader(tuple(indices))(seq)
 
 
 def _positions(seq: tuple, value) -> list[int]:
@@ -161,8 +158,11 @@ def enumerate_bisections(g: FiniteGroupoid, cap: int | None = None) -> InverseSe
     addition per cell, with no product formed as a set of arrows.  The rows
     are made once, as tuples, by transposing the columns.
 
-    The groupoid's cache holds the semigroup weakly: it is reused while a
-    caller still holds it, and a dropped groupoid is freed without the cycle
+    Each element takes at most one arrow leaving each unit, with distinct
+    ranges, so it is a bisection by construction and is made without
+    `Bisection`'s check.  The
+    groupoid's cache holds the semigroup weakly: it is reused while a caller
+    still holds it, and a dropped groupoid is freed without the cycle
     collector.  Assumes the groupoid axioms."""
     check_enum_cap(g.arrow_count, cap, "bisection enumeration")
     ref = g._cache.get("bisections")
@@ -210,7 +210,7 @@ def enumerate_bisections(g: FiniteGroupoid, cap: int | None = None) -> InverseSe
         columns.append(_gather(index, map(add, before, term[b])))
     table = list(zip(*columns))
     del columns, term  # before the semigroup transposes the table back
-    elements = [Bisection(g, arrows) for arrows in found]
+    elements = [_unchecked(Bisection, groupoid=g, arrows=arrows) for arrows in found]
     star = [index[sum(weight[g.inv[a]] for a in arrows)] for arrows in found]
     semigroup = InverseSemigroup(elements, table, star, zero=index[0])
     g._cache["bisections"] = weakref.ref(semigroup)

@@ -133,10 +133,10 @@ def _complex_pairs(items: list, what: str):
         raise StructuralError(f"{what} must be [re, im] pairs of numbers")
     import numpy as np
     try:
-        pairs = np.array(items, dtype=float).reshape(-1, 2)
+        pairs = np.fromiter(chain.from_iterable(items), float, count=2 * len(items))
     except OverflowError:  # an integer beyond the float range
         raise StructuralError(f"{what} must be finite") from None
-    return pairs.view(complex)[:, 0]
+    return pairs.view(complex)
 
 
 def element_from_doc(doc: dict, g: FiniteGroupoid) -> AlgebraElement:

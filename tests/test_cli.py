@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -431,3 +432,32 @@ def test_a_non_monomial_automorphism_of_a_group_is_refused(tmp_path, run_cli):
         assert out.returncode == 2, args
         assert "requires an effective target" in out.stderr, args
         assert out.stdout == "", args
+
+
+# records the BLAS thread variables as they stand when numpy is first imported
+_BLAS_SPY = r"""
+import json, os, sys
+from etale_kit.cli import BLAS_THREAD_VARS, main
+seen = {}
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update((var, os.environ.get(var)) for var in BLAS_THREAD_VARS)
+
+assert "numpy" not in sys.modules
+sys.meta_path.insert(0, Spy())
+code = main(sys.argv[1:])
+print(json.dumps([code, seen]), file=sys.stderr)
+"""
+
+
+def test_cli_sets_blas_threads_to_one_unless_the_caller_did(docs):
+    clean = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS}
+    for preset in ({}, {"OMP_NUM_THREADS": "3", "OPENBLAS_NUM_THREADS": "2"}):
+        child = subprocess.run(
+            [sys.executable, "-c", _BLAS_SPY, "norm", docs["r2"], "--element", docs["ones"]],
+            env={**clean, **preset}, capture_output=True, text=True, timeout=60)
+        code, seen = json.loads(child.stderr.splitlines()[-1])
+        assert code == 0
+        assert seen == {var: preset.get(var, "1") for var in cli.BLAS_THREAD_VARS}

@@ -57,6 +57,7 @@ from etale_kit.groupoid import (
     restrict,
     restriction_arrows,
 )
+from etale_kit.inverse_semigroup import Bisection, enumerate_bisections
 
 
 def identity_data(g):
@@ -725,7 +726,7 @@ def constructor_checks(monkeypatch):
         return wrapper
 
     for cls, attr in ((GroupoidHom, "__post_init__"), (Cocycle, "__init__"),
-                      (HomMatrix, "__init__")):
+                      (HomMatrix, "__init__"), (Bisection, "__post_init__")):
         monkeypatch.setattr(cls, attr, counted(cls.__name__, getattr(cls, attr)))
     return counts
 
@@ -753,7 +754,8 @@ def test_library_built_values_skip_the_constructor_checks(constructor_checks):
                   lambda: cocycle_conj(c1),
                   lambda: precompose_cocycle(c1, phi),
                   lambda: build_hom(g, g, data),
-                  lambda: quotient_hom(bundle)):
+                  lambda: quotient_hom(bundle),
+                  lambda: enumerate_bisections(g)):
         assert checks(build) == {}, build
     # the twist read off the matrix enters through the public constructor
     assert checks(lambda: decompose(build_hom(g, g, data))) == {"Cocycle": 1}
@@ -784,3 +786,5 @@ def test_library_built_values_pass_the_constructor_checks(corpus):
                  + [precompose_cocycle(c, phi) for c in cocycles for phi in auts])
         for c in built:
             assert Cocycle(g, c.values) == c, name
+        for b in enumerate_bisections(g).elements:
+            assert Bisection(g, b.arrows) == b, name

@@ -174,6 +174,23 @@ def test_parse_rejects_non_numeric_coefficients(pairs):
         kio.hom_from_doc({**doc, "entries": pairs})
 
 
+def test_parsed_pairs_keep_every_value_in_order():
+    # ints, floats, signed zeros and the ends of the float range
+    pairs = [[1, 2], [-0.0, 3.5], [2 ** 53 + 1, -1e-300], [1.7976931348623157e308, -0.0]]
+    expected = [complex(float(re), float(im)) for re, im in pairs]
+    r2 = pair_groupoid(2)
+    coeff = kio.element_from_doc({"coeff": pairs}, r2).coeff
+    assert coeff.dtype == complex and coeff.tolist() == expected
+    assert np.signbit(coeff.view(float)).tolist() == [
+        False, False, True, False, False, True, False, True]
+    doc = {"source": _POINT, "target": kio.groupoid_to_doc(r2), "rows": 4, "cols": 1}
+    entries = kio.hom_from_doc({**doc, "entries": pairs}).entries
+    assert entries.shape == (4, 1) and entries[:, 0].tolist() == expected
+    # an integer past the float range is refused, not read as infinity
+    with pytest.raises(StructuralError, match="must be finite"):
+        kio.element_from_doc({"coeff": pairs[:3] + [[10 ** 400, 0]]}, r2)
+
+
 @pytest.mark.parametrize("doc", [5, "coeff", None, {}, {"coeff": 3}])
 def test_parse_rejects_malformed_element_documents(doc):
     with pytest.raises(StructuralError, match="element document"):

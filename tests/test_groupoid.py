@@ -1,5 +1,6 @@
 """Axiom validation, isotropy, invariant subsets, restriction, quotients, homs."""
 
+import random
 import time
 from itertools import permutations
 
@@ -21,6 +22,7 @@ from etale_kit.families import (
 from etale_kit.groupoid import (
     FiniteGroupoid,
     GroupoidHom,
+    Violation,
     compose_homs,
     enumerate_automorphisms,
     enumerate_homomorphisms,
@@ -366,8 +368,109 @@ def test_quotient_classes_against_the_definition(corpus_and_relabellings):
         assert q.arrow_count == len(ranks), name
 
 
+# -- associativity on product rows against the per-triple loop ------------------
+
+
+def _associativity_by_triples(g):
+    """The associativity violations of the per-triple loop: three compose
+    lookups for every composable triple, entries in table order."""
+    table, by_rng = g.compose, g.by_rng()
+    for (a, b), ab in table.items():
+        for c in by_rng[g.src[b]]:
+            bc = table.get((b, c))
+            left = table.get((ab, c))
+            if bc is None or left is None:
+                continue
+            right = table.get((a, bc))
+            if right is not None and left != right:
+                yield Violation("axiom4_associativity", (a, b, c),
+                                f"({a}.{b}).{c} = {left} but {a}.({b}.{c}) = {right}")
+
+
+def _assert_rows_match_the_triple_loop(g, label):
+    """The full report has the per-triple loop's associativity violations,
+    after axioms 1, 3, 2 and 5 and before inverse uniqueness; stop_early
+    keeps its first violation."""
+    full = validation_report(g).violations
+    last = "inverse_uniqueness"
+    expected = ([v for v in full if v.axiom not in ("axiom4_associativity", last)]
+                + list(_associativity_by_triples(g))
+                + [v for v in full if v.axiom == last])
+    assert full == expected, label
+    assert validation_report(g, stop_early=True).violations == expected[:1], label
+
+
+def _rewritten(g, rewrites, drop=None):
+    compose = dict(g.compose)
+    compose.update(rewrites)
+    compose.pop(drop, None)
+    return FiniteGroupoid(g.arrow_count, g.units, g.src, g.rng, compose, g.inv)
+
+
+def _parallel_rewrites(g, rnd, count):
+    """`count` compose entries, drawn at random, each given another product
+    with the same endpoints; None when the table has too few such entries."""
+    parallel = g.by_src_rng()
+    open_keys = [key for key, ab in g.compose.items()
+                 if len(parallel[g.src[ab], g.rng[ab]]) > 1]
+    if len(open_keys) < count:
+        return None
+    rewrites = {}
+    for key in rnd.sample(open_keys, count):
+        ab = g.compose[key]
+        rewrites[key] = rnd.choice([x for x in parallel[g.src[ab], g.rng[ab]] if x != ab])
+    return rewrites
+
+
 def test_stop_early_reports_the_first_violation_of_the_full_report(corpus):
+    # and the full report is that of the per-triple loop
     for name, g in corpus:
+        _assert_rows_match_the_triple_loop(g, name)
         for label, mutant in enumerate_mutations(g):
-            first = validation_report(mutant, stop_early=True).violations
-            assert first == validation_report(mutant).violations[:1], (name, label)
+            _assert_rows_match_the_triple_loop(mutant, (name, label))
+
+
+def _fails_associativity(g):
+    return any(v.axiom == "axiom4_associativity" for v in validation_report(g).violations)
+
+
+def test_row_associativity_matches_the_triple_loop_on_table_rewrites(corpus_and_relabellings):
+    rnd = random.Random(17)
+    rewritten = dropped = 0
+    for name, g in corpus_and_relabellings:
+        for _ in range(30):
+            rewrites = _parallel_rewrites(g, rnd, rnd.choice((2, 3)))
+            if rewrites is None:
+                break
+            # endpoints kept: axiom 3 holds, so rows decide and the loop
+            # names the witnesses of each entry whose rows disagree
+            mutant = _rewritten(g, rewrites)
+            _assert_rows_match_the_triple_loop(mutant, (name, rewrites))
+            rewritten += _fails_associativity(mutant)
+        # an entry dropped: axiom 3 fails, so the loop runs on every entry
+        for key in rnd.sample(list(g.compose), min(3, len(g.compose))):
+            mutant = _rewritten(g, _parallel_rewrites(g, rnd, 1) or {}, drop=key)
+            _assert_rows_match_the_triple_loop(mutant, (name, "drop", key))
+            dropped += _fails_associativity(mutant)
+    # 768 of 1,080 rewrites and 63 of 192 drops
+    assert rewritten > 700 and dropped > 50
+
+
+def test_row_associativity_on_an_empty_range_bucket():
+    # no arrow has range 1, so the entries (1, 0) and (2, 0) compare empty
+    # rows; the table passes axiom 3 and associativity, and fails axiom 1
+    g = FiniteGroupoid(4, [0, 1, 2], [1, 0, 0, 1], [0, 0, 2, 2],
+                       {(1, 0): 0, (1, 1): 1, (2, 0): 3, (2, 1): 2}, [0, 1, 2, 3])
+    assert g.by_rng()[1] == ()
+    report = validation_report(g)
+    assert {v.axiom for v in report.violations} >= {"axiom1_units"}
+    assert not any(v.axiom.startswith(("axiom3", "axiom4")) for v in report.violations)
+    _assert_rows_match_the_triple_loop(g, "empty bucket")
+
+
+def test_row_associativity_on_one_arrow_buckets():
+    g = group_bundle([1, 1, 1])
+    assert {len(bucket) for bucket in g.by_rng()} == {1}
+    assert validation_report(g).ok
+    for label, mutant in enumerate_mutations(g):
+        _assert_rows_match_the_triple_loop(mutant, label)
