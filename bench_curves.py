@@ -26,6 +26,9 @@ Topics:
   on pair(n), 3 on the bundles).
 - `enum`: `automorphisms` of group_bundle([1]*k) and `cocycles` of pair(k)
   into Z/3 (arrow cap 2000), k = 1..9, where the search budget refuses.
+  On both families, `decomposition_data`: every triple, at root-of-unity
+  order 4, from a fresh source into each effective member of
+  `standard_corpus()`, counted as `triples`.
 - `hom`: twisted pair(n), n = 2..16: a shuffled point bijection of pair(n)
   with the coboundary of random 12th-root point phases as its twist; and
   pair(12)+pair(4) onto pair(12), whose invariant set is the pair(12)
@@ -101,17 +104,24 @@ result = {"arrows": build().arrow_count}
 
 ENUM = r"""
 from etale_kit.cocycles import enumerate_cocycles
-from etale_kit.families import group_bundle, pair_groupoid
-from etale_kit.groupoid import enumerate_automorphisms
+from etale_kit.decomposition import enumerate_decomposition_data
+from etale_kit.families import group_bundle, pair_groupoid, standard_corpus
+from etale_kit.groupoid import enumerate_automorphisms, is_effective
+
+targets = [h for _, h in standard_corpus() if is_effective(h)]
 
 def build():
     return group_bundle([1] * size) if family == "group_bundle" else pair_groupoid(size)
+
+def decomposition_data(g):
+    return sum(1 for h in targets for _ in enumerate_decomposition_data(g, h, 4))
 
 if family == "group_bundle":
     PHASES = {"automorphisms": (lambda g: g, lambda g: enumerate_automorphisms(g, 2000))}
 else:
     PHASES = {"cocycles": (lambda g: g, lambda g: enumerate_cocycles(g, 3, 2000))}
-result = {"arrows": build().arrow_count}
+PHASES["decomposition_data"] = (lambda g: g, decomposition_data)
+result = {"arrows": build().arrow_count, "triples": decomposition_data(build())}
 """
 
 BISECTIONS = r"""

@@ -208,11 +208,20 @@ def enumerate_cocycles(g: FiniteGroupoid, n: int, cap: int | None = None) -> lis
     one-unit groupoid, so this runs the homomorphism search and reads each
     mapping as its exponent vector.  Refuses groupoids with more arrows than
     the enumeration cap, and orders n above the cap, since Z/n has n arrows.
+    The search runs once per order: its exponent vectors are kept in g's
+    cache, after the cap checks, and every call builds a fresh list of fresh
+    cocycles from them.
     """
     if n < 1:
         raise StructuralError(f"root-of-unity order must be >= 1, got {n}")
     check_enum_cap(g.arrow_count, cap, "cocycle enumeration")
     check_enum_cap(n, cap, f"cocycle enumeration into Z/{n}")
+    key = ("cocycles", n)
+    exponents = g._cache.get(key)
+    if exponents is None:
+        exponents = tuple(hom.mapping
+                          for hom in enumerate_homomorphisms(g, cyclic_groupoid(n)))
+        g._cache[key] = exponents
     phases = [Phase.exact(k, n) for k in range(n)]
-    return [_unchecked(Cocycle, groupoid=g, values=tuple(phases[k] for k in hom.mapping))
-            for hom in enumerate_homomorphisms(g, cyclic_groupoid(n))]
+    return [_unchecked(Cocycle, groupoid=g, values=tuple(phases[k] for k in m))
+            for m in exponents]

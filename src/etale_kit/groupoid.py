@@ -361,35 +361,47 @@ def restriction_arrows(g: FiniteGroupoid, subset: Iterable[int]) -> tuple[int, .
 
 def restrict(g: FiniteGroupoid, subset: Iterable[int]) -> FiniteGroupoid:
     """Subgroupoid over an invariant unit set (all arrows with source inside);
-    g itself when the set is every unit."""
+    g itself when the set is every unit.  Built once per set and kept on g,
+    so repeated calls return the same object; refuses a set that is not
+    invariant with `HypothesisError`."""
     return _restriction(g, normalize_unit_set(g, subset))[1]
 
 
 def _restriction(g: FiniteGroupoid,
                  f: tuple[int, ...]) -> tuple[tuple[int, ...], FiniteGroupoid]:
     """`restriction_arrows` and `restrict` for a normalized unit set, from one
-    scan of the arrows that refuses at the first arrow leaving the set."""
+    scan of the arrows that refuses at the first arrow leaving the set.
+
+    The pair of a proper invariant set is kept in g's cache under the set,
+    so callers share one restriction and its own caches; a set that is not
+    invariant is refused again on every call.  The cache holds no reference
+    to g, and at most one entry per union of orbits."""
     if f == g.units:
         return tuple(g.arrows()), g
-    inside = set(f)
-    keep = []
-    for a in g.arrows():
-        if g.src[a] in inside:
-            if g.rng[a] not in inside:
-                raise HypothesisError(
-                    f"unit set is not invariant: arrow {a} has src {g.src[a]} "
-                    f"inside but rng {g.rng[a]} outside")
-            keep.append(a)
-    new_id = {a: i for i, a in enumerate(keep)}
-    return tuple(keep), FiniteGroupoid(
-        len(keep),
-        [new_id[x] for x in f],
-        [new_id[g.src[a]] for a in keep],
-        [new_id[g.rng[a]] for a in keep],
-        {(new_id[a], new_id[b]): new_id[c]
-         for (a, b), c in g.compose.items() if a in new_id and b in new_id},
-        [new_id[g.inv[a]] for a in keep],
-    )
+    key = ("restriction", f)
+    cached = g._cache.get(key)
+    if cached is None:
+        inside = set(f)
+        keep = []
+        for a in g.arrows():
+            if g.src[a] in inside:
+                if g.rng[a] not in inside:
+                    raise HypothesisError(
+                        f"unit set is not invariant: arrow {a} has src {g.src[a]} "
+                        f"inside but rng {g.rng[a]} outside")
+                keep.append(a)
+        new_id = {a: i for i, a in enumerate(keep)}
+        cached = tuple(keep), FiniteGroupoid(
+            len(keep),
+            [new_id[x] for x in f],
+            [new_id[g.src[a]] for a in keep],
+            [new_id[g.rng[a]] for a in keep],
+            {(new_id[a], new_id[b]): new_id[c]
+             for (a, b), c in g.compose.items() if a in new_id and b in new_id},
+            [new_id[g.inv[a]] for a in keep],
+        )
+        g._cache[key] = cached
+    return cached
 
 
 # -- groupoid homomorphisms --------------------------------------------------

@@ -7,9 +7,15 @@ from pathlib import Path
 import pytest
 
 import etale_kit
+from etale_kit.cli import BLAS_THREAD_VARS
 from etale_kit.errors import CAP_ENV_VAR
 from etale_kit.groupoid import FiniteGroupoid
 from etale_kit.families import standard_corpus
+
+# one BLAS thread, as the CLI runs, unless the calling shell chose; numpy
+# reads these once, when it loads, and no module imported above loads it
+for _var in BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -7,6 +7,7 @@ from math import pi
 
 import pytest
 
+from etale_kit import cocycles
 from etale_kit.cocycles import (
     Cocycle,
     PHASE_ONE,
@@ -241,3 +242,44 @@ def test_cocycle_enumeration_enforces_the_search_budget():
     # 16 arrows and order 16 pass the cap; the 16^4 cocycles blow the budget
     with pytest.raises(CapExceeded, match="search budget"):
         enumerate_cocycles(disjoint_union([pair_groupoid(2)] * 4), 16)
+
+
+@pytest.fixture
+def cocycle_searches(monkeypatch):
+    """The homomorphism searches `enumerate_cocycles` runs, by order of Z/n."""
+    searches = []
+    search = cocycles.enumerate_homomorphisms
+
+    def counted(domain, codomain, **kwargs):
+        searches.append(codomain.arrow_count)
+        return search(domain, codomain, **kwargs)
+
+    monkeypatch.setattr(cocycles, "enumerate_homomorphisms", counted)
+    return searches
+
+
+def test_each_order_is_searched_once_per_groupoid(cocycle_searches):
+    g = disjoint_union([pair_groupoid(2), group_bundle([2])])
+    first = enumerate_cocycles(g, 4)
+    second = enumerate_cocycles(g, 4)
+    assert cocycle_searches == [4]
+    assert second == first and second is not first
+    assert all(c is not d for c, d in zip(first, second))
+    first.clear()
+    assert enumerate_cocycles(g, 4) == second
+    assert len(enumerate_cocycles(g, 2)) == 4
+    assert cocycle_searches == [4, 2]
+    # an equal groupoid has its own cache
+    assert enumerate_cocycles(disjoint_union([pair_groupoid(2), group_bundle([2])]), 4) == second
+    assert cocycle_searches == [4, 2, 4]
+
+
+def test_the_cap_refuses_after_the_cocycles_are_kept(cocycle_searches):
+    g, point = pair_groupoid(2), pair_groupoid(1)
+    assert len(enumerate_cocycles(g, 2)) == 2
+    assert len(enumerate_cocycles(point, 3)) == 1
+    with pytest.raises(CapExceeded, match="cocycle enumeration"):
+        enumerate_cocycles(g, 2, cap=1)
+    with pytest.raises(CapExceeded, match="into Z/3"):
+        enumerate_cocycles(point, 3, cap=2)
+    assert cocycle_searches == [2, 3]

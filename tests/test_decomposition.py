@@ -20,7 +20,7 @@ from etale_kit.cocycles import (
     trivial_cocycle,
 )
 from etale_kit.cstar import AlgebraElement, _conv_arrays, reduced_norm
-from etale_kit import decomposition
+from etale_kit import cocycles, decomposition, groupoid
 from etale_kit.decomposition import (
     DecompositionData,
     HomMatrix,
@@ -52,6 +52,7 @@ from etale_kit.groupoid import (
     enumerate_automorphisms,
     enumerate_homomorphisms,
     identity_hom,
+    invariant_subsets,
     is_effective,
     quotient_by_isotropy,
     restrict,
@@ -671,6 +672,30 @@ def test_decomposition_data_counts_its_triples_against_the_search_budget():
     assert time.perf_counter() - start < 2
     g = group_bundle([3] * 4)
     assert sum(1 for _ in enumerate_decomposition_data(g, g, 3)) == 233_425
+
+
+def test_decomposition_data_searches_cocycles_once_per_invariant_set(monkeypatch):
+    # a fresh corpus, so that no other test has filled its caches
+    corpus = [g for _, g in standard_corpus()]
+    z4 = cyclic_groupoid(4)
+    searches = collections.Counter()
+
+    def counting(search):
+        def counted(domain, codomain, **kwargs):
+            searches[codomain == z4] += 1
+            return search(domain, codomain, **kwargs)
+        return counted
+
+    for module in (groupoid, cocycles, decomposition):
+        monkeypatch.setattr(module, "enumerate_homomorphisms",
+                            counting(module.enumerate_homomorphisms))
+    targets = [h for h in corpus if is_effective(h)]
+    for g in corpus:
+        for h in targets:
+            for _ in enumerate_decomposition_data(g, h, 4):
+                pass
+    assert searches[True] == sum(len(invariant_subsets(g)) for g in corpus) == 54
+    assert searches[False] == sum(len(invariant_subsets(g)) for g in corpus) * len(targets)
 
 
 def test_irrational_twist_roundtrips_approximately(r2_hand):

@@ -6,7 +6,8 @@ from itertools import permutations
 
 import pytest
 
-from etale_kit.cocycles import enumerate_cocycles
+from etale_kit.cocycles import enumerate_cocycles, trivial_cocycle
+from etale_kit.decomposition import DecompositionData, build_hom, decompose
 from etale_kit.errors import (
     CapExceeded,
     HomomorphismError,
@@ -26,6 +27,7 @@ from etale_kit.groupoid import (
     compose_homs,
     enumerate_automorphisms,
     enumerate_homomorphisms,
+    identity_hom,
     invariant_subsets,
     is_effective,
     isotropy_interior,
@@ -35,7 +37,7 @@ from etale_kit.groupoid import (
     restriction_arrows,
     validation_report,
 )
-from etale_kit.mutate import enumerate_mutations
+from etale_kit.mutate import _mutant, _mutation_specs, enumerate_mutations, sample_mutations
 from test_cocycles import _one_unit, _q8_table
 
 
@@ -164,6 +166,29 @@ def test_restricting_to_every_unit_returns_the_groupoid_itself():
 def test_restrict_rejects_noninvariant_sets(r2_hand):
     with pytest.raises(HypothesisError, match="arrow [23] has src 0 inside"):
         restrict(r2_hand, (0,))
+
+
+def test_each_restriction_is_built_once_and_shared(relabel):
+    def build():
+        return relabel(disjoint_union([pair_groupoid(2), pair_groupoid(3), pair_groupoid(1)]), 4)
+
+    g, fresh = build(), build()
+    for f in invariant_subsets(g):
+        sub = restrict(g, f)
+        assert restrict(g, reversed(f)) is sub
+        assert sub == restrict(fresh, f)
+        # the homomorphism layer reads the same object (sub is effective)
+        data = DecompositionData(f, identity_hom(sub), trivial_cocycle(sub))
+        assert decompose(build_hom(g, sub, data)).hom.domain is sub
+
+
+def test_a_set_that_is_not_invariant_is_refused_every_time_and_not_kept(r2_hand):
+    g = disjoint_union([r2_hand, pair_groupoid(1)])
+    before = dict(g._cache)
+    for _ in range(2):
+        with pytest.raises(HypothesisError, match="arrow [23] has src 0 inside"):
+            restrict(g, (0, 4))
+    assert g._cache == before
 
 
 def test_restriction_nests_over_intersections():
@@ -474,3 +499,48 @@ def test_row_associativity_on_one_arrow_buckets():
     assert validation_report(g).ok
     for label, mutant in enumerate_mutations(g):
         _assert_rows_match_the_triple_loop(mutant, label)
+
+
+def _listed_mutation_specs(g):
+    """Every single-entry change in order, listed one by one: the reference
+    for the index arithmetic of `_mutation_specs`."""
+    n = g.arrow_count
+    for a in range(n):
+        yield (f"unit_flip[{a}]", "units", a, None)
+    for name, table in (("src", g.src), ("rng", g.rng), ("inv", g.inv)):
+        for i in range(n):
+            for v in range(n):
+                if v != table[i]:
+                    yield (f"{name}[{i}]={v}", name, i, v)
+    for (a, b), c in g.compose.items():
+        for v in range(n):
+            if v != c:
+                yield (f"compose[{a},{b}]={v}", "compose", (a, b), v)
+
+
+def _sample_from_the_list(g, rnd, count):
+    specs = list(_listed_mutation_specs(g))
+    if not specs:
+        return []
+    drawn = [specs[rnd.randrange(len(specs))] for _ in range(count)]
+    return [(label, _mutant(g, field, key, value)) for label, field, key, value in drawn]
+
+
+def test_mutation_spec_at_every_index_follows_the_listed_order(corpus):
+    for name, g in corpus:
+        listed = list(_listed_mutation_specs(g))
+        total, spec = _mutation_specs(g)
+        assert total == len(listed), name
+        assert [spec(i) for i in range(total)] == listed, name
+
+
+def test_sampled_mutations_match_draws_from_the_listed_specs(corpus):
+    ours, listed = random.Random(5), random.Random(5)
+    for _ in range(200):
+        name, g = corpus[ours.randrange(len(corpus))]
+        assert corpus[listed.randrange(len(corpus))][0] == name
+        assert sample_mutations(g, ours, 1) == _sample_from_the_list(g, listed, 1), name
+    g = corpus[-1][1]
+    assert sample_mutations(g, ours, 3) == _sample_from_the_list(g, listed, 3)
+    assert ours.getstate() == listed.getstate()
+    assert sample_mutations(FiniteGroupoid(0, [], [], [], {}, []), ours, 3) == []

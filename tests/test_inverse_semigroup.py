@@ -245,8 +245,11 @@ def test_semigroup_names_the_first_element_a_wrong_product_breaks():
 
 
 def test_dropped_groupoid_is_freed_without_the_cycle_collector():
+    from etale_kit.cocycles import enumerate_cocycles
     from etale_kit.cstar import (
         is_normalizer, reduced_norm, slice_of_bisection, slice_product, unit_indicator)
+    from etale_kit.decomposition import enumerate_decomposition_data
+    from etale_kit.groupoid import restrict
     gc.collect()
     gc.disable()
     try:
@@ -260,7 +263,14 @@ def test_dropped_groupoid_is_freed_without_the_cycle_collector():
         is_normalizer(f)
         m = slice_of_bisection(semigroup.elements[-1])
         slice_product(m, m)
-        del g, semigroup, f, m
+        # restrictions, and cocycle exponents on both sides of one
+        bundle = disjoint_union([g, cyclic_groupoid(2)])
+        sub = restrict(bundle, (9,))
+        enumerate_cocycles(bundle, 2)
+        enumerate_cocycles(sub, 2)
+        triples = list(enumerate_decomposition_data(bundle, g, 2))
+        assert any(t.hom.domain is sub for t in triples)
+        del g, semigroup, f, m, bundle, sub, triples
         assert gc.collect() == 0
     finally:
         gc.enable()
