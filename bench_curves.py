@@ -44,8 +44,11 @@ Topics:
   made untimed from the table).
 - `table`: pair(n), n = 2..16, 24, 32, 48 and 64.  Phases: `construct`
   (`FiniteGroupoid` from the tables of a groupoid document, compose as
-  [a, b, ab] triples) and `validate` (`validation_report` on a fresh
-  groupoid).  Then, for n = 16, 24, 32, 48 and 64, `cli_validate`: `python
+  [a, b, ab] triples), `validate` (`validation_report` on a fresh
+  groupoid), and three derived groupoids: `pair_groupoid` (building
+  `pair_groupoid(n)`), `quotient` (`quotient_by_isotropy` on a fresh
+  groupoid) and `restrict` (a fresh `disjoint_union` of pair(n) and
+  pair(1), restricted to its pair(n) block).  Then, for n = 16, 24, 32, 48 and 64, `cli_validate`: `python
   -m etale_kit.cli validate` on the document of pair(n), as a child process
   whose peak RSS is recorded as `child_peak_mb`.
 """
@@ -235,8 +238,9 @@ with open(sys.argv[1], "w") as fh:
 '''
 
 if family == "pair":
-    from etale_kit.families import pair_groupoid
-    from etale_kit.groupoid import FiniteGroupoid, validation_report
+    from etale_kit.families import disjoint_union, pair_groupoid
+    from etale_kit.groupoid import (FiniteGroupoid, quotient_by_isotropy, restrict,
+                                    validation_report)
     from etale_kit.io import groupoid_to_doc
 
     doc = groupoid_to_doc(pair_groupoid(size))
@@ -248,6 +252,10 @@ if family == "pair":
     PHASES = {
         "construct": (lambda g: None, lambda _: build()),
         "validate": (lambda g: g, validation_report),
+        "pair_groupoid": (lambda g: None, lambda _: pair_groupoid(size)),
+        "quotient": (lambda g: g, quotient_by_isotropy),
+        "restrict": (lambda g: disjoint_union([pair_groupoid(size), pair_groupoid(1)]),
+                     lambda union: restrict(union, union.units[:size])),
     }
     result = {"arrows": len(doc["src"]), "compose": len(doc["compose"])}
 else:

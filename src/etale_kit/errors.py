@@ -31,7 +31,8 @@ class StructuralError(ValueError):
 
 
 class ConfigError(ValueError):
-    """An environment setting holds a value the toolkit cannot use."""
+    """An environment setting or an explicit arrow cap holds a value the
+    toolkit cannot use."""
 
 
 class HomomorphismError(ValueError):
@@ -64,7 +65,10 @@ class CapExceeded(RuntimeError):
 
 def enum_cap(cap: int | None = None) -> int:
     if cap is not None:
-        return int(cap)
+        cap = int(cap)
+        if cap < 0:
+            raise ConfigError(f"the cap must be a non-negative integer, got {cap}")
+        return cap
     env = os.environ.get(CAP_ENV_VAR)
     if not env:
         return DEFAULT_ENUM_CAP

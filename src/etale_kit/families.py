@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import StructuralError
-from .groupoid import FiniteGroupoid, validation_report
+from .groupoid import FiniteGroupoid, _labelled, validation_report
 
 __all__ = [
     "pair_groupoid",
@@ -35,18 +35,10 @@ def pair_groupoid(n: int) -> FiniteGroupoid:
     """The pair groupoid on n points: one arrow (i, j) between any two points."""
     if n < 0:
         raise StructuralError("point count must be nonnegative")
-    pairs = [(i, i) for i in range(n)]
-    pairs += sorted((i, j) for i in range(n) for j in range(n) if i != j)
-    idx = {p: a for a, p in enumerate(pairs)}
-    src = [idx[(j, j)] for (i, j) in pairs]
-    rng = [idx[(i, i)] for (i, j) in pairs]
-    inv = [idx[(j, i)] for (i, j) in pairs]
-    compose = {}
-    for (i, j) in pairs:
-        for (jj, k) in pairs:
-            if j == jj:
-                compose[(idx[(i, j)], idx[(j, k)])] = idx[(i, k)]
-    return FiniteGroupoid(len(pairs), range(n), src, rng, compose, inv)
+    units = [(i, i) for i in range(n)]
+    pairs = units + sorted((i, j) for i in range(n) for j in range(n) if i != j)
+    return _labelled(pairs, units, lambda p: (p[1], p[1]), lambda p: (p[0], p[0]),
+                     lambda p: (p[1], p[0]), lambda p, q: (p[0], q[1]))[0]
 
 
 def cyclic_table(n: int) -> list[list[int]]:
@@ -54,11 +46,11 @@ def cyclic_table(n: int) -> list[list[int]]:
 
 
 def cyclic_groupoid(n: int) -> FiniteGroupoid:
-    """Z/n viewed as a groupoid with a single unit (the identity, arrow 0)."""
+    """Z/n viewed as a groupoid with a single unit (the identity, arrow 0):
+    the group bundle of one fiber."""
     if n < 1:
         raise StructuralError("cyclic order must be >= 1")
-    compose = {(a, b): (a + b) % n for a in range(n) for b in range(n)}
-    return FiniteGroupoid(n, [0], [0] * n, [0] * n, compose, [(-a) % n for a in range(n)])
+    return group_bundle([n])
 
 
 def group_bundle(orders: Sequence[int]) -> FiniteGroupoid:
@@ -67,18 +59,11 @@ def group_bundle(orders: Sequence[int]) -> FiniteGroupoid:
     orders = [int(m) for m in orders]
     if not all(m >= 1 for m in orders):
         raise StructuralError("every fiber order must be >= 1")
-    points = len(orders)
-    labels = [(p, 0) for p in range(points)]
-    labels += [(p, k) for p in range(points) for k in range(1, orders[p])]
-    idx = {lab: a for a, lab in enumerate(labels)}
-    src = [idx[(p, 0)] for (p, k) in labels]
-    rng = list(src)
-    inv = [idx[(p, (-k) % orders[p])] for (p, k) in labels]
-    compose = {}
-    for (p, k) in labels:
-        for l in range(orders[p]):
-            compose[(idx[(p, k)], idx[(p, l)])] = idx[(p, (k + l) % orders[p])]
-    return FiniteGroupoid(len(labels), range(points), src, rng, compose, inv)
+    units = [(p, 0) for p in range(len(orders))]
+    labels = units + [(p, k) for p, m in enumerate(orders) for k in range(1, m)]
+    return _labelled(labels, units, lambda e: (e[0], 0), lambda e: (e[0], 0),
+                     lambda e: (e[0], -e[1] % orders[e[0]]),
+                     lambda e, f: (e[0], (e[1] + f[1]) % orders[e[0]]))[0]
 
 
 def group_inverses(table: Sequence[Sequence[int]]) -> list[int]:
@@ -119,47 +104,43 @@ def transformation_groupoid(
 
     `table` is the group multiplication table with identity 0; `action[g][x]`
     is the image of point x.  Arrows are pairs (g, x) from x to g.x, with
-    (0, x) the unit at x."""
+    (0, x) the unit at x.  Refuses with `StructuralError` a table that is not
+    a group, an action entry outside the points, and an action that fails
+    the action laws, which are checked as the axioms of the built groupoid."""
     k = len(table)
     ginv = group_inverses(table)
     if len(action) != k or any(len(row) != n_points for row in action):
         raise StructuralError("action table must be |group| x |points|")
-    if any(action[0][x] != x for x in range(n_points)):
-        raise StructuralError("identity must act trivially")
-    for g in range(k):
-        for h in range(k):
-            for x in range(n_points):
-                if action[g][action[h][x]] != action[table[g][h]][x]:
-                    raise StructuralError(f"action not multiplicative at ({g},{h},{x})")
-
-    labels = [(0, x) for x in range(n_points)]
-    labels += [(g, x) for g in range(1, k) for x in range(n_points)]
-    idx = {lab: a for a, lab in enumerate(labels)}
-    src = [idx[(0, x)] for (g, x) in labels]
-    rng = [idx[(0, action[g][x])] for (g, x) in labels]
-    inv = [idx[(ginv[g], action[g][x])] for (g, x) in labels]
-    compose = {}
-    for (g, y) in labels:
-        for (h, x) in labels:
-            if action[h][x] == y:
-                compose[(idx[(g, y)], idx[(h, x)])] = idx[(table[g][h], x)]
-    return FiniteGroupoid(len(labels), range(n_points), src, rng, compose, inv)
+    for g, row in enumerate(action):
+        for x, y in enumerate(row):
+            if not 0 <= y < n_points:
+                raise StructuralError(
+                    f"action entry ({g},{x}) is {y}, outside 0..{n_points - 1}")
+    units = [(0, x) for x in range(n_points)]
+    labels = units + [(g, x) for g in range(1, k) for x in range(n_points)]
+    # the action laws are the groupoid axioms of these formulas: the identity
+    # fixing x is axiom 1 at (0, x), and multiplicativity at (g, h, x) is
+    # axiom 3 at the range of (g, h.x).(h, x)
+    groupoid = _labelled(labels, units, lambda e: (0, e[1]),
+                         lambda e: (0, action[e[0]][e[1]]),
+                         lambda e: (ginv[e[0]], action[e[0]][e[1]]),
+                         lambda e, f: (table[e[0]][f[0]], f[1]))[0]
+    report = validation_report(groupoid, stop_early=True)
+    if not report.ok:
+        raise StructuralError(f"not a group action: {report.violations[0].detail}")
+    return groupoid
 
 
 def disjoint_union(parts: Sequence[FiniteGroupoid]) -> FiniteGroupoid:
-    """Relabelled disjoint union; arrows keep their block order."""
-    units, src, rng, inv = [], [], [], []
-    compose = {}
-    offset = 0
-    for g in parts:
-        units.extend(u + offset for u in g.units)
-        src.extend(a + offset for a in g.src)
-        rng.extend(a + offset for a in g.rng)
-        inv.extend(a + offset for a in g.inv)
-        for (a, b), c in g.compose.items():
-            compose[(a + offset, b + offset)] = c + offset
-        offset += g.arrow_count
-    return FiniteGroupoid(offset, units, src, rng, compose, inv)
+    """Relabelled disjoint union; arrows keep their block order.  Assumes the
+    groupoid axioms of every part, whose products are read from its compose
+    table."""
+    labels = [(i, a) for i, g in enumerate(parts) for a in g.arrows()]
+    return _labelled(labels, [(i, u) for i, g in enumerate(parts) for u in g.units],
+                     lambda e: (e[0], parts[e[0]].src[e[1]]),
+                     lambda e: (e[0], parts[e[0]].rng[e[1]]),
+                     lambda e: (e[0], parts[e[0]].inv[e[1]]),
+                     lambda e, f: (e[0], parts[e[0]].compose[e[1], f[1]]))[0]
 
 
 def make_family(family: str, params) -> FiniteGroupoid:

@@ -157,6 +157,32 @@ class FiniteGroupoid:
                 f"units={len(self.units)}, compose={len(self.compose)})")
 
 
+def _labelled(labels: Iterable, units: Iterable, src, rng, inv,
+              product) -> tuple[FiniteGroupoid, dict]:
+    """The groupoid whose arrows are the distinct labels, numbered in order,
+    and the id of each label.
+
+    `src`, `rng` and `inv` take a label to a label, and `product(a, b)` gives
+    the label of a.b.  Compose is read off the range buckets: one `product`
+    call for each pair (a, b) with rng b = src a, so the table is exactly
+    the composable pairs.  Every groupoid the library derives from another
+    is made here, from its defining formulas, and every label they return
+    must be one of `labels`.  No axiom is checked: derived groupoids inherit
+    them from what they are derived from, and a caller whose input may fail
+    them validates the result."""
+    ids = {x: i for i, x in enumerate(dict.fromkeys(labels))}
+    arrows = list(ids)
+    src_ids = [ids[src(x)] for x in arrows]
+    rng_ids = [ids[rng(x)] for x in arrows]
+    by_rng: list[list[int]] = [[] for _ in arrows]
+    for b, y in enumerate(rng_ids):
+        by_rng[y].append(b)
+    compose = [(a, b, ids[product(x, arrows[b])])
+               for a, x in enumerate(arrows) for b in by_rng[src_ids[a]]]
+    return FiniteGroupoid(len(arrows), [ids[u] for u in units], src_ids, rng_ids,
+                          compose, [ids[inv(x)] for x in arrows]), ids
+
+
 # -- axiom validation ------------------------------------------------------
 
 
@@ -363,7 +389,9 @@ def restrict(g: FiniteGroupoid, subset: Iterable[int]) -> FiniteGroupoid:
     """Subgroupoid over an invariant unit set (all arrows with source inside);
     g itself when the set is every unit.  Built once per set and kept on g,
     so repeated calls return the same object; refuses a set that is not
-    invariant with `HypothesisError`."""
+    invariant with `HypothesisError`.  Assumes the groupoid axioms of g: the
+    kept arrows keep their tables, and a product of kept arrows is read
+    from g's compose table."""
     return _restriction(g, normalize_unit_set(g, subset))[1]
 
 
@@ -390,16 +418,8 @@ def _restriction(g: FiniteGroupoid,
                         f"unit set is not invariant: arrow {a} has src {g.src[a]} "
                         f"inside but rng {g.rng[a]} outside")
                 keep.append(a)
-        new_id = {a: i for i, a in enumerate(keep)}
-        cached = tuple(keep), FiniteGroupoid(
-            len(keep),
-            [new_id[x] for x in f],
-            [new_id[g.src[a]] for a in keep],
-            [new_id[g.rng[a]] for a in keep],
-            {(new_id[a], new_id[b]): new_id[c]
-             for (a, b), c in g.compose.items() if a in new_id and b in new_id},
-            [new_id[g.inv[a]] for a in keep],
-        )
+        cached = tuple(keep), _labelled(keep, f, g.src.__getitem__, g.rng.__getitem__,
+                                        g.inv.__getitem__, lambda a, b: g.compose[a, b])[0]
         g._cache[key] = cached
     return cached
 
@@ -585,18 +605,9 @@ def quotient_by_isotropy(g: FiniteGroupoid) -> tuple[FiniteGroupoid, GroupoidHom
     Assumes the groupoid axioms, under which a ~ b exactly when a and b have
     the same source and the same range: the classes are the (src, rng)
     buckets, numbered in order of their least arrow."""
-    buckets = g.by_src_rng().values()  # in order of first, so least, arrow
-    cls_of = [0] * g.arrow_count
-    for i, bucket in enumerate(buckets):
-        for a in bucket:
-            cls_of[a] = i
-    reps = [bucket[0] for bucket in buckets]
-    quotient = FiniteGroupoid(
-        len(reps),
-        {cls_of[x] for x in g.units},
-        [cls_of[g.src[r]] for r in reps],
-        [cls_of[g.rng[r]] for r in reps],
-        {(cls_of[a], cls_of[b]): cls_of[c] for (a, b), c in g.compose.items()},
-        [cls_of[g.inv[r]] for r in reps],
-    )
-    return quotient, _unchecked(GroupoidHom, domain=g, codomain=quotient, mapping=tuple(cls_of))
+    # the pair groupoid on the (src, rng) keys, in order of first, so least, arrow
+    quotient, cls = _labelled(g.by_src_rng(), ((x, x) for x in g.units),
+                              lambda k: (k[0], k[0]), lambda k: (k[1], k[1]),
+                              lambda k: (k[1], k[0]), lambda k, l: (l[0], k[1]))
+    mapping = tuple(cls[ends] for ends in zip(g.src, g.rng))
+    return quotient, _unchecked(GroupoidHom, domain=g, codomain=quotient, mapping=mapping)

@@ -15,7 +15,8 @@ from .errors import (
     StructuralError,
     check_enum_cap,
 )
-from .groupoid import FiniteGroupoid, GroupoidHom, _reader, _unchecked, validation_report
+from .groupoid import (FiniteGroupoid, GroupoidHom, _labelled, _reader, _unchecked,
+                       validation_report)
 
 __all__ = [
     "Bisection",
@@ -333,34 +334,29 @@ def germ_groupoid(action: SemigroupAction) -> GermGroupoid:
             least.setdefault((sg.mul(s, min_idem[x]), x), s)
 
     keys = sorted(least, key=lambda key: (least[key], key[1]))
-    reps = [(least[key], key[1]) for key in keys]
-    arrow_of = {key: i for i, key in enumerate(keys)}
 
-    def germ(s: int, x: int) -> int:
-        return arrow_of[(sg.mul(s, min_idem[x]), x)]
+    def germ(s: int, x: int) -> tuple[int, int]:
+        return sg.mul(s, min_idem[x]), x
 
-    n = len(reps)
-    unit_arrow = {x: germ(min_idem[x], x) for x in range(action.n_points)}
-    units = sorted(unit_arrow.values())
-    src = [0] * n
-    rng = [0] * n
-    inv = [0] * n
-    for i, (s, x) in enumerate(reps):
-        src[i] = unit_arrow[x]
-        rng[i] = unit_arrow[action.maps[s][x]]
-        inv[i] = germ(sg.star[s], action.maps[s][x])
-    compose = {}
-    for i, (s, y) in enumerate(reps):
-        for j, (t, x) in enumerate(reps):
-            if action.maps[t][x] == y:
-                compose[(i, j)] = germ(sg.mul(s, t), x)
-    g = FiniteGroupoid(n, units, src, rng, compose, inv)
+    def unit(x: int) -> tuple[int, int]:
+        return germ(min_idem[x], x)
+
+    def moved(key: tuple[int, int]) -> int:
+        """The point the representative of a germ moves its point to."""
+        return action.maps[least[key]][key[1]]
+
+    g, arrow_of = _labelled(
+        keys, map(unit, range(action.n_points)),
+        lambda key: unit(key[1]), lambda key: unit(moved(key)),
+        lambda key: germ(sg.star[least[key]], moved(key)),
+        lambda key, other: germ(sg.mul(least[key], least[other]), other[1]))
     report = validation_report(g, stop_early=True)
     if not report.ok:
         raise InternalInconsistencyError(
             f"germ construction produced an invalid groupoid: "
             f"{report.violations[0].detail}")
-    return GermGroupoid(g, action, tuple(reps), tuple(min_idem), arrow_of)
+    return GermGroupoid(g, action, tuple((least[key], key[1]) for key in keys),
+                        tuple(min_idem), arrow_of)
 
 
 def canonical_germ_iso(g: FiniteGroupoid, cap: int | None = None) -> GroupoidHom:

@@ -16,7 +16,7 @@ from etale_kit.cstar import AlgebraElement
 from etale_kit.decomposition import HomMatrix, quotient_hom, validate_hom
 from etale_kit.errors import CAP_ENV_VAR, ConfigError, enum_cap
 from etale_kit.families import cyclic_groupoid, group_bundle, pair_groupoid
-from etale_kit.groupoid import invariant_subsets
+from etale_kit.groupoid import enumerate_automorphisms, invariant_subsets
 
 
 @pytest.fixture
@@ -234,6 +234,20 @@ def test_enum_cap_reads_environment(monkeypatch, value, expected):
             enum_cap()
     else:
         assert enum_cap() == expected
+
+
+@pytest.mark.parametrize("command", ["aut", "bisections", "analyze"])
+def test_negative_cap_exits_one(docs, run_cli, command):
+    out = run_cli(command, docs["r2"], "--cap", "-1")
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert "the cap must be a non-negative integer, got -1" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_negative_cap_is_refused_in_process():
+    with pytest.raises(ConfigError, match="got -1"):
+        enumerate_automorphisms(pair_groupoid(2), cap=-1)
 
 
 def test_selftest_json_is_deterministic(run_cli):

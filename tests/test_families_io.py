@@ -68,6 +68,16 @@ def test_transformation_rejects_non_actions():
         transformation_groupoid([[0, 1], [1, 1]], 1, [[0], [0]])
 
 
+@pytest.mark.parametrize("action, entry", [
+    ([[0, 1], [7, 0]], r"\(1,0\) is 7"),
+    ([[0, 1], [1, -1]], r"\(1,1\) is -1"),
+    ([[-2, 1], [1, 0]], r"\(0,0\) is -2"),
+])
+def test_transformation_refuses_action_entries_outside_the_points(action, entry):
+    with pytest.raises(StructuralError, match=entry + r", outside 0\.\.1"):
+        transformation_groupoid(cyclic_table(2), 2, action)
+
+
 @pytest.mark.parametrize("table, message", [
     ([[0, 1], [1]], "must be square"),
     ([[1, 0], [0, 1]], "identity 0"),
