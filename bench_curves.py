@@ -7,7 +7,8 @@ Each PATH is the root of a checkout (its `src/` is imported).  For every
 point of the topic's curve, every tree runs in its own child interpreter,
 with BLAS on one thread, and reports, per phase, the median wall time over
 fresh inputs and the tracemalloc peak of one more run; a phase that raises
-records the exception's name instead.  The trees alternate in order from one
+records the exception's name and message and the wall time of one run
+instead.  The trees alternate in order from one
 point to the next, so that drift on a shared machine falls on both alike.
 
 Topics:
@@ -25,10 +26,12 @@ Topics:
   (both, from a fresh groupoid) and `classify_faut` (root-of-unity order 2
   on pair(n), 3 on the bundles).
 - `enum`: `automorphisms` of group_bundle([1]*k) and `cocycles` of pair(k)
-  into Z/3 (arrow cap 2000), k = 1..9, where the search budget refuses.
+  into Z/3 (arrow cap 2000), k = 1..9, where the search's budget refuses.
   On both families, `decomposition_data`: every triple, at root-of-unity
   order 4, from a fresh source into each effective member of
-  `standard_corpus()`, counted as `triples`.
+  `standard_corpus()`, counted as `triples`.  Then three refusal points:
+  `automorphisms` of pair(n), n = 17, 25 and 35, at arrow cap 2000, each
+  refused by the search's budget.
 - `hom`: twisted pair(n), n = 2..16: a shuffled point bijection of pair(n)
   with the coboundary of random 12th-root point phases as its twist; and
   pair(12)+pair(4) onto pair(12), whose invariant set is the pair(12)
@@ -119,12 +122,14 @@ def build():
 def decomposition_data(g):
     return sum(1 for h in targets for _ in enumerate_decomposition_data(g, h, 4))
 
-if family == "group_bundle":
-    PHASES = {"automorphisms": (lambda g: g, lambda g: enumerate_automorphisms(g, 2000))}
-else:
+if family == "pair":
     PHASES = {"cocycles": (lambda g: g, lambda g: enumerate_cocycles(g, 3, 2000))}
-PHASES["decomposition_data"] = (lambda g: g, decomposition_data)
-result = {"arrows": build().arrow_count, "triples": decomposition_data(build())}
+else:
+    PHASES = {"automorphisms": (lambda g: g, lambda g: enumerate_automorphisms(g, 2000))}
+result = {"arrows": build().arrow_count}
+if family != "refusal":  # a refusal point times the automorphism search alone
+    PHASES["decomposition_data"] = (lambda g: g, decomposition_data)
+    result["triples"] = decomposition_data(build())
 """
 
 BISECTIONS = r"""
@@ -290,20 +295,23 @@ family, size = sys.argv[2], int(sys.argv[3])
 runs, slow_runs, slow_s = int(sys.argv[4]), int(sys.argv[5]), float(sys.argv[6])
 exec(sys.argv[7])
 
-def once(prepare, run):
+def once(prepare, run):  # the seconds of one timed run, and what it raised or None
     held = prepare(build())  # kept alive through the timed phase
     start = time.perf_counter()
-    run(held)
-    return time.perf_counter() - start
+    try:
+        run(held)
+    except Exception as exc:
+        return time.perf_counter() - start, exc
+    return time.perf_counter() - start, None
 
 for name, (prepare, run) in PHASES.items():
-    try:
-        times = [once(prepare, run)]
-    except Exception as exc:
-        result[name] = {"raised": type(exc).__name__}
+    first, raised = once(prepare, run)
+    if raised is not None:
+        result[name] = {"raised": type(raised).__name__, "message": str(raised),
+                        "wall_ms": round(first * 1000, 3), "runs": 1}
         continue
-    times += [once(prepare, run)
-              for _ in range((slow_runs if times[0] > slow_s else runs) - 1)]
+    times = [first] + [once(prepare, run)[0]
+                       for _ in range((slow_runs if first > slow_s else runs) - 1)]
     held = prepare(build())
     tracemalloc.start()
     run(held)
@@ -322,9 +330,11 @@ TOPICS = {
     "algebra": (ALGEBRA, [("pair", n) for n in range(2, 17)], (21, 5, 0.5),
                 lambda family, size: f"pair({size})"),
     "enum": (ENUM, [("group_bundle", k) for k in range(1, 10)]
-             + [("pair", k) for k in range(1, 10)], (5, 3, 0.5),
-             lambda family, size: f"group_bundle([1]*{size})"
-             if family == "group_bundle" else f"pair({size}) into Z/3"),
+             + [("pair", k) for k in range(1, 10)]
+             + [("refusal", n) for n in (17, 25, 35)], (5, 3, 0.5),
+             lambda family, size: {"group_bundle": f"group_bundle([1]*{size})",
+                                   "pair": f"pair({size}) into Z/3",
+                                   "refusal": f"pair({size}) at arrow cap 2000"}[family]),
     "bisections": (BISECTIONS,
                    [("pair", n) for n in range(1, 5)]
                    + [("group_bundle", p) for p in range(1, 6)],

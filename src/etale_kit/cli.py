@@ -1,8 +1,8 @@
 """Command-line surface: validation, analysis, norms, decomposition, selftest.
 
 Exit codes: 0 success, 1 parse/IO error or a malformed ETALE_KIT_CAP,
-2 hypothesis or validation failure, or a refusal past a cap or work budget,
-3 internal inconsistency (corrupted input or failed selftest).
+2 hypothesis or validation failure, or a refusal past the arrow cap or a
+work budget, 3 internal inconsistency (corrupted input or failed selftest).
 
 The numpy-backed layers (cstar, decomposition, aut_group, selftest) are
 imported inside the commands that call them, so validate, analyze,
@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phases", type=int, default=2, metavar="N",
                    help="root-of-unity order of the cocycles; Z/N has N arrows, "
                         "so N counts against the cap (--phases N needs --cap "
-                        ">= N), and the search budget applies")
+                        ">= N), and the search's check budget applies")
     p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=_cmd_aut)
 

@@ -2,7 +2,7 @@
 
 A cocycle valued in the n-th roots of unity is a groupoid homomorphism into
 Z/n, so `enumerate_cocycles` is the homomorphism search with codomain
-`cyclic_groupoid(n)`, bounded by the same enumeration cap and search budget.
+`cyclic_groupoid(n)`, built once per order, under the same cap and budget.
 The public `Cocycle` constructor checks the law on integer exponents over
 one common order when every value is exact; only a cocycle holding an
 approximate value compares phases, within TOL.
@@ -11,6 +11,7 @@ approximate value compares phases, within TOL.
 from __future__ import annotations
 
 import cmath
+from functools import lru_cache
 from math import gcd, lcm, pi
 
 from .errors import (
@@ -22,6 +23,7 @@ from .errors import (
 )
 from .families import cyclic_groupoid
 from .groupoid import FiniteGroupoid, GroupoidHom, _unchecked, enumerate_homomorphisms
+_cyclic_target = lru_cache(maxsize=32)(cyclic_groupoid)  # one Z/n per order; no searched groupoid
 
 __all__ = [
     "Phase",
@@ -210,7 +212,7 @@ def enumerate_cocycles(g: FiniteGroupoid, n: int, cap: int | None = None) -> lis
     the enumeration cap, and orders n above the cap, since Z/n has n arrows.
     The search runs once per order: its exponent vectors are kept in g's
     cache, after the cap checks, and every call builds a fresh list of fresh
-    cocycles from them.
+    cocycles from them; every search into Z/n shares one target.
     """
     if n < 1:
         raise StructuralError(f"root-of-unity order must be >= 1, got {n}")
@@ -220,7 +222,7 @@ def enumerate_cocycles(g: FiniteGroupoid, n: int, cap: int | None = None) -> lis
     exponents = g._cache.get(key)
     if exponents is None:
         exponents = tuple(hom.mapping
-                          for hom in enumerate_homomorphisms(g, cyclic_groupoid(n)))
+                          for hom in enumerate_homomorphisms(g, _cyclic_target(n)))
         g._cache[key] = exponents
     phases = [Phase.exact(k, n) for k in range(n)]
     return [_unchecked(Cocycle, groupoid=g, values=tuple(phases[k] for k in m))

@@ -21,11 +21,11 @@ from .errors import (
     SEARCH_BUDGET,
     SUPPORT_TOL,
     TOL,
-    CapExceeded,
     CocycleError,
     HypothesisError,
     InternalInconsistencyError,
     StructuralError,
+    _charge,
 )
 from .groupoid import (
     FiniteGroupoid,
@@ -133,8 +133,8 @@ def _multiplicativity(g: FiniteGroupoid, h: FiniteGroupoid, m: np.ndarray):
     m[y, b] both nonzero; every other cell is an exact zero, and so is every
     product term left out.  Each cell adds its terms in target compose order
     from zero, as a dense sum over all of them would, so the floats are the
-    same.  Refuses with `CapExceeded` when the products to form pass
-    `PRODUCT_BUDGET`, before forming any."""
+    same.  Counts the products to form from the row sizes, and refuses with
+    `CapExceeded` when they pass `PRODUCT_BUDGET`, before forming any."""
     n, k = g.arrow_count, h.arrow_count
     g_left, g_right, g_out = _conv_arrays(g)
     h_left, h_right, h_out = _conv_arrays(h)
@@ -156,11 +156,8 @@ def _multiplicativity(g: FiniteGroupoid, h: FiniteGroupoid, m: np.ndarray):
     # products per target row x as left factor, then per source column a, as
     # float sums: exact up to 2**53, far past the budget
     per_x = np.bincount(h_left, weights=row_nnz[h_right], minlength=k)
-    products = int(per_x @ row_nnz)
-    if products > PRODUCT_BUDGET:
-        raise CapExceeded(
-            f"the multiplicativity check of a {k}x{n} matrix needs {products} "
-            f"products, over the budget of {PRODUCT_BUDGET}")
+    _charge(0, int(per_x @ row_nnz), PRODUCT_BUDGET,
+            f"the multiplicativity check of a {k}x{n} matrix", "products")
     cells = (np.bincount(col_a, weights=per_x[col_x], minlength=n)
              + np.bincount(g_left, weights=col_nnz[g_out], minlength=n))
     reach = cells.cumsum()
@@ -437,7 +434,7 @@ def enumerate_decomposition_data(
 ) -> Iterator[DecompositionData]:
     """Every (invariant set, unit-injective arrow map, root-of-unity twist)
     triple between the two groupoids, in deterministic order; refuses with
-    `CapExceeded` before the count of triples would pass SEARCH_BUDGET."""
+    `CapExceeded` before the triples yielded would pass SEARCH_BUDGET."""
     count = 0
     for f in invariant_subsets(g):
         restriction = restrict(g, f)
@@ -445,11 +442,8 @@ def enumerate_decomposition_data(
         if not homs:
             continue
         cocycles = enumerate_cocycles(restriction, phase_order)
-        count += len(homs) * len(cocycles)
-        if count > SEARCH_BUDGET:
-            raise CapExceeded(
-                f"decomposition data: {count} triples exceed the search "
-                f"budget of {SEARCH_BUDGET}")
+        count = _charge(count, len(homs) * len(cocycles), SEARCH_BUDGET,
+                        "decomposition data", "triples")
         for hom in homs:
             for c in cocycles:
                 yield DecompositionData(f, hom, c)

@@ -5,17 +5,17 @@ from __future__ import annotations
 import os
 
 # Exponential enumerations (bisections, automorphisms, cocycles, germ
-# machinery) refuse above this many arrows.
+# machinery) refuse above this many arrows: a limit on input size, not work.
 DEFAULT_ENUM_CAP = 16
-# Explicit inverse-semigroup tables are quadratic in the element count.
+# Work budgets, each charged through `_charge` by the module that reads it:
+# the bisections of `enumerate_bisections`, whose table is quadratic in them;
 SEMIGROUP_ELEMENT_CAP = 1024
-# The homomorphism search (automorphisms, decomposition data, cocycles)
-# refuses once it has tried this many candidate images in one call, and
-# `enumerate_decomposition_data` before it would yield more triples.
+# the homomorphism search's compose checks, its candidates times its checks
+# per level entered; the unit sets of `invariant_subsets`, and the triples
+# of `enumerate_decomposition_data`; the products of two nonzero entries in
+# `validate_hom`'s multiplicativity check, counted before any is formed.
+CHECK_BUDGET = 2_000_000
 SEARCH_BUDGET = 1_000_000
-# The multiplicativity check of `validate_hom` refuses above this many
-# products of two nonzero entries, counted before any is formed as the sum of
-# nnz(row x) * nnz(row y) over the target compose entries (x, y).
 PRODUCT_BUDGET = 50_000_000
 CAP_ENV_VAR = "ETALE_KIT_CAP"
 
@@ -76,6 +76,14 @@ def enum_cap(cap: int | None = None) -> int:
         raise ConfigError(
             f"{CAP_ENV_VAR} must be a non-negative integer, got {env!r}")
     return int(env)
+
+
+def _charge(spent: int, amount: int, budget: int, what: str, unit: str) -> int:
+    """`spent + amount`, the work formed or about to be; `CapExceeded` past `budget`."""
+    spent += amount
+    if spent > budget:
+        raise CapExceeded(f"{what} needs {spent} {unit}, over the budget of {budget}")
+    return spent
 
 
 def check_enum_cap(n: int, cap: int | None = None, what: str = "enumeration") -> None:

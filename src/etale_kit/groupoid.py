@@ -8,11 +8,12 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
+    CHECK_BUDGET,
     SEARCH_BUDGET,
-    CapExceeded,
     HomomorphismError,
     HypothesisError,
     StructuralError,
+    _charge,
     check_enum_cap,
 )
 
@@ -360,11 +361,9 @@ def orbits(g: FiniteGroupoid) -> tuple[tuple[int, ...], ...]:
 
 def invariant_subsets(g: FiniteGroupoid) -> list[tuple[int, ...]]:
     """All invariant unit sets, i.e. unions of orbits, sorted lexicographically;
-    refuses with `CapExceeded`, building none, if its 2^orbits pass SEARCH_BUDGET."""
+    refuses with `CapExceeded`, building none, past SEARCH_BUDGET unit sets."""
     orbs = orbits(g)
-    if 1 << len(orbs) > SEARCH_BUDGET:
-        raise CapExceeded(f"invariant subsets: 2^{len(orbs)} unions of orbits "
-                          f"exceed the search budget of {SEARCH_BUDGET}")
+    _charge(0, 1 << len(orbs), SEARCH_BUDGET, f"listing {len(orbs)} orbits' unions", "unit sets")
     return sorted(tuple(sorted(x for i, orb in enumerate(orbs) if mask >> i & 1
                                for x in orb))
                   for mask in range(1 << len(orbs)))
@@ -521,9 +520,10 @@ def enumerate_homomorphisms(
     candidates down to the arrows between the already-chosen unit images.
     The search is one loop over levels, one per domain arrow, each holding an
     iterator over its untried candidates, so Python's recursion limit does not
-    bound its depth.  Refuses with `CapExceeded` once the search has tried
-    more than SEARCH_BUDGET candidate images.  Assumes the groupoid axioms on
-    both sides, under which the search's checks imply every homomorphism law.
+    bound its depth.  Entering a level charges its candidates times its
+    compose checks, refusing with `CapExceeded` past CHECK_BUDGET; each level
+    has a check, (x, x, x) or (a, src a, a), so this bounds candidates too.
+    Assumes the groupoid axioms on both sides, under which the checks suffice.
     """
     if bijective and domain.arrow_count != codomain.arrow_count:
         return []
@@ -547,20 +547,17 @@ def enumerate_homomorphisms(
     image = [-1] * n
     uses = [0] * codomain.arrow_count
     found: list[tuple[int, ...]] = []
-    tried = 0
+    checked = 0
     pending: list[Iterator[int]] = []  # the untried candidates of each assigned level
     while True:
         if len(pending) == n:
             found.append(tuple(image))
         else:
-            _, unit, _, s, r, _ = levels[len(pending)]
+            _, unit, _, s, r, checks = levels[len(pending)]
             candidates = (codomain.units if unit
                           else cod_by_src_rng.get((image[s], image[r]), ()))
-            tried += len(candidates)
-            if tried > SEARCH_BUDGET:
-                raise CapExceeded(
-                    f"homomorphism search tried more than the search budget of "
-                    f"{SEARCH_BUDGET} candidate images")
+            checked = _charge(checked, len(candidates) * len(checks), CHECK_BUDGET,
+                              "homomorphism search", "compose checks")
             pending.append(iter(candidates))
         # move the deepest level to its next consistent candidate, or drop it
         while pending:

@@ -9,10 +9,10 @@ from typing import Sequence
 
 from .errors import (
     ActionError,
-    CapExceeded,
     InternalInconsistencyError,
     SEMIGROUP_ELEMENT_CAP,
     StructuralError,
+    _charge,
     check_enum_cap,
 )
 from .groupoid import (FiniteGroupoid, GroupoidHom, _labelled, _reader, _unchecked,
@@ -161,10 +161,11 @@ def enumerate_bisections(g: FiniteGroupoid, cap: int | None = None) -> InverseSe
 
     Each element takes at most one arrow leaving each unit, with distinct
     ranges, so it is a bisection by construction and is made without
-    `Bisection`'s check.  The
-    groupoid's cache holds the semigroup weakly: it is reused while a caller
-    still holds it, and a dropped groupoid is freed without the cycle
-    collector.  Assumes the groupoid axioms."""
+    `Bisection`'s check.  Refuses with `CapExceeded` once the bisections over
+    the units so far pass SEMIGROUP_ELEMENT_CAP.  The groupoid's cache holds
+    the semigroup weakly: it is reused while a caller still holds it, and a
+    dropped groupoid is freed without the cycle collector.  Assumes the
+    groupoid axioms."""
     check_enum_cap(g.arrow_count, cap, "bisection enumeration")
     ref = g._cache.get("bisections")
     cached = ref() if ref is not None else None
@@ -176,9 +177,7 @@ def enumerate_bisections(g: FiniteGroupoid, cap: int | None = None) -> InverseSe
         partial += [(arrows + (a,), used | {g.rng[a]})
                     for arrows, used in partial
                     for a in by_src[x] if g.rng[a] not in used]
-        if len(partial) > SEMIGROUP_ELEMENT_CAP:
-            raise CapExceeded(
-                f"bisection count exceeds the table bound {SEMIGROUP_ELEMENT_CAP}")
+        _charge(0, len(partial), SEMIGROUP_ELEMENT_CAP, "bisection enumeration", "bisections")
     found = sorted(tuple(sorted(arrows)) for arrows, _ in partial)
     k = len(found)
     weight = [0] * g.arrow_count

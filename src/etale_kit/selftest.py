@@ -44,7 +44,7 @@ from .decomposition import (
     rigidity_check,
     validate_hom,
 )
-from .errors import CapExceeded, HypothesisError
+from .errors import CapExceeded, HypothesisError, StructuralError
 from .families import cyclic_groupoid, disjoint_union, group_bundle, pair_groupoid, standard_corpus
 from .groupoid import (
     enumerate_automorphisms,
@@ -211,7 +211,7 @@ def run_selftest(seed: int = 0, cap: int = 16) -> list[dict]:
             try:
                 Bisection(g, tuple(support))
                 is_bis = True
-            except Exception:
+            except StructuralError:
                 is_bis = False
             if is_normalizer(f) != is_bis:
                 witness = [name, support]

@@ -305,9 +305,20 @@ def test_search_budget_refusal_exits_two(discrete16, command, run_cli):
     out = run_cli(command, discrete16)
     assert out.returncode == 2
     assert out.stdout == ""
-    assert out.stderr.startswith("refused: ")
-    assert "search budget" in out.stderr
-    assert len(out.stderr.splitlines()) == 1
+    assert out.stderr == ("refused: homomorphism search needs 2000016 compose checks, "
+                          "over the budget of 2000000\n")
+
+
+def test_raised_cap_refusal_ends_at_the_check_budget(tmp_path, run_cli):
+    # pair(35) passes an arrow cap of 2000 with its 1,225 arrows; its 35!
+    # automorphisms are refused once the search's compose checks pass the budget
+    path = tmp_path / "pair35.json"
+    path.write_text(kio.canonical_json(kio.groupoid_to_doc(pair_groupoid(35))))
+    out = run_cli("analyze", str(path), "--cap", "2000")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == ("refused: homomorphism search needs 2000048 compose checks, "
+                          "over the budget of 2000000\n")
 
 
 def test_dense_check_refusal_exits_two(twisted_pair16, tmp_path, run_cli):

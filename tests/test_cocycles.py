@@ -238,9 +238,28 @@ def test_the_root_of_unity_order_counts_against_the_cap():
     assert len(enumerate_cocycles(pair_groupoid(1), 17, cap=17)) == 1
 
 
+def test_cocycle_searches_share_one_target_per_order(monkeypatch):
+    targets = []
+    search = cocycles.enumerate_homomorphisms
+
+    def recorded(g, target):
+        targets.append(target)
+        return search(g, target)
+
+    cocycles._cyclic_target.cache_clear()
+    monkeypatch.setattr(cocycles, "enumerate_homomorphisms", recorded)
+    assert len(enumerate_cocycles(pair_groupoid(2), 5)) == 5
+    assert len(enumerate_cocycles(group_bundle([2]), 5)) == 1
+    assert len(enumerate_cocycles(pair_groupoid(2), 3)) == 3
+    assert [h.arrow_count for h in targets] == [5, 5, 3]
+    assert targets[0] is targets[1]
+    assert cocycles._cyclic_target.cache_info().misses == 2  # one build per order
+
+
 def test_cocycle_enumeration_enforces_the_search_budget():
     # 16 arrows and order 16 pass the cap; the 16^4 cocycles blow the budget
-    with pytest.raises(CapExceeded, match="search budget"):
+    with pytest.raises(CapExceeded, match="homomorphism search needs 2000040 compose "
+                       "checks, over the budget of 2000000"):
         enumerate_cocycles(disjoint_union([pair_groupoid(2)] * 4), 16)
 
 

@@ -150,7 +150,8 @@ def test_cap_refusal():
 
 def test_element_bound_refusal():
     # 11 units with trivial isotropy: every unit subset is a bisection, 2**11 in all
-    with pytest.raises(CapExceeded, match="table bound 1024"):
+    with pytest.raises(CapExceeded, match="bisection enumeration needs 2048 bisections, "
+                       "over the budget of 1024"):
         enumerate_bisections(group_bundle([1] * 11))
 
 
@@ -391,3 +392,15 @@ def test_selftest_builds_each_semigroup_once(monkeypatch):
     monkeypatch.setattr(InverseSemigroup, "__init__", counting)
     assert all(check["pass"] for check in run_selftest(7, 16))
     assert max(Counter(map(id, built)).values()) == 1
+
+
+def test_selftest_propagates_a_fault_in_bisection(monkeypatch):
+    # only a StructuralError means "not a bisection"; any other error is a bug
+    from etale_kit import selftest
+
+    def broken(g, arrows):
+        raise TypeError("broken Bisection")
+
+    monkeypatch.setattr(selftest, "Bisection", broken)
+    with pytest.raises(TypeError, match="broken Bisection"):
+        selftest.run_selftest(7, 9)
