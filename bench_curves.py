@@ -13,7 +13,7 @@ point to the next, so that drift on a shared machine falls on both alike.
 
 Topics:
 
-- `algebra`: pair(n), n = 2..16.  Phases: `regular_reps` (`left_regular`
+- `algebra`: pair(n), n = 2..16.  Phases: `regular_reps` (`LeftRegularRep`
   at every unit of a fresh groupoid, so the index is built), and, on a
   groupoid whose caches are already built, `reduced_norm` (a dense random
   element) and `is_normalizer` (a normalizer supported on the shift
@@ -68,7 +68,7 @@ from pathlib import Path
 
 ALGEBRA = r"""
 import numpy as np
-from etale_kit.cstar import (AlgebraElement, is_normalizer, left_regular,
+from etale_kit.cstar import (AlgebraElement, LeftRegularRep, is_normalizer,
                              reduced_norm, slice_of_bisection, slice_product)
 from etale_kit.families import pair_groupoid
 from etale_kit.inverse_semigroup import enumerate_bisections
@@ -97,7 +97,7 @@ def bisection_slices(g):
     return [slice_of_bisection(b) for b in enumerate_bisections(g, 16).elements]
 
 PHASES = {
-    "regular_reps": (lambda g: g, lambda g: [left_regular(g, x) for x in g.units]),
+    "regular_reps": (lambda g: g, lambda g: [LeftRegularRep(g, x) for x in g.units]),
     "reduced_norm": (dense, reduced_norm),
     "is_normalizer": (shift, is_normalizer),
 }

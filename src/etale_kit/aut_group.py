@@ -46,7 +46,6 @@ __all__ = [
     "FiniteGroupAction",
     "AbelianizationCertificate",
     "factors_through_abelianization",
-    "commutator_closure",
 ]
 
 @dataclass(frozen=True)
@@ -137,7 +136,7 @@ def classify_faut(g: FiniteGroupoid, phase_order: int,
 # -- group actions on the algebra ---------------------------------------------
 
 
-def commutator_closure(table: Sequence[Sequence[int]]) -> set[int]:
+def _commutator_closure(table: Sequence[Sequence[int]]) -> set[int]:
     """The commutator subgroup: closure of all commutators under products."""
     inv = group_inverses(table)
     k = len(table)
@@ -157,49 +156,42 @@ def commutator_closure(table: Sequence[Sequence[int]]) -> set[int]:
 
 class FiniteGroupAction:
     """A finite group acting on a groupoid algebra through validated
-    automorphism matrices; the assignment must be multiplicative."""
+    automorphism matrices; the assignment must be multiplicative.  Messages
+    and witnesses name a group element by its row in the table."""
 
     def __init__(self, table: Sequence[Sequence[int]],
-                 matrices: Sequence[HomMatrix],
-                 labels: Sequence[str] | None = None):
+                 matrices: Sequence[HomMatrix]):
         self.table = tuple(tuple(int(x) for x in row) for row in table)
         self.inverses = group_inverses(self.table)
         k = len(self.table)
         self.matrices = tuple(matrices)
         if len(self.matrices) != k:
             raise StructuralError("one matrix per group element required")
-        self.labels = tuple(labels) if labels is not None else tuple(
-            str(i) for i in range(k))
-        if len(self.labels) != k:
-            raise StructuralError("label count mismatch")
         g = self.matrices[0].source
         for i, m in enumerate(self.matrices):
             if m.source != g or m.target != g:
-                raise StructuralError(
-                    f"matrix of element {self.labels[i]} is not a self-map")
+                raise StructuralError(f"matrix of element {i} is not a self-map")
             report = validate_hom(m)
             if not report.ok:
                 raise StructuralError(
-                    f"matrix of element {self.labels[i]} fails validation: "
+                    f"matrix of element {i} fails validation: "
                     f"{', '.join(report.failed_checks())}")
             if numerical_rank(m.entries) != g.arrow_count:
-                raise StructuralError(
-                    f"matrix of element {self.labels[i]} is not invertible")
+                raise StructuralError(f"matrix of element {i} is not invertible")
         for s in range(k):
             for t in range(k):
                 prod = self.matrices[s].entries @ self.matrices[t].entries
                 target = self.matrices[self.table[s][t]].entries
                 if prod.size and np.max(np.abs(prod - target)) > TOL:
                     raise StructuralError(
-                        f"assignment is not multiplicative at "
-                        f"({self.labels[s]},{self.labels[t]})")
+                        f"assignment is not multiplicative at ({s},{t})")
         self.groupoid = g
 
 
 @dataclass
 class AbelianizationCertificate:
     ok: bool
-    witness: tuple[str, str] | None
+    witness: tuple[int, int] | None
     quotient_table: tuple[tuple[int, ...], ...]
     projection: tuple[int, ...]
     coset_matrices: tuple[HomMatrix, ...]
@@ -218,8 +210,7 @@ def factors_through_abelianization(action: FiniteGroupAction) -> AbelianizationC
         x = _diagonal_failure(m.entries, g.units)
         if x is not None:
             raise HypothesisError(
-                f"element {action.labels[i]} does not fix the diagonal "
-                f"(column of unit {x})")
+                f"element {i} does not fix the diagonal (column of unit {x})")
     k = len(action.table)
     identity = np.eye(g.arrow_count, dtype=complex)
     for s in range(k):
@@ -228,10 +219,9 @@ def factors_through_abelianization(action: FiniteGroupAction) -> AbelianizationC
                 action.table[action.inverses[s]][action.inverses[t]]]
             m = action.matrices[c].entries
             if m.size and np.max(np.abs(m - identity)) > TOL:
-                return AbelianizationCertificate(
-                    False, (action.labels[s], action.labels[t]), (), (), ())
+                return AbelianizationCertificate(False, (s, t), (), (), ())
 
-    kernel = commutator_closure(action.table)
+    kernel = _commutator_closure(action.table)
     cosets: list[set[int]] = []
     seen: set[int] = set()
     for a in range(k):

@@ -27,12 +27,10 @@ _cyclic_target = lru_cache(maxsize=32)(cyclic_groupoid)  # one Z/n per order; no
 
 __all__ = [
     "Phase",
-    "PHASE_ONE",
     "Cocycle",
     "trivial_cocycle",
     "cocycle_product",
     "cocycle_conj",
-    "act_on_cocycle",
     "precompose_cocycle",
     "enumerate_cocycles",
 ]
@@ -124,7 +122,7 @@ class Phase:
         return f"Phase({self.approx!r})"
 
 
-PHASE_ONE = Phase.exact(0, 1)
+_PHASE_ONE = Phase.exact(0, 1)
 
 
 class Cocycle:
@@ -148,7 +146,7 @@ class Cocycle:
             bad_pairs = ((a, b, c) for (a, b), c in compose
                          if (k[a] + k[b] - k[c]) % order)
         else:
-            bad_units = (x for x in units if values[x] != PHASE_ONE)
+            bad_units = (x for x in units if values[x] != _PHASE_ONE)
             bad_pairs = ((a, b, c) for (a, b), c in compose
                          if values[c] != values[a].times(values[b]))
         for x in bad_units:
@@ -172,7 +170,7 @@ class Cocycle:
 
 
 def trivial_cocycle(g: FiniteGroupoid) -> Cocycle:
-    return _unchecked(Cocycle, groupoid=g, values=(PHASE_ONE,) * g.arrow_count)
+    return _unchecked(Cocycle, groupoid=g, values=(_PHASE_ONE,) * g.arrow_count)
 
 
 def cocycle_product(c1: Cocycle, c2: Cocycle) -> Cocycle:
@@ -193,11 +191,6 @@ def precompose_cocycle(c: Cocycle, hom: GroupoidHom) -> Cocycle:
         raise StructuralError("homomorphism codomain does not carry the cocycle")
     return _unchecked(Cocycle, groupoid=hom.domain,
                       values=tuple(c.values[b] for b in hom.mapping))
-
-
-def act_on_cocycle(aut: GroupoidHom, c: Cocycle) -> Cocycle:
-    """The automorphism action: (aut . c)(a) = c(aut^-1(a))."""
-    return precompose_cocycle(c, aut.inverse())
 
 
 # -- enumeration of root-of-unity valued cocycles ----------------------------

@@ -18,11 +18,9 @@ from .inverse_semigroup import Bisection
 __all__ = [
     "AlgebraElement",
     "delta",
-    "unit_indicator",
     "convolve",
     "star",
     "LeftRegularRep",
-    "left_regular",
     "reduced_norm",
     "is_normalizer",
     "Slice",
@@ -76,12 +74,6 @@ def _same_groupoid(f: AlgebraElement, g: AlgebraElement) -> None:
 def delta(g: FiniteGroupoid, a: int) -> AlgebraElement:
     v = np.zeros(g.arrow_count, dtype=complex)
     v[a] = 1.0
-    return AlgebraElement(g, v)
-
-
-def unit_indicator(g: FiniteGroupoid) -> AlgebraElement:
-    v = np.zeros(g.arrow_count, dtype=complex)
-    v[list(g.units)] = 1.0
     return AlgebraElement(g, v)
 
 
@@ -163,14 +155,11 @@ def _regular_index(g: FiniteGroupoid) -> list[tuple[np.ndarray, ...]]:
     return cached
 
 
-left_regular = LeftRegularRep
-
-
 def reduced_norm(f: AlgebraElement) -> float:
     """Largest operator norm of the regular representations over all units."""
     best = 0.0
     for x in f.groupoid.units:
-        rep = left_regular(f.groupoid, x)
+        rep = LeftRegularRep(f.groupoid, x)
         if rep.basis:
             best = max(best, float(np.linalg.norm(rep.matrix(f), 2)))
     return best

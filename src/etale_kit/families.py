@@ -9,26 +9,13 @@ from .groupoid import FiniteGroupoid, _labelled, validation_report
 
 __all__ = [
     "pair_groupoid",
-    "pair_arrow",
     "cyclic_groupoid",
     "group_bundle",
-    "cyclic_table",
     "group_inverses",
     "transformation_groupoid",
     "disjoint_union",
-    "make_family",
     "standard_corpus",
 ]
-
-
-def pair_arrow(n: int, i: int, j: int) -> int:
-    """Arrow id of (i, j) in pair_groupoid(n): units first, then non-units
-    in lexicographic order. The arrow (i, j) runs from point j to point i."""
-    if i == j:
-        return i
-    off = sum(1 for a in range(n) for b in range(n)
-              if a != b and (a, b) < (i, j))
-    return n + off
 
 
 def pair_groupoid(n: int) -> FiniteGroupoid:
@@ -41,7 +28,7 @@ def pair_groupoid(n: int) -> FiniteGroupoid:
                      lambda p: (p[1], p[0]), lambda p, q: (p[0], q[1]))[0]
 
 
-def cyclic_table(n: int) -> list[list[int]]:
+def _cyclic_table(n: int) -> list[list[int]]:
     return [[(a + b) % n for b in range(n)] for a in range(n)]
 
 
@@ -68,7 +55,8 @@ def group_bundle(orders: Sequence[int]) -> FiniteGroupoid:
 
 def group_inverses(table: Sequence[Sequence[int]]) -> list[int]:
     """Inverse table of a finite group given by its multiplication table with
-    identity 0; validates the group axioms."""
+    identity 0; validates the group axioms, so an empty table, which has no
+    identity, is refused."""
     k = len(table)
     if any(len(row) != k for row in table):
         raise StructuralError("group table must be square")
@@ -77,7 +65,7 @@ def group_inverses(table: Sequence[Sequence[int]]) -> list[int]:
             if not 0 <= c < k:
                 raise StructuralError(
                     f"group table entry ({a},{b}) is {c}, outside 0..{k - 1}")
-    if any(table[0][a] != a or table[a][0] != a for a in range(k)):
+    if not k or any(table[0][a] != a or table[a][0] != a for a in range(k)):
         raise StructuralError("group table must have identity 0")
     for a in range(k):
         for b in range(k):
@@ -143,28 +131,6 @@ def disjoint_union(parts: Sequence[FiniteGroupoid]) -> FiniteGroupoid:
                      lambda e, f: (e[0], parts[e[0]].compose[e[1], f[1]]))[0]
 
 
-def make_family(family: str, params) -> FiniteGroupoid:
-    """Build a named family member and verify the groupoid axioms."""
-    if family == "pair":
-        g = pair_groupoid(int(params))
-    elif family == "cyclic_group":
-        g = cyclic_groupoid(int(params))
-    elif family == "group_bundle":
-        g = group_bundle(list(params))
-    elif family == "transformation":
-        table, n_points, action = params
-        g = transformation_groupoid(table, int(n_points), action)
-    elif family == "disjoint_union":
-        g = disjoint_union(list(params))
-    else:
-        raise StructuralError(f"unknown family {family!r}")
-    report = validation_report(g, stop_early=True)
-    if not report.ok:
-        raise StructuralError(f"family constructor produced an invalid groupoid: "
-                              f"{report.violations[0].detail}")
-    return g
-
-
 def _swap_action(n_points: int) -> list[list[int]]:
     """Z/2 action swapping points 0 and 1, fixing the rest."""
     swap = list(range(n_points))
@@ -188,11 +154,11 @@ def standard_corpus(cap: int | None = None) -> list[tuple[str, FiniteGroupoid]]:
     entries.append(("group_bundle([2,2,1])", group_bundle([2, 2, 1])))
     entries.append(("group_bundle([3,2])", group_bundle([3, 2])))
     entries.append(("transformation(Z2,2,swap)",
-                    transformation_groupoid(cyclic_table(2), 2, _swap_action(2))))
+                    transformation_groupoid(_cyclic_table(2), 2, _swap_action(2))))
     entries.append(("transformation(Z2,3,swap)",
-                    transformation_groupoid(cyclic_table(2), 3, _swap_action(3))))
+                    transformation_groupoid(_cyclic_table(2), 3, _swap_action(3))))
     entries.append(("transformation(Z4,4,regular)",
-                    transformation_groupoid(cyclic_table(4), 4, _regular_action(4))))
+                    transformation_groupoid(_cyclic_table(4), 4, _regular_action(4))))
     entries.append(("pair(2)+cyclic_group(2)",
                     disjoint_union([pair_groupoid(2), cyclic_groupoid(2)])))
     entries.append(("pair(2)+pair(1)",

@@ -27,7 +27,6 @@ __all__ = [
     "orbits",
     "invariant_subsets",
     "normalize_unit_set",
-    "restriction_arrows",
     "restrict",
     "quotient_by_isotropy",
     "GroupoidHom",
@@ -377,13 +376,6 @@ def normalize_unit_set(g: FiniteGroupoid, subset: Iterable[int]) -> tuple[int, .
     return out
 
 
-def restriction_arrows(g: FiniteGroupoid, subset: Iterable[int]) -> tuple[int, ...]:
-    """Arrow ids with source in the subset, ascending; the restriction keeps
-    this order, so position i corresponds to original id restriction_arrows[i]."""
-    f = set(normalize_unit_set(g, subset))
-    return tuple(a for a in g.arrows() if g.src[a] in f)
-
-
 def restrict(g: FiniteGroupoid, subset: Iterable[int]) -> FiniteGroupoid:
     """Subgroupoid over an invariant unit set (all arrows with source inside);
     g itself when the set is every unit.  Built once per set and kept on g,
@@ -396,7 +388,8 @@ def restrict(g: FiniteGroupoid, subset: Iterable[int]) -> FiniteGroupoid:
 
 def _restriction(g: FiniteGroupoid,
                  f: tuple[int, ...]) -> tuple[tuple[int, ...], FiniteGroupoid]:
-    """`restriction_arrows` and `restrict` for a normalized unit set, from one
+    """The arrow ids with source in a normalized unit set, ascending, and
+    `restrict` of the set, whose arrow i is the i-th of those ids; from one
     scan of the arrows that refuses at the first arrow leaving the set.
 
     The pair of a proper invariant set is kept in g's cache under the set,

@@ -56,9 +56,6 @@ class Bisection:
             seen_src.add(g.src[a])
             seen_rng.add(g.rng[a])
 
-    def is_idempotent(self) -> bool:
-        return all(a in self.groupoid.unit_set for a in self.arrows)
-
 
 def _gather(seq, indices) -> tuple:
     """tuple(seq[i] for i in indices), in one C-level pass."""
@@ -100,7 +97,6 @@ class InverseSemigroup:
     def __init__(self, elements: Sequence, table: Sequence[Sequence[int]],
                  star: Sequence[int], zero: int | None = None):
         self.elements = tuple(elements)
-        self._index = {e: i for i, e in enumerate(self.elements)}
         k = len(self.elements)
         self.table = tuple(row if type(row) is tuple else tuple(map(int, row))
                            for row in table)
@@ -139,9 +135,6 @@ class InverseSemigroup:
 
     def idempotents(self) -> tuple[int, ...]:
         return tuple(s for s in range(len(self.elements)) if self.table[s][s] == s)
-
-    def index(self, element) -> int:
-        return self._index[element]
 
 
 def enumerate_bisections(g: FiniteGroupoid, cap: int | None = None) -> InverseSemigroup:
@@ -302,9 +295,6 @@ class GermGroupoid:
         """Arrow id of the germ of (element s, point x)."""
         return self._lookup[(self.action.semigroup.mul(s, self.min_idem[x]), x)]
 
-    def rep_of(self, arrow: int) -> tuple[int, int]:
-        return self.reps[arrow]
-
 
 def germ_groupoid(action: SemigroupAction) -> GermGroupoid:
     """The groupoid of germs of an action.
@@ -391,7 +381,8 @@ def induced_germ_hom(
     `element_map` must be a semigroup homomorphism and the pair must be
     equivariant: whenever x lies in dom(s*s), point_map(x) lies in
     dom(element_map(s*s)) and moving then mapping equals mapping then moving.
-    Checked exhaustively; the witness names the failing (element, point).
+    Checked exhaustively, after both maps are checked to land in the target;
+    the witness names the failing (element, point).
     """
     ssg, tsg = source.semigroup, target.semigroup
     element_map = tuple(int(v) for v in element_map)
@@ -400,6 +391,10 @@ def induced_germ_hom(
         raise StructuralError("element map length mismatch")
     if len(point_map) != source.n_points:
         raise StructuralError("point map length mismatch")
+    if not all(0 <= t < len(tsg) for t in element_map):
+        raise StructuralError("element map leaves the target semigroup")
+    if not all(0 <= y < target.n_points for y in point_map):
+        raise StructuralError("point map leaves the target point set")
     for s in range(len(ssg)):
         for t in range(len(ssg)):
             if element_map[ssg.mul(s, t)] != tsg.mul(element_map[s], element_map[t]):

@@ -14,7 +14,6 @@ from pathlib import Path
 
 from .errors import HypothesisError, StructuralError
 from .groupoid import FiniteGroupoid, validation_report
-from .inverse_semigroup import Bisection, GermGroupoid
 
 __all__ = [
     "canonical_json",
@@ -23,13 +22,10 @@ __all__ = [
     "groupoid_to_doc",
     "groupoid_from_doc",
     "load_groupoid",
-    "element_to_doc",
     "element_from_doc",
     "hom_to_doc",
     "hom_from_doc",
     "load_hom",
-    "bisection_to_doc",
-    "germ_to_doc",
 ]
 
 
@@ -122,10 +118,6 @@ def load_groupoid(path: str | Path, *, validate: bool = True) -> FiniteGroupoid:
 # -- algebra elements ------------------------------------------------------------
 
 
-def element_to_doc(f: AlgebraElement) -> dict:
-    return {"coeff": [[float(z.real), float(z.imag)] for z in f.coeff]}
-
-
 def _complex_pairs(items: list, what: str):
     """The [re, im] pairs of numbers as a complex array."""
     if not (set(map(type, items)) <= {list} and set(map(len, items)) <= {2}
@@ -197,16 +189,3 @@ def load_hom(path: str | Path) -> HomMatrix:
     base = None if path == "-" else Path(path).parent
     return hom_from_doc(read_json(path), base=base)
 
-
-# -- bisections and germ groupoids ---------------------------------------------
-
-
-def bisection_to_doc(b: Bisection) -> dict:
-    return {"groupoid": groupoid_to_doc(b.groupoid), "arrows": list(b.arrows)}
-
-
-def germ_to_doc(germs: GermGroupoid) -> dict:
-    return {
-        "groupoid": groupoid_to_doc(germs.groupoid),
-        "representatives": [[s, x] for (s, x) in germs.reps],
-    }

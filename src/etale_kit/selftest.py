@@ -26,9 +26,9 @@ from .aut_group import (
 from .cocycles import enumerate_cocycles, precompose_cocycle, trivial_cocycle
 from .cstar import (
     AlgebraElement,
+    LeftRegularRep,
     convolve,
     delta,
-    left_regular,
     reduced_norm,
     slice_of_bisection,
     slice_product,
@@ -167,7 +167,7 @@ def run_selftest(seed: int = 0, cap: int = 16) -> list[dict]:
             continue
         f1, f2 = _random_element(g, nprng), _random_element(g, nprng)
         for x in g.units:
-            rep = left_regular(g, x)
+            rep = LeftRegularRep(g, x)
             if not rep.basis:
                 continue
             m1, m2 = rep.matrix(f1), rep.matrix(f2)

@@ -9,8 +9,8 @@ import pytest
 from etale_kit.aut_group import (
     AutPair,
     FiniteGroupAction,
+    _commutator_closure,
     classify_faut,
-    commutator_closure,
     factors_through_abelianization,
     fixes_diagonal,
     identity_pair,
@@ -21,7 +21,7 @@ from etale_kit.aut_group import (
 from etale_kit.cocycles import enumerate_cocycles, trivial_cocycle
 from etale_kit.decomposition import decompose, validate_hom
 from etale_kit.errors import HypothesisError, StructuralError
-from etale_kit.families import cyclic_table, group_inverses, pair_groupoid
+from etale_kit.families import _cyclic_table, group_inverses, pair_groupoid
 from etale_kit.groupoid import (
     enumerate_automorphisms,
     identity_hom,
@@ -169,11 +169,11 @@ def test_group_table_helpers():
     perms, s3 = symmetric_table(3)
     inv = group_inverses(s3)
     assert all(s3[a][inv[a]] == 0 for a in range(6))
-    commutators = commutator_closure(s3)
+    commutators = _commutator_closure(s3)
     # the commutator subgroup of the symmetric group on 3 letters is the
     # 3-element alternating subgroup
     assert len(commutators) == 3
-    assert commutator_closure(cyclic_table(4)) == {0}
+    assert _commutator_closure(_cyclic_table(4)) == {0}
     with pytest.raises(StructuralError):
         group_inverses([[0, 1], [1, 1]])
 
@@ -184,8 +184,7 @@ def test_sign_character_action_factors_through_z2(r2_hand):
     m_sign = pair_matrix(AutPair(identity_hom(r2_hand), sign))
     m_id = pair_matrix(identity_pair(r2_hand))
     action = FiniteGroupAction(
-        s3, [m_sign if perm_sign(p) < 0 else m_id for p in perms],
-        labels=["".join(map(str, p)) for p in perms])
+        s3, [m_sign if perm_sign(p) < 0 else m_id for p in perms])
     cert = factors_through_abelianization(action)
     assert cert.ok
     assert len(cert.quotient_table) == 2
@@ -207,10 +206,10 @@ def test_point_swap_generator_is_named(r2_hand):
     swap = [p for p in enumerate_automorphisms(r2_hand) if not p.is_identity()][0]
     m_swap = pair_matrix(AutPair(swap, trivial_cocycle(r2_hand)))
     m_id = pair_matrix(identity_pair(r2_hand))
-    action = FiniteGroupAction([[0, 1], [1, 0]], [m_id, m_swap], labels=["e", "swap"])
+    action = FiniteGroupAction([[0, 1], [1, 0]], [m_id, m_swap])
     with pytest.raises(HypothesisError) as err:
         factors_through_abelianization(action)
-    assert "swap" in str(err.value)
+    assert "element 1 does not fix the diagonal" in str(err.value)
 
 
 def test_action_constructor_rejects_non_multiplicative(r2_hand):
@@ -221,3 +220,8 @@ def test_action_constructor_rejects_non_multiplicative(r2_hand):
         # assigning the sign twist to both elements of Z/2 breaks e.g = g
         FiniteGroupAction([[0, 1], [1, 0]], [m_sign, m_sign])
     assert FiniteGroupAction([[0, 1], [1, 0]], [m_id, m_sign])
+
+
+def test_action_constructor_refuses_an_empty_group_table():
+    with pytest.raises(StructuralError, match="identity 0"):
+        FiniteGroupAction([], [])

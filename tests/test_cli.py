@@ -12,7 +12,6 @@ import pytest
 
 from etale_kit import cli
 from etale_kit import io as kio
-from etale_kit.cstar import AlgebraElement
 from etale_kit.decomposition import HomMatrix, quotient_hom, validate_hom
 from etale_kit.errors import CAP_ENV_VAR, ConfigError, enum_cap
 from etale_kit.families import cyclic_groupoid, group_bundle, pair_groupoid
@@ -51,8 +50,7 @@ def docs(tmp_path_factory):
     paths = {
         "r2": write("r2.json", kio.groupoid_to_doc(r2, meta={"name": "pair(2)"})),
         "z2": write("z2.json", kio.groupoid_to_doc(z2)),
-        "ones": write("ones.json", kio.element_to_doc(
-            AlgebraElement(r2, np.ones(4)))),
+        "ones": write("ones.json", {"coeff": [[1.0, 0.0]] * 4}),
         "sign": write("sign.json", kio.hom_to_doc(
             HomMatrix(r2, r2, np.diag([1, 1, -1, -1]).astype(complex)))),
         "collapse": write("collapse.json", kio.hom_to_doc(quotient_hom(z2))),

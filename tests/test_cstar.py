@@ -7,8 +7,8 @@ from etale_kit.cstar import (
     AlgebraElement,
     convolve,
     delta,
+    LeftRegularRep,
     is_normalizer,
-    left_regular,
     reduced_norm,
     slice_failure,
     slice_of_bisection,
@@ -16,7 +16,6 @@ from etale_kit.cstar import (
     slice_to_bisection,
     slices_equal,
     star,
-    unit_indicator,
     Slice,
 )
 from etale_kit.errors import TOL, HypothesisError, SliceError, StructuralError
@@ -85,18 +84,18 @@ def test_elements_reject_nonfinite_values(r2_hand):
 
 
 def test_left_regular_frozen_examples(r2_hand, z2_hand):
-    rep = left_regular(r2_hand, 0)
+    rep = LeftRegularRep(r2_hand, 0)
     assert rep.basis == (0, 3)
     # the arrow (2,1) acts as the matrix unit E_21 on basis ((1,1),(2,1))
     assert np.allclose(rep.matrix(delta(r2_hand, 3)), np.array([[0, 0], [1, 0]]))
-    assert np.allclose(rep.matrix(unit_indicator(r2_hand)), np.eye(2))
-    repz = left_regular(z2_hand, 0)
+    assert np.allclose(rep.matrix(delta(r2_hand, 0) + delta(r2_hand, 1)), np.eye(2))
+    repz = LeftRegularRep(z2_hand, 0)
     assert np.allclose(repz.matrix(delta(z2_hand, 1)), np.array([[0, 1], [1, 0]]))
 
 
 def test_left_regular_rejects_non_units(r2_hand):
     with pytest.raises(StructuralError):
-        left_regular(r2_hand, 2)
+        LeftRegularRep(r2_hand, 2)
 
 
 def test_rep_is_star_homomorphism(corpus):
@@ -106,7 +105,7 @@ def test_rep_is_star_homomorphism(corpus):
             continue
         f1, f2 = fs
         for x in g.units:
-            rep = left_regular(g, x)
+            rep = LeftRegularRep(g, x)
             if not rep.basis:
                 continue
             m1, m2 = rep.matrix(f1), rep.matrix(f2)
@@ -115,7 +114,7 @@ def test_rep_is_star_homomorphism(corpus):
 
 
 def test_norm_frozen_examples(r2_hand):
-    assert reduced_norm(unit_indicator(r2_hand)) == pytest.approx(1.0, abs=1e-12)
+    assert reduced_norm(delta(r2_hand, 0) + delta(r2_hand, 1)) == pytest.approx(1.0, abs=1e-12)
     swap = delta(r2_hand, 2) + delta(r2_hand, 3)
     assert reduced_norm(swap) == pytest.approx(1.0, abs=1e-12)
     ones = AlgebraElement(r2_hand, np.ones(4))
@@ -128,7 +127,7 @@ def test_norm_against_eigenvalue_oracle(corpus):
         for f in random_elements(g, seed=5, count=3):
             oracle = 0.0
             for x in g.units:
-                rep = left_regular(g, x)
+                rep = LeftRegularRep(g, x)
                 if not rep.basis:
                     continue
                 m = rep.matrix(f)
@@ -157,7 +156,7 @@ def test_norm_vanishes_only_at_zero(corpus):
 def test_normalizer_examples(r2_hand):
     swap = delta(r2_hand, 2) + 0.5 * delta(r2_hand, 3)
     assert is_normalizer(swap)  # supported on a bisection
-    assert is_normalizer(unit_indicator(r2_hand))  # diagonal
+    assert is_normalizer(delta(r2_hand, 0) + delta(r2_hand, 1))  # diagonal
     bad = delta(r2_hand, 0) + delta(r2_hand, 2)  # support has non-injective rng
     assert not is_normalizer(bad)
 
@@ -451,7 +450,7 @@ def test_algebra_matches_the_reference_bit_for_bit(corpus):
                     == reference_convolve(f, h).coeff.tobytes()), name
             for x in g.units:
                 basis, want = reference_regular(g, x, f)
-                rep = left_regular(g, x)
+                rep = LeftRegularRep(g, x)
                 assert rep.basis == basis, (name, x)
                 assert rep.matrix(f).tobytes() == want.tobytes(), (name, x)
             assert reduced_norm(f) == reference_reduced_norm(f), name

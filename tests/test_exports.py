@@ -1,18 +1,19 @@
-"""Each module's `__all__` names what it defines, the package root imports
-nothing, and numpy is loaded only by the layers that compute with it."""
+"""Each module's `__all__` names what it defines and what is used outside it,
+the package root imports nothing, and numpy is loaded only by the layers that
+compute with it."""
 
 import ast
 import importlib
 import inspect
 import json
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import etale_kit
 from etale_kit import io as kio
-from etale_kit.cstar import AlgebraElement
 from etale_kit.families import standard_corpus
 
 
@@ -26,6 +27,49 @@ def test_every_exported_name_resolves():
                for name in getattr(module, "__all__", ())
                if not hasattr(module, name)]
     assert not missing, missing
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _words(path: Path) -> set[str]:
+    return set(re.findall(r"\w+", path.read_text()))
+
+
+def _annotated(tree: ast.Module, exported: set[str]) -> set[str]:
+    """The words of the return and field annotations of the exported names."""
+    annotations = []
+    for node in tree.body:
+        if getattr(node, "name", None) not in exported:
+            continue
+        if isinstance(node, ast.FunctionDef):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.ClassDef):
+            annotations += [item.annotation for item in node.body
+                            if isinstance(item, ast.AnnAssign)]
+            annotations += [item.returns for item in node.body
+                            if isinstance(item, ast.FunctionDef)]
+    return {word for a in annotations if a is not None
+            for word in re.findall(r"\w+", ast.unparse(a))}
+
+
+def test_every_exported_name_has_a_caller_outside_its_module():
+    """A name in `__all__` is referenced by another module of the package,
+    by the benchmark under perfbench/ or by bench_curves.py; or it appears
+    in a return or field annotation of another exported name of its module;
+    or README.md names it."""
+    src = Path(etale_kit.__file__).parent
+    callers = [*src.glob("*.py"), *(REPO / "perfbench").iterdir(), REPO / "bench_curves.py"]
+    words = {path: _words(path) for path in callers if path.is_file()}
+    readme = _words(REPO / "README.md")
+    unused = []
+    for module in _modules():
+        path = Path(module.__file__)
+        exported = set(getattr(module, "__all__", ()))
+        used = readme | _annotated(ast.parse(path.read_text()), exported).union(
+            *(w for caller, w in words.items() if caller != path))
+        unused += [f"{module.__name__}.{name}" for name in sorted(exported - used)]
+    assert not unused, unused
 
 
 def test_package_root_imports_nothing():
@@ -111,8 +155,7 @@ def test_combinatorial_commands_run_without_numpy(tmp_path):
         paths.append(tmp_path / f"{len(paths)}.json")
         paths[-1].write_text(kio.canonical_json(kio.groupoid_to_doc(corpus[name])))
     element = tmp_path / "element.json"
-    element.write_text(kio.canonical_json(
-        kio.element_to_doc(AlgebraElement(corpus["pair(2)"], [1, 1, 1, 1]))))
+    element.write_text(kio.canonical_json({"coeff": [[1, 0]] * 4}))
     runs = [[command, str(path)] for path in paths
             for command in ("validate", "analyze", "bisections", "quotient", "aut")]
     runs.append(["norm", str(paths[0]), "--element", str(element)])

@@ -33,8 +33,8 @@ from etale_kit.groupoid import (
     isotropy_interior,
     orbits,
     quotient_by_isotropy,
+    _restriction,
     restrict,
-    restriction_arrows,
     validation_report,
 )
 from etale_kit.mutate import _mutant, _mutation_specs, enumerate_mutations, sample_mutations
@@ -155,13 +155,13 @@ def test_restrict_examples():
     assert restrict(g, g.units) == g
     empty = restrict(g, ())
     assert empty.arrow_count == 0
-    assert restriction_arrows(g, (0, 1)) == (0, 1, 2, 3)
+    assert _restriction(g, (0, 1)) == ((0, 1, 2, 3), sub)
 
 
 def test_restricting_to_every_unit_returns_the_groupoid_itself():
     g = disjoint_union([pair_groupoid(2), group_bundle([3])])
     assert restrict(g, reversed(g.units)) is g
-    assert restriction_arrows(g, g.units) == tuple(g.arrows())
+    assert _restriction(g, g.units) == (tuple(g.arrows()), g)
 
 
 def test_restrict_rejects_noninvariant_sets(r2_hand):
@@ -200,7 +200,7 @@ def test_restriction_nests_over_intersections():
             both = tuple(sorted(set(f1) & set(f2)))
             direct = restrict(g, both)
             outer = restrict(g, f1)
-            relabel = {orig: i for i, orig in enumerate(restriction_arrows(g, f1))}
+            relabel = {orig: i for i, orig in enumerate(_restriction(g, f1)[0])}
             via = restrict(outer, tuple(relabel[x] for x in both))
             assert direct.arrow_count == via.arrow_count
             assert validation_report(via).ok

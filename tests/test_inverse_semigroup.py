@@ -125,7 +125,7 @@ def test_idempotents_are_unit_subsets(corpus):
             continue
         semigroup = enumerate_bisections(g)
         for i, b in enumerate(semigroup.elements):
-            assert (i in semigroup.idempotents()) == b.is_idempotent(), name
+            assert (i in semigroup.idempotents()) == (set(b.arrows) <= g.unit_set), name
 
 
 def test_duplicate_inverse_table_is_rejected():
@@ -248,7 +248,7 @@ def test_semigroup_names_the_first_element_a_wrong_product_breaks():
 def test_dropped_groupoid_is_freed_without_the_cycle_collector():
     from etale_kit.cocycles import enumerate_cocycles
     from etale_kit.cstar import (
-        is_normalizer, reduced_norm, slice_of_bisection, slice_product, unit_indicator)
+        AlgebraElement, is_normalizer, reduced_norm, slice_of_bisection, slice_product)
     from etale_kit.decomposition import enumerate_decomposition_data
     from etale_kit.groupoid import restrict
     gc.collect()
@@ -259,7 +259,7 @@ def test_dropped_groupoid_is_freed_without_the_cycle_collector():
         assert enumerate_bisections(g) is semigroup  # reused while held
         canonical_germ_iso(g)
         # the algebra layer caches only index arrays on the groupoid
-        f = unit_indicator(g)
+        f = AlgebraElement(g, [1.0 if g.is_unit(a) else 0.0 for a in g.arrows()])
         reduced_norm(f)
         is_normalizer(f)
         m = slice_of_bisection(semigroup.elements[-1])
@@ -286,7 +286,7 @@ def test_germ_groupoid_counts(r2_hand, z2_hand):
 
 def test_semilattice_action_gives_unit_only_groupoid(r2_hand):
     full = enumerate_bisections(r2_hand)
-    keep = [i for i, b in enumerate(full.elements) if b.is_idempotent()]
+    keep = [i for i, b in enumerate(full.elements) if set(b.arrows) <= r2_hand.unit_set]
     elements = [full.elements[i] for i in keep]
     index = {b.arrows: j for j, b in enumerate(elements)}
     table = [[index[bisection_product(u, v).arrows] for v in elements]
@@ -336,7 +336,7 @@ def test_germ_classes_match_direct_equivalence(r2_hand, z2_hand, bundle_hand):
         for cls in expected:
             arrow_ids = {germs.arrow_of(s, x) for (s, x) in cls}
             assert len(arrow_ids) == 1
-            assert germs.rep_of(arrow_ids.pop()) == cls[0]
+            assert germs.reps[arrow_ids.pop()] == cls[0]
 
 
 def test_canonical_iso_on_corpus(corpus):
@@ -363,8 +363,7 @@ def test_induced_germ_hom_restriction():
     # include the restriction's bisections into the union's (same arrow ids)
     element_map = []
     for b in small.semigroup.elements:
-        element_map.append(big.semigroup.index(
-            type(b)(g, b.arrows)))
+        element_map.append(big.semigroup.elements.index(type(b)(g, b.arrows)))
     point_map = [0, 1]  # units of the restriction inside the union
     hom = induced_germ_hom(small, big, point_map, element_map)
     assert not hom.is_bijective()
@@ -378,6 +377,19 @@ def test_induced_germ_hom_rejects_nonequivariant_maps(r2_hand):
         induced_germ_hom(action, action, swap,
                          list(range(len(action.semigroup))))
     assert "equivariance" in str(err.value)
+
+
+@pytest.mark.parametrize("points, elements, message", [
+    ([0, 1], [99] * 7, "element map leaves the target semigroup"),
+    ([0, 1], [-1] * 7, "element map leaves the target semigroup"),
+    ([0, 2], list(range(7)), "point map leaves the target point set"),
+    ([-1, 1], list(range(7)), "point map leaves the target point set"),
+])
+def test_induced_germ_hom_refuses_maps_out_of_range(points, elements, message):
+    action = canonical_action(pair_groupoid(2))
+    assert len(action.semigroup) == 7
+    with pytest.raises(StructuralError, match=message):
+        induced_germ_hom(action, action, points, elements)
 
 
 def test_selftest_builds_each_semigroup_once(monkeypatch):
