@@ -106,8 +106,11 @@ def _diagonal_failure(entries: np.ndarray, units) -> int | None:
 
 
 def fixes_diagonal(pair: AutPair) -> bool:
-    """Whether the monomial automorphism fixes every diagonal basis column."""
-    return _diagonal_failure(pair_matrix(pair).entries, pair.groupoid.units) is None
+    """Whether the monomial automorphism fixes every diagonal basis column: the
+    column of unit x holds c(x) in row phi(x) alone, so phi(x) = x and |c(x) - 1| <= TOL."""
+    phi, values = pair.phi.mapping, pair.cocycle.values
+    return all(phi[x] == x and abs(values[x].value - 1.0) <= TOL
+               for x in pair.groupoid.units)
 
 
 def classify_faut(g: FiniteGroupoid, phase_order: int,

@@ -62,6 +62,8 @@ class Phase:
 
     @classmethod
     def approximate(cls, z: complex) -> "Phase":
+        if not cmath.isfinite(z):
+            raise StructuralError(f"phase {z} is not finite")
         if abs(abs(z) - 1.0) > TOL:
             raise StructuralError(f"phase modulus |{z}| deviates from 1 beyond 1e-9")
         return cls(None, None, complex(z))
@@ -70,6 +72,8 @@ class Phase:
     def from_complex(cls, z: complex) -> "Phase":
         """The root of unity of order <= PHASE_SNAP_MAX_ORDER whose value lies
         within TOL of z itself, else the approximate phase z / |z|."""
+        if not cmath.isfinite(z):
+            raise StructuralError(f"phase {z} is not finite")
         turns = cmath.phase(z) / (2 * pi)
         for den in range(1, PHASE_SNAP_MAX_ORDER + 1):
             # a root within TOL of z is about TOL / (2 pi) of a turn from the

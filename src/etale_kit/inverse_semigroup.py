@@ -86,12 +86,13 @@ def bisection_inverse(u: Bisection) -> Bisection:
 
 
 class InverseSemigroup:
-    """A finite inverse semigroup as an element list with explicit tables.
+    """A finite inverse semigroup as an element list with an explicit table.
 
-    `table[s][t]` is s.t; `columns[t][s]` is the same product read by its
-    right factor.  Rows given as tuples are kept as they are.  Construction
-    verifies that every element has exactly one generalized inverse (matching
-    the declared star) and that idempotents commute.
+    `table[s][t]` is s.t; rows given as tuples are kept as they are.
+    Construction verifies that every element has exactly one generalized
+    inverse (matching the declared star), that idempotents commute, both row
+    by row against a transposed table that is not kept, and that a declared
+    zero is an element absorbing every other.
     """
 
     def __init__(self, elements: Sequence, table: Sequence[Sequence[int]],
@@ -106,11 +107,13 @@ class InverseSemigroup:
             raise StructuralError("product table must be square over the elements")
         if len(self.star) != k:
             raise StructuralError("star table length mismatch")
-        self.columns = tuple(zip(*self.table))
+        if zero is not None and not 0 <= zero < k:
+            raise StructuralError(f"declared zero {zero} out of range")
+        columns = tuple(zip(*self.table))
         for s in range(k):
             # t is a generalized inverse of s when (s.t).s = s and (t.s).t = t;
             # the first test runs over a whole row, the second on its matches
-            column = self.columns[s]
+            column = columns[s]
             generalized = [t for t in _positions(_gather(column, self.table[s]), s)
                            if self.table[column[t]][t] == t]
             if generalized != [self.star[s]]:
@@ -118,10 +121,11 @@ class InverseSemigroup:
                     f"element {s} has generalized inverses {generalized}, "
                     f"declared {self.star[s]}")
         idem = self.idempotents()
+        at_idem = _reader(idem)
         for e in idem:
-            for f in idem:
-                if self.table[e][f] != self.table[f][e]:
-                    raise StructuralError(f"idempotents {e} and {f} do not commute")
+            if at_idem(self.table[e]) != at_idem(columns[e]):
+                f = next(f for f in idem if self.table[e][f] != self.table[f][e])
+                raise StructuralError(f"idempotents {e} and {f} do not commute")
         if zero is not None:
             for s in range(k):
                 if self.table[zero][s] != zero or self.table[s][zero] != zero:
@@ -144,13 +148,12 @@ def enumerate_bisections(g: FiniteGroupoid, cap: int | None = None) -> InverseSe
     Enumerated unit by unit: a bisection takes at most one arrow leaving each
     unit, with distinct ranges.  So with arrow a weighted (1 + its slot among
     the arrows leaving src a) times a mixed-radix place per unit, the sum of
-    an element's weights is a key that names it.  The table is built column
-    by column, in keys: for each arrow b, one pass over the elements gives
-    every left factor u the weight of (u's arrow leaving rng b).b, 0 where u
-    has none.  The keys of the products u.v are then those of u.v', where v'
-    drops the last arrow b of v, plus that pass for b: a C-level gather and
-    addition per cell, with no product formed as a set of arrows.  The rows
-    are made once, as tuples, by transposing the columns.
+    an element's weights is a key that names it.  The table is built row by
+    row, in keys: for each arrow a, one pass over the elements gives every
+    right factor v the weight of a.(v's arrow entering src a), 0 where v has
+    none.  The keys of the products u.v are then those of u'.v, where u'
+    drops the last arrow a of u, plus that pass for a: a C-level gather and
+    addition per cell, with no product formed as a set of arrows.
 
     Each element takes at most one arrow leaving each unit, with distinct
     ranges, so it is a bisection by construction and is made without
@@ -181,28 +184,28 @@ def enumerate_bisections(g: FiniteGroupoid, cap: int | None = None) -> InverseSe
         place *= len(by_src[x]) + 1
     keys = [sum(weight[a] for a in arrows) for arrows in found]
     index = {key: i for i, key in enumerate(keys)}
-    # leaving[x][i]: the arrow of element i leaving unit x, or the sink id
+    # entering[y][i]: the arrow of element i entering unit y, or the sink id
+    by_rng = g.by_rng()
     sink = g.arrow_count
-    leaving = {x: [sink] * k for x in g.units}
+    entering = {y: [sink] * k for y in g.units}
     for i, arrows in enumerate(found):
-        for a in arrows:
-            leaving[g.src[a]][i] = a
-    # term[b][i]: the weight of (element i's arrow leaving rng b).b, 0 if none
+        for b in arrows:
+            entering[g.rng[b]][i] = b
+    # term[a][i]: the weight of a.(element i's arrow entering src a), 0 if none
     term = []
-    for b in g.arrows():
+    for a in g.arrows():
         moved = [0] * (sink + 1)
-        for a in by_src[g.rng[b]]:
-            moved[a] = weight[g.compose[(a, b)]]
-        term.append(_gather(moved, leaving[g.rng[b]]))
-    # the column of v: u.v is u.v' plus (u's arrow leaving rng b).b, where v'
-    # drops the last arrow b of v and so comes earlier in the order
-    columns = [(index[0],) * k]
-    for v, key in zip(found[1:], keys[1:]):
-        b = v[-1]
-        before = _gather(keys, columns[index[key - weight[b]]])
-        columns.append(_gather(index, map(add, before, term[b])))
-    table = list(zip(*columns))
-    del columns, term  # before the semigroup transposes the table back
+        for b in by_rng[g.src[a]]:
+            moved[b] = weight[g.compose[(a, b)]]
+        term.append(_gather(moved, entering[g.src[a]]))
+    # the row of u: u.v is u'.v plus a.(v's arrow entering src a), where u'
+    # drops the last arrow a of u; the order visits prefixes first, so the
+    # keys of u''s row are the last ones kept at its length
+    table = [(index[0],) * k]
+    row_keys = [(0,) * k]
+    for u in found[1:]:
+        row_keys[len(u):] = [tuple(map(add, row_keys[len(u) - 1], term[u[-1]]))]
+        table.append(_gather(index, row_keys[-1]))
     elements = [_unchecked(Bisection, groupoid=g, arrows=arrows) for arrows in found]
     star = [index[sum(weight[g.inv[a]] for a in arrows)] for arrows in found]
     semigroup = InverseSemigroup(elements, table, star, zero=index[0])
@@ -214,18 +217,22 @@ class SemigroupAction:
     """An inverse semigroup acting by partial bijections on a finite point set.
 
     `maps[s]` is the partial bijection of element s as a dict; its key set is
-    the domain of the idempotent s*s.  Construction checks that every map is a
-    bijection onto the domain of s s*, that the idempotent domains cover the
-    space, and the composition law s(t(x)) = (s.t)(x) exhaustively, one
-    (t, x) column at a time: the images under every s of the point t(x) are
-    compared, as one tuple, with the column of s.t read at x.  A failure names
-    the first failing (s, t) in row-major order.
+    the domain of the idempotent s*s.  Construction refuses a point count
+    outside 0..0x10FFFF, checks that every map is a bijection onto the domain
+    of s s*, that the idempotent domains cover the space, and the composition
+    law s(t(x)) = (s.t)(x) exhaustively, one element s at a time: with each
+    map a string over the points and chr(n_points) for "undefined", s(t(x))
+    for every (t, x) is one `str.translate` of all the strings joined, and
+    (s.t)(x) is the strings of row s joined.  A failure names the first
+    failing (s, t) in row-major order.
     """
 
     def __init__(self, semigroup: InverseSemigroup, n_points: int,
                  maps: Sequence[dict[int, int]]):
         self.semigroup = semigroup
         self.n_points = int(n_points)
+        if not 0 <= self.n_points <= 0x10FFFF:
+            raise ActionError(f"point count {self.n_points} outside 0..0x10FFFF")
         self.maps = tuple(dict(m) for m in maps)
         k = len(semigroup)
         if len(self.maps) != k:
@@ -243,23 +250,16 @@ class SemigroupAction:
             ran = set(self.maps[semigroup.mul(s, semigroup.star[s])].keys())
             if set(m.values()) != ran:
                 raise ActionError(f"range of element {s} differs from dom(ss*)")
-        # each map as a dense tuple over the points, the sink n_points standing
-        # for "undefined" and fixed by every map; at[y][s] is s(y)
-        sink = self.n_points
-        at = tuple(zip(*(tuple(m.get(x, sink) for x in range(sink)) + (sink,)
-                         for m in self.maps)))
-        failures = []
-        for t in range(k):
-            column = semigroup.columns[t]
-            for x in range(sink):
-                # s(t(x)) against (s.t)(x), for every s at once
-                composed, product = at[at[x][t]], _gather(at[x], column)
-                if composed != product:
-                    s = next(s for s in range(k) if composed[s] != product[s])
-                    failures.append((s, t))
-        if failures:
-            raise ActionError(
-                "composition law fails at elements ({},{})".format(*min(failures)))
+        n, sink = self.n_points, chr(self.n_points)
+        strings = ["".join(chr(m[x]) if x in m else sink for x in range(n)) for m in self.maps]
+        everything = "".join(strings)
+        for s in range(k):
+            # position t * n + x: s(t(x)) against (s.t)(x)
+            composed = everything.translate(strings[s] + sink)
+            product = "".join(_gather(strings, semigroup.table[s]))
+            if composed != product:
+                i = next(i for i, (p, q) in enumerate(zip(composed, product)) if p != q)
+                raise ActionError(f"composition law fails at elements ({s},{i // n})")
         covered = set()
         for e in semigroup.idempotents():
             covered |= set(self.maps[e].keys())
@@ -307,10 +307,11 @@ def germ_groupoid(action: SemigroupAction) -> GermGroupoid:
     """
     sg = action.semigroup
 
+    idempotents = sg.idempotents()
     min_idem: list[int] = []
     for x in range(action.n_points):
         ex = None
-        for e in sg.idempotents():
+        for e in idempotents:
             if x in action.maps[e]:
                 ex = e if ex is None else sg.mul(ex, e)
         if ex is None:

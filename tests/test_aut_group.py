@@ -10,6 +10,7 @@ from etale_kit.aut_group import (
     AutPair,
     FiniteGroupAction,
     _commutator_closure,
+    _diagonal_failure,
     classify_faut,
     factors_through_abelianization,
     fixes_diagonal,
@@ -18,8 +19,8 @@ from etale_kit.aut_group import (
     sd_inverse,
     sd_multiply,
 )
-from etale_kit.cocycles import enumerate_cocycles, trivial_cocycle
-from etale_kit.decomposition import decompose, validate_hom
+from etale_kit.cocycles import Cocycle, Phase, enumerate_cocycles, trivial_cocycle
+from etale_kit.decomposition import DecompositionData, build_hom, decompose, validate_hom
 from etale_kit.errors import HypothesisError, StructuralError
 from etale_kit.families import _cyclic_table, group_inverses, pair_groupoid
 from etale_kit.groupoid import (
@@ -153,6 +154,44 @@ def test_fixes_diagonal_iff_identity_on_principal(corpus):
             continue
         for pair in all_pairs(g, 2):
             assert fixes_diagonal(pair) == pair.phi.is_identity(), name
+
+
+def _dense_fixes_diagonal(pair):
+    return _diagonal_failure(pair_matrix(pair).entries, pair.groupoid.units) is None
+
+
+def test_monomial_diagonal_test_matches_the_dense_matrix(corpus):
+    pairs = fixing = 0
+    for name, g in corpus:
+        if g.arrow_count > 12:
+            continue
+        for order in (2, 3, 4):
+            for pair in all_pairs(g, order):
+                fixes = fixes_diagonal(pair)
+                assert fixes == _dense_fixes_diagonal(pair), (name, order)
+                pairs += 1
+                fixing += fixes
+    assert (pairs, fixing) == (390, 164)
+
+
+def test_monomial_diagonal_test_matches_on_recovered_approximate_twists(corpus):
+    """Twists off every small root of unity, the coboundaries of irrational
+    point phases, come back from `decompose` as approximate phases."""
+    compared = approximate = 0
+    for name, g in corpus:
+        if not is_effective(g) or g.arrow_count > 9:
+            continue
+        theta = {x: 0.7351 * (i + 1) for i, x in enumerate(g.units)}
+        twist = Cocycle(g, [Phase.approximate(np.exp(1j * (theta[g.rng[a]] - theta[g.src[a]])))
+                            for a in g.arrows()])
+        for phi in enumerate_automorphisms(g):
+            data = decompose(build_hom(g, g, DecompositionData(g.units, phi, twist)))
+            pair = AutPair(data.hom, data.cocycle)
+            assert fixes_diagonal(pair) == _dense_fixes_diagonal(pair) == phi.is_identity(), name
+            compared += 1
+            approximate += not all(v.is_exact for v in data.cocycle.values)
+    # pair(1) and cyclic_group(1) have no arrow but a unit: their twists stay exact
+    assert (compared, approximate) == (14, 12)
 
 
 def test_classify_faut_counts_and_commutativity():

@@ -60,6 +60,15 @@ def test_phase_rejects_off_circle_values():
         Phase.approximate(1.1 + 0j)
 
 
+@pytest.mark.parametrize("z", [complex(float("nan"), 0), complex(0, float("nan")),
+                               complex(float("inf"), 0), complex(1, float("-inf"))])
+@pytest.mark.parametrize("make", [Phase.approximate, Phase.from_complex])
+def test_phase_refuses_non_finite_values(make, z):
+    # |nan| - 1 compares False against TOL, and round(nan) raises ValueError
+    with pytest.raises(StructuralError, match="is not finite"):
+        make(z)
+
+
 def _sixths(k):
     """exp(2 pi i k/6) written over the denominators 1, 2, 3, 4 and 6."""
     return {0: ONE, 1: Phase.exact(1, 6), 2: Phase.exact(1, 3),

@@ -143,6 +143,19 @@ def test_every_generalized_inverse_is_named():
     assert str(err.value) == "element 0 has generalized inverses [0, 1], declared 0"
 
 
+@pytest.mark.parametrize("zero", [5, 1, -1])
+def test_a_zero_outside_the_elements_is_refused(zero):
+    with pytest.raises(StructuralError, match=f"declared zero {zero} out of range"):
+        InverseSemigroup(["a"], [[0]], [0], zero=zero)
+
+
+@pytest.mark.parametrize("n_points", [-1, 0x110000])
+def test_a_point_count_outside_the_code_points_is_refused(n_points):
+    semigroup = enumerate_bisections(pair_groupoid(1))
+    with pytest.raises(ActionError, match=f"point count {n_points} outside 0..0x10FFFF"):
+        SemigroupAction(semigroup, n_points, [{}, {}])
+
+
 def test_cap_refusal():
     with pytest.raises(CapExceeded):
         enumerate_bisections(pair_groupoid(3), cap=5)
