@@ -1,12 +1,13 @@
 """Command-line surface: validation, analysis, norms, decomposition, selftest.
 
-Exit codes: 0 success, 1 parse/IO error or a malformed ETALE_KIT_CAP,
-2 hypothesis or validation failure, or a refusal past the arrow cap or a
-work budget, 3 internal inconsistency (corrupted input or failed selftest).
+Exit codes: 0 success, 1 parse/IO error or a negative --cap, 2 hypothesis
+or validation failure, or a refusal past the arrow cap or a work budget,
+3 internal inconsistency (corrupted input or failed selftest).
 
-The numpy-backed layers (cstar, decomposition, aut_group, selftest) are
-imported inside the commands that call them, so validate, analyze,
-bisections, quotient and aut start without loading numpy.
+At import this module loads only errors, io and groupoid, which every
+command needs; each command imports the other layers it calls, so
+validate, analyze and quotient load nothing more, and only norm, decompose,
+rigidity, faut and selftest load numpy.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import time
 from pathlib import Path
 
 from . import io as kio
-from .cocycles import enumerate_cocycles
 from .errors import (
     ActionError,
     CapExceeded,
@@ -40,7 +40,6 @@ from .groupoid import (
     quotient_by_isotropy,
     validation_report,
 )
-from .inverse_semigroup import enumerate_bisections
 
 _PARSE_ERRORS = (StructuralError, ConfigError, OSError, json.JSONDecodeError)
 _HYPOTHESIS_ERRORS = (HypothesisError, HomomorphismError, CocycleError,
@@ -134,13 +133,14 @@ def _cmd_analyze(args) -> tuple[int, Report]:
         "topologically_principal": is_effective(g),
         "quotient_arrows": quotient.arrow_count,
     })
-    if g.arrow_count <= enum_cap(args.cap):
-        report.data["automorphisms"] = len(enumerate_automorphisms(g, args.cap))
+    report.data["automorphisms"] = (len(enumerate_automorphisms(g, args.cap))
+                                    if g.arrow_count <= enum_cap(args.cap) else None)
     report.add_check("analyze", True)
     return 0, report
 
 
 def _cmd_bisections(args) -> tuple[int, Report]:
+    from .inverse_semigroup import enumerate_bisections
     report = Report("bisections")
     g, dig = _load_groupoid_arg(args.groupoid)
     report.inputs["groupoid"] = dig
@@ -206,6 +206,7 @@ def _cmd_rigidity(args) -> tuple[int, Report]:
 
 
 def _cmd_aut(args) -> tuple[int, Report]:
+    from .cocycles import enumerate_cocycles
     report = Report("aut")
     g, dig = _load_groupoid_arg(args.groupoid)
     report.inputs["groupoid"] = dig

@@ -74,6 +74,8 @@ class Phase:
         within TOL of z itself, else the approximate phase z / |z|."""
         if not cmath.isfinite(z):
             raise StructuralError(f"phase {z} is not finite")
+        if z == 0:
+            raise StructuralError(f"phase {z} has modulus 0")
         turns = cmath.phase(z) / (2 * pi)
         for den in range(1, PHASE_SNAP_MAX_ORDER + 1):
             # a root within TOL of z is about TOL / (2 pi) of a turn from the

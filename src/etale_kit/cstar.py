@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import ROW_SPACE_CUT, TOL, HypothesisError, SliceError, StructuralError
 from .groupoid import FiniteGroupoid, is_effective
-from .inverse_semigroup import Bisection
 
 __all__ = [
     "AlgebraElement",
@@ -293,6 +292,7 @@ def slice_failure(m: Slice) -> str | None:
             k = start + failed[0]
             return (f"not closed under {('left', 'right')[sides[k]]} "
                     f"multiplication by the diagonal at unit {g.units[units[k]]}")
+    from .inverse_semigroup import Bisection
     support = _support(m)
     try:
         Bisection(g, support)
@@ -316,4 +316,5 @@ def slice_to_bisection(m: Slice) -> Bisection:
     reason = slice_failure(m)
     if reason is not None:
         raise SliceError(reason)
+    from .inverse_semigroup import Bisection
     return Bisection(m.groupoid, _support(m))

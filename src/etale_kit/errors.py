@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import os
-
 # Exponential enumerations (bisections, automorphisms, cocycles, germ
-# machinery) refuse above this many arrows: a limit on input size, not work.
+# machinery) refuse above this many arrows unless the caller passes a cap:
+# a limit on input size, not work.
 DEFAULT_ENUM_CAP = 16
 # Work budgets, each charged through `_charge` by the module that reads it:
 # the bisections of `enumerate_bisections`, whose table is quadratic in them;
@@ -17,7 +16,6 @@ SEMIGROUP_ELEMENT_CAP = 1024
 CHECK_BUDGET = 2_000_000
 SEARCH_BUDGET = 1_000_000
 PRODUCT_BUDGET = 50_000_000
-CAP_ENV_VAR = "ETALE_KIT_CAP"
 
 # Numerical tolerances, one name per decision (README, "Tolerances").
 TOL = 1e-9  # law residuals, phases and their snapping, diagonal fixing, rank cut
@@ -31,8 +29,7 @@ class StructuralError(ValueError):
 
 
 class ConfigError(ValueError):
-    """An environment setting or an explicit arrow cap holds a value the
-    toolkit cannot use."""
+    """An explicit arrow cap is negative."""
 
 
 class HomomorphismError(ValueError):
@@ -64,18 +61,13 @@ class CapExceeded(RuntimeError):
 
 
 def enum_cap(cap: int | None = None) -> int:
-    if cap is not None:
-        cap = int(cap)
-        if cap < 0:
-            raise ConfigError(f"the cap must be a non-negative integer, got {cap}")
-        return cap
-    env = os.environ.get(CAP_ENV_VAR)
-    if not env:
+    """The arrow cap: `cap` itself, or `DEFAULT_ENUM_CAP` when it is None."""
+    if cap is None:
         return DEFAULT_ENUM_CAP
-    if not env.strip().isdecimal():
-        raise ConfigError(
-            f"{CAP_ENV_VAR} must be a non-negative integer, got {env!r}")
-    return int(env)
+    cap = int(cap)
+    if cap < 0:
+        raise ConfigError(f"the cap must be a non-negative integer, got {cap}")
+    return cap
 
 
 def _charge(spent: int, amount: int, budget: int, what: str, unit: str) -> int:

@@ -218,13 +218,14 @@ class SemigroupAction:
 
     `maps[s]` is the partial bijection of element s as a dict; its key set is
     the domain of the idempotent s*s.  Construction refuses a point count
-    outside 0..0x10FFFF, checks that every map is a bijection onto the domain
-    of s s*, that the idempotent domains cover the space, and the composition
-    law s(t(x)) = (s.t)(x) exhaustively, one element s at a time: with each
-    map a string over the points and chr(n_points) for "undefined", s(t(x))
-    for every (t, x) is one `str.translate` of all the strings joined, and
-    (s.t)(x) is the strings of row s joined.  A failure names the first
-    failing (s, t) in row-major order.
+    outside 0..0x10FFFF and point ids that are not ints, checks that every
+    map is a bijection onto the domain of s s*, that the idempotent domains
+    cover the space, and the composition law s(t(x)) = (s.t)(x)
+    exhaustively, one element s at a time: with each map a string over the
+    points and chr(n_points) for "undefined", s(t(x)) for every (t, x) is one
+    `str.translate` of all the strings joined, and (s.t)(x) is the strings of
+    row s joined.  A failure names the first failing (s, t) in row-major
+    order.
     """
 
     def __init__(self, semigroup: InverseSemigroup, n_points: int,
@@ -238,6 +239,9 @@ class SemigroupAction:
         if len(self.maps) != k:
             raise StructuralError("one partial map per semigroup element required")
         for s, m in enumerate(self.maps):
+            # a float id in range would pass every check and fail in `chr`
+            if not set(map(type, [*m, *m.values()])) <= {int}:
+                raise ActionError(f"map of element {s} has a point id that is not an int")
             for x, y in m.items():
                 if not (0 <= x < self.n_points and 0 <= y < self.n_points):
                     raise ActionError(f"map of element {s} leaves the point set")

@@ -57,8 +57,8 @@ def read_json(path: str | Path):
 # -- groupoid documents --------------------------------------------------------
 
 
-def groupoid_to_doc(g: FiniteGroupoid, meta: dict | None = None) -> dict:
-    doc = {
+def groupoid_to_doc(g: FiniteGroupoid) -> dict:
+    return {
         "arrows": g.arrow_count,
         "units": list(g.units),
         "src": list(g.src),
@@ -66,9 +66,6 @@ def groupoid_to_doc(g: FiniteGroupoid, meta: dict | None = None) -> dict:
         "compose": [[a, b, c] for (a, b), c in g.compose.items()],
         "inv": list(g.inv),
     }
-    if meta:
-        doc["meta"] = meta
-    return doc
 
 
 def _require(doc: dict, key: str, kind) -> object:

@@ -8,7 +8,6 @@ import pytest
 
 import etale_kit
 from etale_kit.cli import BLAS_THREAD_VARS
-from etale_kit.errors import CAP_ENV_VAR
 from etale_kit.groupoid import FiniteGroupoid
 from etale_kit.families import standard_corpus
 
@@ -16,18 +15,6 @@ from etale_kit.families import standard_corpus
 # reads these once, when it loads, and no module imported above loads it
 for _var in BLAS_THREAD_VARS:
     os.environ.setdefault(_var, "1")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def default_enum_cap():
-    """Run every test under the default cap, whatever the calling shell exports.
-
-    Session scope so that the variable is gone before any session fixture
-    enumerates; the CLI subprocesses inherit the cleared environment.
-    """
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv(CAP_ENV_VAR, raising=False)
-        yield
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -29,7 +29,6 @@ from pathlib import Path
 
 from etale_kit import cli
 from etale_kit import io as kio
-from etale_kit.errors import CAP_ENV_VAR
 from etale_kit.families import cyclic_groupoid, pair_groupoid, standard_corpus
 from etale_kit.groupoid import quotient_by_isotropy
 
@@ -62,7 +61,7 @@ def documents() -> dict:
     bad = kio.groupoid_to_doc(r2)
     bad["src"] = [1, 1, 1, 0]
     docs.update({
-        "r2.json": kio.groupoid_to_doc(r2, meta={"name": "pair(2)"}),
+        "r2.json": {**kio.groupoid_to_doc(r2), "meta": {"name": "pair(2)"}},
         "z2.json": kio.groupoid_to_doc(z2),
         "ones.json": {"coeff": [[1.0, 0.0]] * 4},
         "sign.json": _matrix_doc(r2, r2, _diagonal([1, 1, -1, -1])),
@@ -123,18 +122,15 @@ def write_documents(docs: dict, root: Path) -> None:
 
 
 def run(argv: list[str], root: Path) -> dict:
-    """The entry of one command line, run in process in `root` under the
-    default cap."""
+    """The entry of one command line, run in process in `root`."""
     out, err = io.StringIO(), io.StringIO()
-    cwd, cap = os.getcwd(), os.environ.pop(CAP_ENV_VAR, None)
+    cwd = os.getcwd()
     try:
         os.chdir(root)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(list(argv))
     finally:
         os.chdir(cwd)
-        if cap is not None:
-            os.environ[CAP_ENV_VAR] = cap
     report = json.loads(out.getvalue()) if out.getvalue() else None
     if report is not None and kio.canonical_json(report) + "\n" != out.getvalue():
         raise ValueError(f"{argv}: stdout is not one canonical JSON report")

@@ -13,7 +13,7 @@ import pytest
 from etale_kit import cli
 from etale_kit import io as kio
 from etale_kit.decomposition import HomMatrix, quotient_hom, validate_hom
-from etale_kit.errors import CAP_ENV_VAR, ConfigError, enum_cap
+from etale_kit.errors import DEFAULT_ENUM_CAP, ConfigError, enum_cap
 from etale_kit.families import cyclic_groupoid, group_bundle, pair_groupoid
 from etale_kit.groupoid import enumerate_automorphisms, invariant_subsets
 
@@ -48,7 +48,7 @@ def docs(tmp_path_factory):
         return str(path)
 
     paths = {
-        "r2": write("r2.json", kio.groupoid_to_doc(r2, meta={"name": "pair(2)"})),
+        "r2": write("r2.json", {**kio.groupoid_to_doc(r2), "meta": {"name": "pair(2)"}}),
         "z2": write("z2.json", kio.groupoid_to_doc(z2)),
         "ones": write("ones.json", {"coeff": [[1.0, 0.0]] * 4}),
         "sign": write("sign.json", kio.hom_to_doc(
@@ -96,6 +96,17 @@ def test_analyze(docs, run_cli):
     data = json.loads(out.stdout)["data"]
     assert data["arrows"] == 4 and data["effective"] is True
     assert data["automorphisms"] == 2
+
+
+def test_analyze_says_when_the_cap_skips_the_count(docs, tmp_path, run_cli):
+    path = tmp_path / "pair5.json"
+    path.write_text(kio.canonical_json(kio.groupoid_to_doc(pair_groupoid(5))))
+    for argv, arrows in (([str(path)], 25), ([docs["r2"], "--cap", "3"], 4)):
+        out = run_cli("--json", "analyze", *argv)
+        assert out.returncode == 0 and out.stderr == ""
+        data = json.loads(out.stdout)["data"]
+        assert data["arrows"] == arrows
+        assert "automorphisms" in data and data["automorphisms"] is None
 
 
 def _analyze_in_process(g, tmp_path, capsys):
@@ -205,33 +216,24 @@ def test_cap_refusal_exits_two(docs, run_cli):
     assert run_cli("bisections", docs["r2"], "--cap", "2").returncode == 2
 
 
-def test_cap_env_override(docs, run_cli):
-    out = run_cli("bisections", docs["r2"], env={CAP_ENV_VAR: "2"})
-    assert out.returncode == 2
-    assert "cap" in out.stderr
-    assert "exceeds the cap 2" in out.stderr
+# the arrow cap comes from arguments alone: a value exported under the name
+# of the variable that once set it must change nothing
+OLD_CAP_VARIABLE = "ETALE_KIT_CAP"
 
 
-def test_malformed_cap_env_exits_one(docs, run_cli):
-    out = run_cli("bisections", docs["r2"], env={CAP_ENV_VAR: "abc"})
-    assert out.returncode == 1
-    assert CAP_ENV_VAR in out.stderr and "'abc'" in out.stderr
-    assert "Traceback" not in out.stderr
-    assert len(out.stderr.splitlines()) == 1
+@pytest.mark.parametrize("value", ["2", "abc"])
+def test_cap_variable_is_ignored(docs, run_cli, value):
+    plain = run_cli("--json", "bisections", docs["r2"])
+    out = run_cli("--json", "bisections", docs["r2"], env={OLD_CAP_VARIABLE: value})
+    assert plain.returncode == out.returncode == 0
+    assert out.stdout == plain.stdout and out.stderr == ""
 
 
-@pytest.mark.parametrize("value, expected", [
-    ("", 16), ("0", 0), ("5", 5), (" 7 ", 7),
-    ("abc", None), ("-1", None), ("2.5", None),
-])
-def test_enum_cap_reads_environment(monkeypatch, value, expected):
-    monkeypatch.setenv(CAP_ENV_VAR, value)
+@pytest.mark.parametrize("value", ["", "0", "5", " 7 ", "abc", "-1", "2.5"])
+def test_enum_cap_ignores_environment(monkeypatch, value):
+    monkeypatch.setenv(OLD_CAP_VARIABLE, value)
     assert enum_cap(3) == 3
-    if expected is None:
-        with pytest.raises(ConfigError, match=CAP_ENV_VAR):
-            enum_cap()
-    else:
-        assert enum_cap() == expected
+    assert enum_cap() == DEFAULT_ENUM_CAP == 16
 
 
 @pytest.mark.parametrize("command", ["aut", "bisections", "analyze"])

@@ -69,6 +69,13 @@ def test_phase_refuses_non_finite_values(make, z):
         make(z)
 
 
+@pytest.mark.parametrize("z", [0j, complex(-0.0, -0.0), 0])
+def test_phase_from_complex_refuses_zero(z):
+    # z / |z| has no value at 0
+    with pytest.raises(StructuralError, match="has modulus 0"):
+        Phase.from_complex(z)
+
+
 def _sixths(k):
     """exp(2 pi i k/6) written over the denominators 1, 2, 3, 4 and 6."""
     return {0: ONE, 1: Phase.exact(1, 6), 2: Phase.exact(1, 3),

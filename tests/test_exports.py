@@ -1,6 +1,6 @@
 """Each module's `__all__` names what it defines and what is used outside it,
-the package root imports nothing, and numpy is loaded only by the layers that
-compute with it."""
+the package root imports nothing, numpy is loaded only by the layers that
+compute with it, and each CLI command loads only the layers it calls."""
 
 import ast
 import importlib
@@ -12,9 +12,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import etale_kit
 from etale_kit import io as kio
-from etale_kit.families import standard_corpus
+from etale_kit.decomposition import HomMatrix, quotient_hom
+from etale_kit.families import cyclic_groupoid, pair_groupoid, standard_corpus
 
 
 def _modules():
@@ -164,3 +167,56 @@ def test_combinatorial_commands_run_without_numpy(tmp_path):
     seen = json.loads(child.stdout)
     assert [code for _, code, _ in seen] == [0] * len(runs), seen
     assert [loaded for _, _, loaded in seen] == [False] * (len(runs) - 1) + [True], seen
+
+
+PACKAGE = {f"etale_kit.{info.name}" for info in pkgutil.iter_modules(etale_kit.__path__)}
+# what every command needs; each command imports the other layers it calls
+CLI_AT_IMPORT = {"etale_kit.errors", "etale_kit.io", "etale_kit.groupoid"}
+
+
+def test_cli_imports_only_errors_io_and_groupoid_at_load():
+    tree = ast.parse(Path(etale_kit.__file__).with_name("cli.py").read_text())
+    imported = {name for node in _import_time_nodes(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for name in _imported_modules(node)}
+    assert imported & PACKAGE == CLI_AT_IMPORT
+
+
+_FRESH_CHILD = """
+import contextlib, io, json, sys
+from etale_kit import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("etale_kit."))]))
+"""
+
+LOADED_BY_EVERY_COMMAND = {"etale_kit.cli", *CLI_AT_IMPORT}
+
+
+def test_each_command_loads_only_the_layers_it_calls(tmp_path):
+    r2 = pair_groupoid(2)
+    docs = {"r2": kio.groupoid_to_doc(r2), "ones": {"coeff": [[1, 0]] * 4},
+            "sign": kio.hom_to_doc(HomMatrix(r2, r2, np.diag([1, 1, -1, -1]).astype(complex))),
+            "collapse": kio.hom_to_doc(quotient_hom(cyclic_groupoid(2)))}
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(kio.canonical_json(doc))
+    r2_path, ones, sign, collapse = (str(tmp_path / f"{name}.json") for name in docs)
+    combinatorial = {"etale_kit.cocycles", "etale_kit.families", "etale_kit.inverse_semigroup"}
+    runs = [
+        (["validate", r2_path], combinatorial),
+        (["analyze", r2_path], combinatorial),
+        (["quotient", r2_path], combinatorial),
+        (["aut", r2_path], {"etale_kit.inverse_semigroup"}),
+        (["bisections", r2_path], {"etale_kit.cocycles"}),
+        (["norm", r2_path, "--element", ones], {"etale_kit.inverse_semigroup"}),
+        (["decompose", "--hom", sign], {"etale_kit.inverse_semigroup"}),
+        (["rigidity", "--hom", collapse], {"etale_kit.inverse_semigroup"}),
+        (["faut", r2_path, "--hom", sign], {"etale_kit.inverse_semigroup"}),
+    ]
+    for argv, unloaded in runs:
+        child = subprocess.run([sys.executable, "-c", _FRESH_CHILD, json.dumps(argv)],
+                               capture_output=True, text=True, check=True)
+        code, loaded = json.loads(child.stdout)
+        assert code == 0, (argv, child.stderr)
+        assert LOADED_BY_EVERY_COMMAND <= set(loaded), (argv, loaded)
+        assert not unloaded & set(loaded), (argv, loaded)

@@ -156,6 +156,14 @@ def test_a_point_count_outside_the_code_points_is_refused(n_points):
         SemigroupAction(semigroup, n_points, [{}, {}])
 
 
+@pytest.mark.parametrize("unit_map", [{0.0: 0.0}, {0.0: 0}, {0: 0.0}, {"0": 0}])
+def test_a_point_id_that_is_not_an_int_is_refused(unit_map):
+    # a float id in range passes the range, injectivity and domain checks
+    semigroup = enumerate_bisections(pair_groupoid(1))
+    with pytest.raises(ActionError, match="map of element 1 has a point id that is not an int"):
+        SemigroupAction(semigroup, 1, [{}, unit_map])
+
+
 def test_cap_refusal():
     with pytest.raises(CapExceeded):
         enumerate_bisections(pair_groupoid(3), cap=5)
