@@ -20,11 +20,15 @@ Topics:
   bisection x_j -> x_(j+1), so every unit is checked); for n <= 3,
   `slice_products` (`slice_product` over all pairs of bisection slices,
   made untimed from the table).
-- `bisections`: pair(n), n = 1..4, and group_bundle([3]*p), p = 1..5.
-  Phases: `table` (`enumerate_bisections`), `germ_iso`
-  (`canonical_germ_iso` with the table already held), `table_plus_germ_iso`
-  (both, from a fresh groupoid) and `classify_faut` (root-of-unity order 2
-  on pair(n), 3 on the bundles).
+- `bisections`: pair(n), n = 1..4, group_bundle([3]*p), p = 1..5, and the
+  disconnected groupoids of the `symmetry_enum` benchmark: k disjoint
+  copies of pair(2), k = 1..4 (k = 4 has 2,401 bisections and is refused
+  by SEMIGROUP_ELEMENT_CAP, so only its refusal and `classify_faut` are
+  timed), and pair(3)+group_bundle([2,2]).  Phases:
+  `table` (`enumerate_bisections`), `germ_iso` (`canonical_germ_iso` with
+  the table already held), `table_plus_germ_iso` (both, from a fresh
+  groupoid) and `classify_faut` (root-of-unity order 3 on the bundles, 2
+  on the others).
 - `enum`: `automorphisms` of group_bundle([1]*k) and `cocycles` of pair(k)
   into Z/3 (arrow cap 2000), k = 1..9, where the search's budget refuses.
   On both families, `decomposition_data`: every triple, at root-of-unity
@@ -134,13 +138,20 @@ if family != "refusal":  # a refusal point times the automorphism search alone
 
 BISECTIONS = r"""
 from etale_kit.aut_group import classify_faut
-from etale_kit.families import group_bundle, pair_groupoid
+from etale_kit.errors import CapExceeded
+from etale_kit.families import disjoint_union, group_bundle, pair_groupoid
 from etale_kit.inverse_semigroup import canonical_germ_iso, enumerate_bisections
 
-order = 2 if family == "pair" else 3
+order = 3 if family == "group_bundle" else 2
 
 def build():
-    return pair_groupoid(size) if family == "pair" else group_bundle([3] * size)
+    if family == "pair":
+        return pair_groupoid(size)
+    if family == "group_bundle":
+        return group_bundle([3] * size)
+    if family == "pairs":
+        return disjoint_union([pair_groupoid(2)] * size)
+    return disjoint_union([pair_groupoid(3), group_bundle([2, 2])])
 
 def table(g):
     return enumerate_bisections(g, 16)
@@ -157,7 +168,11 @@ PHASES = {
     "table_plus_germ_iso": (lambda g: g, both),
     "classify_faut": (lambda g: g, lambda g: classify_faut(g, order, 16)),
 }
-result = {"arrows": build().arrow_count, "bisections": len(table(build()))}
+result = {"arrows": build().arrow_count}
+try:
+    result["bisections"] = len(table(build()))
+except CapExceeded:  # past SEMIGROUP_ELEMENT_CAP: the table phase times the refusal
+    del PHASES["germ_iso"], PHASES["table_plus_germ_iso"]
 """
 
 HOM = r"""
@@ -337,10 +352,13 @@ TOPICS = {
                                    "refusal": f"pair({size}) at arrow cap 2000"}[family]),
     "bisections": (BISECTIONS,
                    [("pair", n) for n in range(1, 5)]
-                   + [("group_bundle", p) for p in range(1, 6)],
+                   + [("group_bundle", p) for p in range(1, 6)]
+                   + [("pairs", k) for k in range(1, 5)] + [("mixed", 1)],
                    (5, 3, 0.5),
-                   lambda family, size: f"pair({size})" if family == "pair"
-                   else f"group_bundle([3]*{size})"),
+                   lambda family, size: {
+                       "pair": f"pair({size})", "group_bundle": f"group_bundle([3]*{size})",
+                       "pairs": f"{size}xpair(2)",
+                       "mixed": "pair(3)+group_bundle([2,2])"}[family]),
     "hom": (HOM,
             [("pair", n) for n in range(2, 17)] + [("pair_plus_pair4", 12)],
             (21, 5, 0.5),

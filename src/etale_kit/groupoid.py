@@ -579,9 +579,19 @@ def enumerate_homomorphisms(
 
 
 def enumerate_automorphisms(g: FiniteGroupoid, cap: int | None = None) -> list[GroupoidHom]:
-    """All bijective self-homomorphisms in lexicographic mapping order."""
+    """All bijective self-homomorphisms in lexicographic mapping order.
+
+    The search runs once per groupoid: its mappings are kept in g's cache,
+    after the cap check, and every later call builds a fresh list of fresh
+    homomorphisms from them.  A refusal, by the cap or by the search's
+    budget, stores nothing and is raised again on the next call."""
     check_enum_cap(g.arrow_count, cap, "automorphism enumeration")
-    return enumerate_homomorphisms(g, g, bijective=True)
+    mappings = g._cache.get("automorphisms")
+    if mappings is None:
+        found = enumerate_homomorphisms(g, g, bijective=True)
+        g._cache["automorphisms"] = tuple(hom.mapping for hom in found)
+        return found
+    return [_unchecked(GroupoidHom, domain=g, codomain=g, mapping=m) for m in mappings]
 
 
 # -- quotient by the isotropy interior ---------------------------------------

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from operator import add
+from itertools import repeat
+from operator import add, index, sub
+from struct import Struct, error as StructError
 from typing import Sequence
 
 from .errors import (
@@ -63,11 +65,26 @@ def _gather(seq, indices) -> tuple:
 
 
 def _positions(seq: tuple, value) -> list[int]:
-    """The indices at which `value` occurs in `seq`, ascending."""
+    """The indices at which `value` occurs in `seq`, ascending, from one scan."""
     found: list[int] = []
-    for _ in range(seq.count(value)):
-        found.append(seq.index(value, found[-1] + 1 if found else 0))
-    return found
+    i = -1
+    try:
+        while True:
+            i = seq.index(value, i + 1)
+            found.append(i)
+    except ValueError:  # no later occurrence
+        return found
+
+
+def _int_type(t: type) -> bool:
+    """Whether the values of type t are ints: t indexes a tuple, as bool and
+    numpy's integer types do, and float and str do not."""
+    return hasattr(t, "__index__")
+
+
+def _is_element(x, k: int) -> bool:
+    """Whether x is an int in 0..k-1."""
+    return _int_type(type(x)) and 0 <= x < k
 
 
 def bisection_product(u: Bisection, v: Bisection) -> Bisection:
@@ -89,7 +106,9 @@ class InverseSemigroup:
     """A finite inverse semigroup as an element list with an explicit table.
 
     `table[s][t]` is s.t; rows given as tuples are kept as they are.
-    Construction verifies that every element has exactly one generalized
+    Construction refuses a product, star or zero entry that is not an int
+    in 0..k-1, naming its element, before the entry is used as an index.
+    It verifies that every element has exactly one generalized
     inverse (matching the declared star), that idempotents commute, both row
     by row against a transposed table that is not kept, and that a declared
     zero is an element absorbing every other.
@@ -99,23 +118,39 @@ class InverseSemigroup:
                  star: Sequence[int], zero: int | None = None):
         self.elements = tuple(elements)
         k = len(self.elements)
-        self.table = tuple(row if type(row) is tuple else tuple(map(int, row))
-                           for row in table)
-        self.star = tuple(int(x) for x in star)
+        self.table = tuple(row if type(row) is tuple else tuple(row) for row in table)
+        self.star = tuple(star)
         self.zero = zero
         if len(self.table) != k or any(len(row) != k for row in self.table):
             raise StructuralError("product table must be square over the elements")
         if len(self.star) != k:
             raise StructuralError("star table length mismatch")
-        if zero is not None and not 0 <= zero < k:
-            raise StructuralError(f"declared zero {zero} out of range")
+        if zero is not None and not _is_element(zero, k):
+            raise StructuralError(f"declared zero {zero!r} out of range")
+        for s, x in enumerate(self.star):
+            if not _is_element(x, k):
+                raise StructuralError(f"star of element {s} is {x!r}, not an int in 0..{k - 1}")
+        # t is a generalized inverse of s when (s.t).s = s and (t.s).t = t.
+        # The first test reads a whole row at once, as a gather from the
+        # row's column.  Packing the row as unsigned ints refuses a negative
+        # entry or one that is not an int, and the gather one past k - 1, so
+        # every row is checked before any entry is used as an index elsewhere.
+        unsigned = Struct(f"{k}I")
         columns = tuple(zip(*self.table))
-        for s in range(k):
-            # t is a generalized inverse of s when (s.t).s = s and (t.s).t = t;
-            # the first test runs over a whole row, the second on its matches
+        matches = []
+        for s, row in enumerate(self.table):
+            try:
+                unsigned.pack(*row)
+                gathered = _gather(columns[s], row)
+            except (StructError, IndexError):
+                t = next(t for t, x in enumerate(row) if not _is_element(x, k))
+                raise StructuralError(f"product of elements ({s},{t}) is {row[t]!r}, "
+                                      f"not an int in 0..{k - 1}") from None
+            matches.append(_positions(gathered, s))
+        # the second test, on the matches
+        for s, found in enumerate(matches):
             column = columns[s]
-            generalized = [t for t in _positions(_gather(column, self.table[s]), s)
-                           if self.table[column[t]][t] == t]
+            generalized = [t for t in found if self.table[column[t]][t] == t]
             if generalized != [self.star[s]]:
                 raise StructuralError(
                     f"element {s} has generalized inverses {generalized}, "
@@ -126,10 +161,10 @@ class InverseSemigroup:
             if at_idem(self.table[e]) != at_idem(columns[e]):
                 f = next(f for f in idem if self.table[e][f] != self.table[f][e])
                 raise StructuralError(f"idempotents {e} and {f} do not commute")
-        if zero is not None:
-            for s in range(k):
-                if self.table[zero][s] != zero or self.table[s][zero] != zero:
-                    raise StructuralError(f"declared zero fails at element {s}")
+        if zero is not None and not self.table[zero] == columns[zero] == (zero,) * k:
+            s = next(s for s in range(k)
+                     if self.table[zero][s] != zero or self.table[s][zero] != zero)
+            raise StructuralError(f"declared zero fails at element {s}")
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -148,12 +183,26 @@ def enumerate_bisections(g: FiniteGroupoid, cap: int | None = None) -> InverseSe
     Enumerated unit by unit: a bisection takes at most one arrow leaving each
     unit, with distinct ranges.  So with arrow a weighted (1 + its slot among
     the arrows leaving src a) times a mixed-radix place per unit, the sum of
-    an element's weights is a key that names it.  The table is built row by
-    row, in keys: for each arrow a, one pass over the elements gives every
-    right factor v the weight of a.(v's arrow entering src a), 0 where v has
-    none.  The keys of the products u.v are then those of u'.v, where u'
-    drops the last arrow a of u, plus that pass for a: a C-level gather and
-    addition per cell, with no product formed as a set of arrows.
+    an element's weights is a key that names it.
+
+    The table is composed from a few rows made in keys.  By associativity
+    row(s.t) is row(s) read at the positions row(t), one C-level gather,
+    and the index of s.t is row(s)[t], so a product is never formed as a set
+    of arrows.  Three facts make every row such a product:
+    - the full bisections, one arrow leaving every unit, form a group
+      generated by swaps: {a, inv a} and the other units, for one arrow a
+      from the least unit of each orbit to each other unit of the orbit,
+      and {a} and the other units, for each loop a at that least unit;
+    - every idempotent, a set of units, is a product of the co-atoms, each
+      of which leaves out one unit;
+    - every bisection u is s.e, for a full bisection s extending u and the
+      idempotent e of the sources of u.
+    So only the rows of the co-atoms and the swaps are made in keys: the key
+    of w.v is that of v, less the weights of v's arrows entering the units w
+    moves, plus the weights of w's arrows composed with them.  Every other
+    row is one gather: each full bisection a swap away from one already
+    found, each idempotent a co-atom less than one already found, and then
+    each full bisection restricted to each idempotent.
 
     Each element takes at most one arrow leaving each unit, with distinct
     ranges, so it is a bisection by construction and is made without
@@ -167,48 +216,98 @@ def enumerate_bisections(g: FiniteGroupoid, cap: int | None = None) -> InverseSe
     cached = ref() if ref is not None else None
     if cached is not None:
         return cached
-    by_src = g.by_src()
-    partial: list[tuple[tuple[int, ...], frozenset[int]]] = [((), frozenset())]
-    for x in g.units:
-        partial += [(arrows + (a,), used | {g.rng[a]})
-                    for arrows, used in partial
-                    for a in by_src[x] if g.rng[a] not in used]
-        _charge(0, len(partial), SEMIGROUP_ELEMENT_CAP, "bisection enumeration", "bisections")
-    found = sorted(tuple(sorted(arrows)) for arrows, _ in partial)
-    k = len(found)
+    by_src, src, rng, inv = g.by_src(), g.src, g.rng, g.inv
     weight = [0] * g.arrow_count
     place = 1
     for x in g.units:
         for slot, a in enumerate(by_src[x], 1):
             weight[a] = slot * place
         place *= len(by_src[x]) + 1
-    keys = [sum(weight[a] for a in arrows) for arrows in found]
-    index = {key: i for i, key in enumerate(keys)}
+    # a partial element: its arrows, the bits of the units they enter, and
+    # the keys of the element and of its inverse
+    bit = {x: 1 << i for i, x in enumerate(g.units)}
+    partial = [((), 0, 0, 0)]
+    for x in g.units:
+        steps = [(a, bit[rng[a]], weight[a], weight[inv[a]]) for a in by_src[x]]
+        partial += [(arrows + (a,), used | b, key + w, back + v)
+                    for arrows, used, key, back in partial
+                    for a, b, w, v in steps if not used & b]
+        _charge(0, len(partial), SEMIGROUP_ELEMENT_CAP, "bisection enumeration", "bisections")
+    # distinct arrow tuples, so the keys are never compared
+    found, keys, backs = zip(*sorted((tuple(sorted(arrows)), key, back)
+                                     for arrows, _, key, back in partial))
+    k = len(found)
+    index = dict(zip(keys, range(k)))
     # entering[y][i]: the arrow of element i entering unit y, or the sink id
     by_rng = g.by_rng()
     sink = g.arrow_count
     entering = {y: [sink] * k for y in g.units}
     for i, arrows in enumerate(found):
         for b in arrows:
-            entering[g.rng[b]][i] = b
-    # term[a][i]: the weight of a.(element i's arrow entering src a), 0 if none
-    term = []
-    for a in g.arrows():
+            entering[rng[b]][i] = b
+
+    def term(a):
+        """The weight of a.(each element's arrow entering src a), 0 where none."""
         moved = [0] * (sink + 1)
-        for b in by_rng[g.src[a]]:
+        for b in by_rng[src[a]]:
             moved[b] = weight[g.compose[(a, b)]]
-        term.append(_gather(moved, entering[g.src[a]]))
-    # the row of u: u.v is u'.v plus a.(v's arrow entering src a), where u'
-    # drops the last arrow a of u; the order visits prefixes first, so the
-    # keys of u''s row are the last ones kept at its length
-    table = [(index[0],) * k]
-    row_keys = [(0,) * k]
-    for u in found[1:]:
-        row_keys[len(u):] = [tuple(map(add, row_keys[len(u) - 1], term[u[-1]]))]
-        table.append(_gather(index, row_keys[-1]))
+        return _gather(moved, entering[src[a]])
+
+    def left_row(units_out, arrows_in):
+        """The row, made in keys, of the element that takes `arrows_in` in
+        place of the units `units_out` and is a unit elsewhere."""
+        row_keys = keys
+        for x in units_out:
+            row_keys = map(sub, row_keys, term(x))
+        for a in arrows_in:
+            row_keys = map(add, row_keys, term(a))
+        return _gather(index, tuple(row_keys))
+
+    rows: list[tuple[int, ...] | None] = [None] * k
+    identity = index[sum(weight[x] for x in g.units)]
+    rows[identity] = tuple(range(k))
+    coatoms = [left_row((y,), ()) for y in g.units]
+    # the generating swaps: from the least unit of each orbit, its first
+    # arrow to each other unit, with the inverse, and each of its loops
+    swaps, reached = [], set()
+    for base in g.units:
+        if base in reached:
+            continue
+        for a in by_src[base]:
+            if rng[a] == base:
+                if a != base:
+                    swaps.append(left_row((base,), (a,)))
+            elif rng[a] not in reached:
+                swaps.append(left_row((base, rng[a]), (a, inv[a])))
+            reached.add(rng[a])
+    # the full bisections, the identity times products of swaps
+    full = [identity]
+    moves = [(row[identity], _reader(row)) for row in swaps]  # w.identity is w
+    for s in full:
+        row = rows[s]
+        for t, read in moves:
+            if rows[row[t]] is None:
+                rows[row[t]] = read(row)
+                full.append(row[t])
+    # the idempotents, each leaving out units in ascending order from the identity
+    cuts = [(row[identity], _reader(row)) for row in coatoms]
+    idempotents = [(identity, 0)]
+    for e, first in idempotents:
+        row = rows[e]
+        for j in range(first, len(cuts)):
+            c, read = cuts[j]
+            if rows[row[c]] is None:
+                rows[row[c]] = read(row)
+            idempotents.append((row[c], j + 1))
+    # every other element, a full bisection restricted to an idempotent
+    restrictions = [(e, _reader(rows[e])) for e, _ in idempotents[1:]]
+    for s in full:
+        row = rows[s]
+        for e, read in restrictions:
+            if rows[row[e]] is None:
+                rows[row[e]] = read(row)
     elements = [_unchecked(Bisection, groupoid=g, arrows=arrows) for arrows in found]
-    star = [index[sum(weight[g.inv[a]] for a in arrows)] for arrows in found]
-    semigroup = InverseSemigroup(elements, table, star, zero=index[0])
+    semigroup = InverseSemigroup(elements, rows, _gather(index, backs), zero=index[0])
     g._cache["bisections"] = weakref.ref(semigroup)
     return semigroup
 
@@ -218,44 +317,45 @@ class SemigroupAction:
 
     `maps[s]` is the partial bijection of element s as a dict; its key set is
     the domain of the idempotent s*s.  Construction refuses a point count
-    outside 0..0x10FFFF and point ids that are not ints, checks that every
-    map is a bijection onto the domain of s s*, that the idempotent domains
-    cover the space, and the composition law s(t(x)) = (s.t)(x)
-    exhaustively, one element s at a time: with each map a string over the
-    points and chr(n_points) for "undefined", s(t(x)) for every (t, x) is one
-    `str.translate` of all the strings joined, and (s.t)(x) is the strings of
-    row s joined.  A failure names the first failing (s, t) in row-major
-    order.
+    that is not an int in 0..0x10FFFF and point ids that are not ints,
+    checks that every map is a bijection onto the domain of s s*, that the
+    idempotent domains cover the space, and the composition law
+    s(t(x)) = (s.t)(x) exhaustively, one element s at a time: with each map
+    a string over the points and chr(n_points) for "undefined", s(t(x)) for
+    every (t, x) is one `str.translate` of all the strings joined, and
+    (s.t)(x) is the strings of row s joined.  A failure names the first
+    failing (s, t) in row-major order.
     """
 
     def __init__(self, semigroup: InverseSemigroup, n_points: int,
                  maps: Sequence[dict[int, int]]):
         self.semigroup = semigroup
-        self.n_points = int(n_points)
+        if not _int_type(type(n_points)):
+            raise ActionError(f"point count {n_points!r} is not an int")
+        self.n_points = index(n_points)
         if not 0 <= self.n_points <= 0x10FFFF:
             raise ActionError(f"point count {self.n_points} outside 0..0x10FFFF")
-        self.maps = tuple(dict(m) for m in maps)
+        self.maps = tuple(map(dict, maps))
         k = len(semigroup)
         if len(self.maps) != k:
             raise StructuralError("one partial map per semigroup element required")
         for s, m in enumerate(self.maps):
-            # a float id in range would pass every check and fail in `chr`
-            if not set(map(type, [*m, *m.values()])) <= {int}:
+            # a float id in range would pass every other check and fail in `chr`
+            points = [*m, *m.values()]
+            if not all(map(_int_type, set(map(type, points)))):
                 raise ActionError(f"map of element {s} has a point id that is not an int")
-            for x, y in m.items():
-                if not (0 <= x < self.n_points and 0 <= y < self.n_points):
-                    raise ActionError(f"map of element {s} leaves the point set")
+            if points and not (0 <= min(points) and max(points) < self.n_points):
+                raise ActionError(f"map of element {s} leaves the point set")
             if len(set(m.values())) != len(m):
                 raise ActionError(f"map of element {s} is not injective")
+        table, star = semigroup.table, semigroup.star
         for s, m in enumerate(self.maps):
-            dom = set(self.maps[semigroup.mul(semigroup.star[s], s)].keys())
-            if set(m.keys()) != dom:
+            if m.keys() != self.maps[table[star[s]][s]].keys():
                 raise ActionError(f"domain of element {s} differs from dom(s*s)")
-            ran = set(self.maps[semigroup.mul(s, semigroup.star[s])].keys())
-            if set(m.values()) != ran:
+            if self.maps[table[s][star[s]]].keys() != set(m.values()):
                 raise ActionError(f"range of element {s} differs from dom(ss*)")
         n, sink = self.n_points, chr(self.n_points)
-        strings = ["".join(chr(m[x]) if x in m else sink for x in range(n)) for m in self.maps]
+        strings = ["".join(map(chr, map(m.get, range(n), repeat(n)))) for m in self.maps]
         everything = "".join(strings)
         for s in range(k):
             # position t * n + x: s(t(x)) against (s.t)(x)
@@ -275,9 +375,8 @@ def canonical_action(g: FiniteGroupoid, cap: int | None = None) -> SemigroupActi
     """Bisections acting on the unit space: u moves src(a) to rng(a) for a in u."""
     semigroup = enumerate_bisections(g, cap)
     unit_pos = {u: i for i, u in enumerate(g.units)}
-    maps = []
-    for b in semigroup.elements:
-        maps.append({unit_pos[g.src[a]]: unit_pos[g.rng[a]] for a in b.arrows})
+    moves = [(unit_pos[g.src[a]], unit_pos[g.rng[a]]) for a in g.arrows()]
+    maps = [dict(map(moves.__getitem__, b.arrows)) for b in semigroup.elements]
     return SemigroupAction(semigroup, len(g.units), maps)
 
 
@@ -390,12 +489,14 @@ def induced_germ_hom(
     the witness names the failing (element, point).
     """
     ssg, tsg = source.semigroup, target.semigroup
-    element_map = tuple(int(v) for v in element_map)
-    point_map = tuple(int(v) for v in point_map)
+    element_map, point_map = tuple(element_map), tuple(point_map)
     if len(element_map) != len(ssg):
         raise StructuralError("element map length mismatch")
     if len(point_map) != source.n_points:
         raise StructuralError("point map length mismatch")
+    for name, entries in (("element", element_map), ("point", point_map)):
+        if not all(map(_int_type, set(map(type, entries)))):
+            raise StructuralError(f"{name} map has an entry that is not an int")
     if not all(0 <= t < len(tsg) for t in element_map):
         raise StructuralError("element map leaves the target semigroup")
     if not all(0 <= y < target.n_points for y in point_map):

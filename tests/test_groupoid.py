@@ -546,3 +546,72 @@ def test_sampled_mutations_match_draws_from_the_listed_specs(corpus):
     assert sample_mutations(g, ours, 3) == _sample_from_the_list(g, listed, 3)
     assert ours.getstate() == listed.getstate()
     assert sample_mutations(FiniteGroupoid(0, [], [], [], {}, []), ours, 3) == []
+
+
+# -- the automorphism cache ------------------------------------------------------
+
+
+@pytest.fixture
+def automorphism_searches(monkeypatch):
+    """The domains of the automorphism searches run from here on."""
+    from etale_kit import groupoid
+    searches = []
+    search = groupoid.enumerate_homomorphisms
+
+    def counting(domain, codomain, **kwargs):
+        if kwargs.get("bijective"):
+            searches.append(domain)
+        return search(domain, codomain, **kwargs)
+
+    monkeypatch.setattr(groupoid, "enumerate_homomorphisms", counting)
+    return searches
+
+
+def test_automorphisms_are_searched_once_per_groupoid(automorphism_searches):
+    g, h = pair_groupoid(3), pair_groupoid(3)
+    first = enumerate_automorphisms(g)
+    second = enumerate_automorphisms(g, cap=9)
+    assert automorphism_searches == [g]
+    # fresh lists of fresh homomorphisms, equal to what the search finds
+    assert first == second == enumerate_homomorphisms(g, g, bijective=True)
+    assert first is not second
+    assert all(a is not b for a, b in zip(first, second))
+    # an equal groupoid is a different groupoid with its own search
+    assert enumerate_automorphisms(h) == [GroupoidHom(h, h, phi.mapping) for phi in first]
+    assert automorphism_searches == [g, h]
+
+
+def test_the_arrow_cap_is_checked_before_the_cache(automorphism_searches):
+    g = pair_groupoid(3)
+    with pytest.raises(CapExceeded, match="9 arrows exceeds the cap 2"):
+        enumerate_automorphisms(g, cap=2)
+    assert automorphism_searches == []  # refused before any search, and nothing kept
+    assert len(enumerate_automorphisms(g, cap=16)) == 6
+    with pytest.raises(CapExceeded, match="9 arrows exceeds the cap 2"):
+        enumerate_automorphisms(g, cap=2)
+    assert len(enumerate_automorphisms(g)) == 6
+    assert automorphism_searches == [g]
+
+
+def test_a_refusal_by_the_check_budget_is_not_kept(automorphism_searches, monkeypatch):
+    from etale_kit import errors, groupoid
+    g = pair_groupoid(3)
+    # the search of pair(3)'s automorphisms charges 174 compose checks
+    monkeypatch.setattr(groupoid, "CHECK_BUDGET", 173)
+    for _ in range(2):
+        with pytest.raises(CapExceeded, match="needs 174 compose checks"):
+            enumerate_automorphisms(g)
+    monkeypatch.setattr(groupoid, "CHECK_BUDGET", errors.CHECK_BUDGET)
+    assert len(enumerate_automorphisms(g)) == 6
+    assert len(enumerate_automorphisms(g)) == 6
+    assert automorphism_searches == [g, g, g]
+
+
+def test_classify_faut_reuses_the_automorphism_search(automorphism_searches):
+    from etale_kit.aut_group import classify_faut
+    g = pair_groupoid(3)  # principal, so classify_faut reads the automorphisms
+    assert is_effective(g)
+    automorphisms = enumerate_automorphisms(g)
+    assert len(classify_faut(g, 2)) == 4
+    assert automorphism_searches == [g]
+    assert enumerate_automorphisms(g) == automorphisms

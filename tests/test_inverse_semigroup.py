@@ -5,6 +5,7 @@ from collections import Counter
 from itertools import combinations
 from math import comb, factorial
 
+import numpy
 import pytest
 
 from etale_kit.errors import ActionError, CapExceeded, StructuralError
@@ -437,3 +438,83 @@ def test_selftest_propagates_a_fault_in_bisection(monkeypatch):
     monkeypatch.setattr(selftest, "Bisection", broken)
     with pytest.raises(TypeError, match="broken Bisection"):
         selftest.run_selftest(7, 9)
+
+
+@pytest.mark.parametrize("table, star, message", [
+    ([[0, 0], [0, 7]], [0, 1], "product of elements (1,1) is 7, not an int in 0..1"),
+    ([(0, 0), (0, -1)], [0, 1], "product of elements (1,1) is -1, not an int in 0..1"),
+    ([(0, 0), (0, 1.0)], [0, 1], "product of elements (1,1) is 1.0, not an int in 0..1"),
+    ([[0, 0], [0, 1.7]], [0, 1], "product of elements (1,1) is 1.7, not an int in 0..1"),
+    ([(0, "0"), (0, 1)], [0, 1], "product of elements (0,1) is '0', not an int in 0..1"),
+    ([(0, 0), (0, 1)], [0, 1.2], "star of element 1 is 1.2, not an int in 0..1"),
+    ([[0, 0], [0, 1.7]], [0, 1.2], "star of element 1 is 1.2, not an int in 0..1"),
+    ([(0, 0), (0, 1)], [-1, 1], "star of element 0 is -1, not an int in 0..1"),
+])
+def test_an_entry_that_is_not_an_element_is_refused(table, star, message):
+    with pytest.raises(StructuralError) as err:
+        InverseSemigroup(["0", "1"], table, star)
+    assert str(err.value) == message
+
+
+def test_a_zero_that_is_not_an_int_is_refused():
+    with pytest.raises(StructuralError, match="declared zero 0.0 out of range"):
+        InverseSemigroup(["0", "1"], [[0, 0], [0, 1]], [0, 1], zero=0.0)
+
+
+def test_list_and_tuple_rows_give_one_table():
+    semigroup = enumerate_bisections(pair_groupoid(2))
+    rows = [list(row) for row in semigroup.table]
+    again = InverseSemigroup(semigroup.elements, rows, list(semigroup.star), zero=semigroup.zero)
+    assert again.table == semigroup.table and again.star == semigroup.star
+
+
+def test_a_point_count_that_is_not_an_int_is_refused():
+    semigroup = enumerate_bisections(pair_groupoid(1))
+    with pytest.raises(ActionError, match="point count 2.9 is not an int"):
+        SemigroupAction(semigroup, 2.9, [{}, {0: 0, 1: 1}])
+
+
+@pytest.mark.parametrize("points, elements, message", [
+    ([0.9, 1.9], [i + 0.9 for i in range(7)], "element map has an entry that is not an int"),
+    ([0.9, 1.9], list(range(7)), "point map has an entry that is not an int"),
+])
+def test_induced_germ_hom_refuses_maps_that_are_not_ints(points, elements, message):
+    action = canonical_action(pair_groupoid(2))
+    with pytest.raises(StructuralError, match=message):
+        induced_germ_hom(action, action, points, elements)
+
+
+@pytest.mark.parametrize("planted, message", [
+    ({5: {1: 0, 0: 1.0}}, "map of element 5 has a point id that is not an int"),
+    ({4: {1: 2}}, "map of element 4 leaves the point set"),
+    ({4: {-1: 0}}, "map of element 4 leaves the point set"),
+    ({5: {1: 0, 0: 0}}, "map of element 5 is not injective"),
+    ({4: {0: 0}}, "domain of element 4 differs from dom(s*s)"),
+    ({4: {1: 1}}, "range of element 4 differs from dom(ss*)"),
+    # every map's points are checked before any map's domain and range
+    ({4: {0: 0}, 6: {0: 1.0}}, "map of element 6 has a point id that is not an int"),
+    ({4: {0: 0}, 5: {1: 0, 0: 0}}, "map of element 5 is not injective"),
+])
+def test_the_per_map_checks_name_the_first_map_at_fault(planted, message):
+    # pair(2): 4 = {1 -> 0}, 5 = {1 -> 0, 0 -> 1} and 6 = {0 -> 1} = 4*
+    action = canonical_action(pair_groupoid(2))
+    maps = [planted.get(s, m) for s, m in enumerate(action.maps)]
+    with pytest.raises(ActionError) as err:
+        SemigroupAction(action.semigroup, action.n_points, maps)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("as_int", [bool, numpy.int64])
+def test_every_entry_point_takes_what_indexes_a_tuple_as_an_int(as_int):
+    # pair(1): the elements () and (0,), on one point; every entry is 0 or 1
+    action = canonical_action(pair_groupoid(1))
+    semigroup = action.semigroup
+    again = InverseSemigroup(semigroup.elements,
+                             [list(map(as_int, row)) for row in semigroup.table],
+                             list(map(as_int, semigroup.star)), zero=as_int(semigroup.zero))
+    assert again.table == semigroup.table and again.star == semigroup.star
+    moved = SemigroupAction(again, as_int(1), [{as_int(x): as_int(y) for x, y in m.items()}
+                                               for m in action.maps])
+    assert moved.n_points == 1 and type(moved.n_points) is int
+    hom = induced_germ_hom(moved, action, [as_int(0)], list(map(as_int, range(2))))
+    assert hom.mapping == (0,)

@@ -264,3 +264,73 @@ def test_an_action_on_no_points():
     assert action.n_points == 0
     with pytest.raises(ActionError, match="map of element 1 leaves the point set"):
         SemigroupAction(semigroup, 0, [{}, {0: 0}] + maps[2:])
+
+
+# -- the key-arithmetic row builder ---------------------------------------------
+#
+# The bisection table used to be built row by row in keys: the row of u is the
+# row of u' (u without its last arrow a) plus the weights of a composed with
+# each element's arrow entering src a, with one addition and one dict lookup
+# per cell.  The library now composes rows from a few made this way; the
+# composed table must be this one.
+
+
+def ref_key_rows(g):
+    """(sorted arrow tuples, rows, star, zero) of the bisection semigroup,
+    every row made in keys from the row of its prefix."""
+    by_src, by_rng = g.by_src(), g.by_rng()
+    partial = [((), frozenset())]
+    for x in g.units:
+        partial += [(arrows + (a,), used | {g.rng[a]})
+                    for arrows, used in partial
+                    for a in by_src[x] if g.rng[a] not in used]
+    found = sorted(tuple(sorted(arrows)) for arrows, _ in partial)
+    k = len(found)
+    weight = [0] * g.arrow_count
+    place = 1
+    for x in g.units:
+        for slot, a in enumerate(by_src[x], 1):
+            weight[a] = slot * place
+        place *= len(by_src[x]) + 1
+    index = {sum(weight[a] for a in arrows): i for i, arrows in enumerate(found)}
+    sink = g.arrow_count
+    entering = {y: [sink] * k for y in g.units}
+    for i, arrows in enumerate(found):
+        for b in arrows:
+            entering[g.rng[b]][i] = b
+    term = []
+    for a in g.arrows():
+        moved = [0] * (sink + 1)
+        for b in by_rng[g.src[a]]:
+            moved[b] = weight[g.compose[(a, b)]]
+        term.append(_gather(moved, entering[g.src[a]]))
+    rows = [(index[0],) * k]
+    row_keys = [(0,) * k]
+    for u in found[1:]:
+        row_keys[len(u):] = [tuple(p + q for p, q in zip(row_keys[len(u) - 1], term[u[-1]]))]
+        rows.append(_gather(index, row_keys[-1]))
+    star = [index[sum(weight[g.inv[a]] for a in arrows)] for arrows in found]
+    return found, tuple(rows), tuple(star), index[0]
+
+
+def key_row_cases(corpus_and_relabellings, relabel):
+    kinds = symmetry_kinds()
+    return (corpus_and_relabellings
+            + [(f"{name} relabelled by seed {seed}", relabel(g, seed))
+               for name, g in kinds for seed in range(2)]
+            + [(f"group_bundle([1]*{n})", group_bundle([1] * n)) for n in range(11)]
+            + [(f"pair({n})", pair_groupoid(n)) for n in range(1, 5)]
+            + [("pair(3) and an isolated unit",
+                disjoint_union([pair_groupoid(3), pair_groupoid(1)]))])
+
+
+def test_composed_rows_match_the_key_rows(corpus_and_relabellings, relabel):
+    for name, g in key_row_cases(corpus_and_relabellings, relabel):
+        semigroup = enumerate_bisections(g)
+        found, rows, star, zero = ref_key_rows(g)
+        assert [b.arrows for b in semigroup.elements] == found, name
+        assert semigroup.table == rows, name
+        assert semigroup.star == star, name
+        assert semigroup.zero == zero, name
+    # only idempotents and no swaps, 2**10 of them
+    assert len(enumerate_bisections(group_bundle([1] * 10))) == 1024
