@@ -27,8 +27,11 @@ Topics:
   timed), and pair(3)+group_bundle([2,2]).  Phases:
   `table` (`enumerate_bisections`), `germ_iso` (`canonical_germ_iso` with
   the table already held), `table_plus_germ_iso` (both, from a fresh
-  groupoid) and `classify_faut` (root-of-unity order 3 on the bundles, 2
-  on the others).
+  groupoid), `classify_faut` (root-of-unity order 3 on the bundles, 2
+  on the others), and the checks of the public constructors, which the
+  library does not run on what it builds: `semigroup_checks`
+  (`InverseSemigroup` on the fields of the table) and `action_checks`
+  (`SemigroupAction` on the fields of `canonical_action`).
 - `enum`: `automorphisms` of group_bundle([1]*k) and `cocycles` of pair(k)
   into Z/3 (arrow cap 2000), k = 1..9, where the search's budget refuses.
   On both families, `decomposition_data`: every triple, at root-of-unity
@@ -140,7 +143,8 @@ BISECTIONS = r"""
 from etale_kit.aut_group import classify_faut
 from etale_kit.errors import CapExceeded
 from etale_kit.families import disjoint_union, group_bundle, pair_groupoid
-from etale_kit.inverse_semigroup import canonical_germ_iso, enumerate_bisections
+from etale_kit.inverse_semigroup import (InverseSemigroup, SemigroupAction, canonical_action,
+                                         canonical_germ_iso, enumerate_bisections)
 
 order = 3 if family == "group_bundle" else 2
 
@@ -167,12 +171,16 @@ PHASES = {
     "germ_iso": (lambda g: (g, table(g)), lambda held: canonical_germ_iso(held[0], 16)),
     "table_plus_germ_iso": (lambda g: g, both),
     "classify_faut": (lambda g: g, lambda g: classify_faut(g, order, 16)),
+    "semigroup_checks": (table, lambda s: InverseSemigroup(s.elements, s.table, s.star, s.zero)),
+    "action_checks": (lambda g: canonical_action(g, 16),
+                      lambda a: SemigroupAction(a.semigroup, a.n_points, a.maps)),
 }
 result = {"arrows": build().arrow_count}
 try:
     result["bisections"] = len(table(build()))
 except CapExceeded:  # past SEMIGROUP_ELEMENT_CAP: the table phase times the refusal
-    del PHASES["germ_iso"], PHASES["table_plus_germ_iso"]
+    for name in ("germ_iso", "table_plus_germ_iso", "semigroup_checks", "action_checks"):
+        del PHASES[name]
 """
 
 HOM = r"""

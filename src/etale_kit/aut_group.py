@@ -164,8 +164,8 @@ class FiniteGroupAction:
 
     def __init__(self, table: Sequence[Sequence[int]],
                  matrices: Sequence[HomMatrix]):
-        self.table = tuple(tuple(int(x) for x in row) for row in table)
-        self.inverses = group_inverses(self.table)
+        self.inverses = group_inverses(table)  # refuses entries that are not ints
+        self.table = tuple(tuple(map(int, row)) for row in table)
         k = len(self.table)
         self.matrices = tuple(matrices)
         if len(self.matrices) != k:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import StructuralError
-from .groupoid import FiniteGroupoid, _labelled, validation_report
+from .groupoid import FiniteGroupoid, _int_type, _labelled, validation_report
 
 __all__ = [
     "pair_groupoid",
@@ -62,9 +62,10 @@ def group_inverses(table: Sequence[Sequence[int]]) -> list[int]:
         raise StructuralError("group table must be square")
     for a, row in enumerate(table):
         for b, c in enumerate(row):
+            if not _int_type(type(c)):
+                raise StructuralError(f"group table entry ({a},{b}) is {c!r}, not an int")
             if not 0 <= c < k:
-                raise StructuralError(
-                    f"group table entry ({a},{b}) is {c}, outside 0..{k - 1}")
+                raise StructuralError(f"group table entry ({a},{b}) is {c}, outside 0..{k - 1}")
     if not k or any(table[0][a] != a or table[a][0] != a for a in range(k)):
         raise StructuralError("group table must have identity 0")
     for a in range(k):
@@ -101,9 +102,10 @@ def transformation_groupoid(
         raise StructuralError("action table must be |group| x |points|")
     for g, row in enumerate(action):
         for x, y in enumerate(row):
+            if not _int_type(type(y)):
+                raise StructuralError(f"action entry ({g},{x}) is {y!r}, not an int")
             if not 0 <= y < n_points:
-                raise StructuralError(
-                    f"action entry ({g},{x}) is {y}, outside 0..{n_points - 1}")
+                raise StructuralError(f"action entry ({g},{x}) is {y}, outside 0..{n_points - 1}")
     units = [(0, x) for x in range(n_points)]
     labels = units + [(g, x) for g in range(1, k) for x in range(n_points)]
     # the action laws are the groupoid axioms of these formulas: the identity

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, repeat
-from operator import itemgetter
+from itertools import chain, islice, repeat
+from operator import index, itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -37,15 +37,33 @@ __all__ = [
 ]
 
 
+def _int_type(t: type) -> bool:
+    """Whether the values of type t are ints: t indexes a tuple, as bool and
+    numpy's integer types do, and float and str do not."""
+    return hasattr(t, "__index__")
+
+
+def _ids(name: str, values: Iterable) -> tuple[int, ...]:
+    """The values as a tuple of ints, exact ints decided by one C-level scan
+    of their types; `StructuralError` names the first value that is not one."""
+    values = tuple(values)
+    if set(map(type, values)) <= {int}:
+        return values
+    for i, x in enumerate(values):
+        if not _int_type(type(x)):
+            raise StructuralError(f"{name}[{i}] is {x!r}, not an int")
+    return tuple(map(index, values))
+
+
 class FiniteGroupoid:
     """A finite groupoid given by explicit tables over arrow ids 0..n-1.
 
     Units are a flagged subset of the arrows; `compose` is a partial table
     defined exactly on the composable pairs (source of the left factor equals
     range of the right factor), and iterates in ascending (a, b) key order.
-    Construction checks only that ids are in range; run `validation_report`
-    for the groupoid axioms.  Instances are immutable values after
-    construction.
+    Construction checks only that ids are ints, by `_int_type`, and in
+    range; run `validation_report` for the groupoid axioms.  Instances are
+    immutable values after construction.
     """
 
     __slots__ = ("arrow_count", "units", "src", "rng", "inv", "compose",
@@ -60,14 +78,16 @@ class FiniteGroupoid:
         compose: Mapping[tuple[int, int], int] | Iterable[tuple[int, int, int]],
         inv: Iterable[int],
     ):
-        n = int(arrow_count)
+        if not _int_type(type(arrow_count)):
+            raise StructuralError(f"arrow count {arrow_count!r} is not an int")
+        n = index(arrow_count)
         if n < 0:
             raise StructuralError(f"arrow count must be nonnegative, got {n}")
         self.arrow_count = n
-        self.units = tuple(sorted({int(u) for u in units}))
-        self.src = tuple(int(a) for a in src)
-        self.rng = tuple(int(a) for a in rng)
-        self.inv = tuple(int(a) for a in inv)
+        self.units = tuple(sorted(set(_ids("units", units))))
+        self.src = _ids("src", src)
+        self.rng = _ids("rng", rng)
+        self.inv = _ids("inv", inv)
         for name, tab in (("src", self.src), ("rng", self.rng), ("inv", self.inv)):
             if len(tab) != n:
                 raise StructuralError(f"{name} table has length {len(tab)}, expected {n}")
@@ -77,10 +97,10 @@ class FiniteGroupoid:
         for u in self.units:
             if not 0 <= u < n:
                 raise StructuralError(f"unit id {u} out of range for {n} arrows")
-        if isinstance(compose, Mapping):
-            items = [(int(a), int(b), int(c)) for (a, b), c in compose.items()]
-        else:
-            items = [(int(a), int(b), int(c)) for a, b, c in compose]
+        items = ([(a, b, c) for (a, b), c in compose.items()] if isinstance(compose, Mapping)
+                 else [(a, b, c) for a, b, c in compose])
+        if not set(map(type, chain.from_iterable(items))) <= {int}:
+            items = [_ids(f"compose[{i}]", entry) for i, entry in enumerate(items)]
         items.sort()
         table: dict[tuple[int, int], int] = {}
         for a, b, c in items:
@@ -153,8 +173,16 @@ class FiniteGroupoid:
         return self._hash
 
     def __repr__(self):
-        return (f"FiniteGroupoid(arrows={self.arrow_count}, "
+        return (f"{type(self).__name__}(arrows={self.arrow_count}, "
                 f"units={len(self.units)}, compose={len(self.compose)})")
+
+
+def _unchecked(cls, **fields):
+    """A `cls` holding already checked, normalised fields, made without its checks."""
+    value = object.__new__(cls)
+    for name, field in fields.items():
+        object.__setattr__(value, name, field)
+    return value
 
 
 def _labelled(labels: Iterable, units: Iterable, src, rng, inv,
@@ -165,22 +193,27 @@ def _labelled(labels: Iterable, units: Iterable, src, rng, inv,
     `src`, `rng` and `inv` take a label to a label, and `product(a, b)` gives
     the label of a.b.  Compose is read off the range buckets: one `product`
     call for each pair (a, b) with rng b = src a, so the table is exactly
-    the composable pairs.  Every groupoid the library derives from another
-    is made here, from its defining formulas, and every label they return
-    must be one of `labels`.  No axiom is checked: derived groupoids inherit
-    them from what they are derived from, and a caller whose input may fail
-    them validates the result."""
+    the composable pairs, met in ascending (a, b) order.  Every groupoid the
+    library derives from another is made here, from its defining formulas,
+    and every label they return must be one of `labels`.  The fields are set
+    without the public constructor: each id is a label's number, an int in
+    range.  No axiom is checked: derived groupoids inherit them from what
+    they are derived from, and a caller whose input may fail them validates
+    the result."""
     ids = {x: i for i, x in enumerate(dict.fromkeys(labels))}
     arrows = list(ids)
-    src_ids = [ids[src(x)] for x in arrows]
-    rng_ids = [ids[rng(x)] for x in arrows]
+    src_ids = tuple(ids[src(x)] for x in arrows)
+    rng_ids = tuple(ids[rng(x)] for x in arrows)
     by_rng: list[list[int]] = [[] for _ in arrows]
     for b, y in enumerate(rng_ids):
         by_rng[y].append(b)
-    compose = [(a, b, ids[product(x, arrows[b])])
-               for a, x in enumerate(arrows) for b in by_rng[src_ids[a]]]
-    return FiniteGroupoid(len(arrows), [ids[u] for u in units], src_ids, rng_ids,
-                          compose, [ids[inv(x)] for x in arrows]), ids
+    compose = {(a, b): ids[product(x, arrows[b])]
+               for a, x in enumerate(arrows) for b in by_rng[src_ids[a]]}
+    unit_ids = tuple(sorted({ids[u] for u in units}))
+    return _unchecked(FiniteGroupoid, arrow_count=len(arrows), units=unit_ids,
+                      unit_set=frozenset(unit_ids), src=src_ids, rng=rng_ids,
+                      inv=tuple(ids[inv(x)] for x in arrows), compose=compose,
+                      _hash=None, _cache={}), ids
 
 
 # -- axiom validation ------------------------------------------------------
@@ -369,7 +402,7 @@ def invariant_subsets(g: FiniteGroupoid) -> list[tuple[int, ...]]:
 
 
 def normalize_unit_set(g: FiniteGroupoid, subset: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(sorted({int(x) for x in subset}))
+    out = tuple(sorted(set(_ids("unit set", subset))))
     for x in out:
         if x not in g.unit_set:
             raise StructuralError(f"{x} is not a unit of the groupoid")
@@ -417,14 +450,6 @@ def _restriction(g: FiniteGroupoid,
 
 
 # -- groupoid homomorphisms --------------------------------------------------
-
-
-def _unchecked(cls, **fields):
-    """A `cls` holding already checked, normalised fields, made without its checks."""
-    value = object.__new__(cls)
-    for name, field in fields.items():
-        object.__setattr__(value, name, field)
-    return value
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ import weakref
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add, index, sub
-from struct import Struct, error as StructError
 from typing import Sequence
 
 from .errors import (
@@ -17,8 +16,8 @@ from .errors import (
     _charge,
     check_enum_cap,
 )
-from .groupoid import (FiniteGroupoid, GroupoidHom, _labelled, _reader, _unchecked,
-                       validation_report)
+from .groupoid import (FiniteGroupoid, GroupoidHom, _ids, _int_type, _labelled, _reader,
+                       _unchecked, validation_report)
 
 __all__ = [
     "Bisection",
@@ -43,11 +42,10 @@ class Bisection:
     arrows: tuple[int, ...]
 
     def __post_init__(self):
-        arrows = tuple(sorted(set(self.arrows)))
+        arrows = tuple(sorted(set(_ids("arrows", self.arrows))))
         object.__setattr__(self, "arrows", arrows)
         g = self.groupoid
-        seen_src: set[int] = set()
-        seen_rng: set[int] = set()
+        seen_src, seen_rng = set(), set()
         for a in arrows:
             if not 0 <= a < g.arrow_count:
                 raise StructuralError(f"arrow {a} out of range")
@@ -62,24 +60,6 @@ class Bisection:
 def _gather(seq, indices) -> tuple:
     """tuple(seq[i] for i in indices), in one C-level pass."""
     return _reader(tuple(indices))(seq)
-
-
-def _positions(seq: tuple, value) -> list[int]:
-    """The indices at which `value` occurs in `seq`, ascending, from one scan."""
-    found: list[int] = []
-    i = -1
-    try:
-        while True:
-            i = seq.index(value, i + 1)
-            found.append(i)
-    except ValueError:  # no later occurrence
-        return found
-
-
-def _int_type(t: type) -> bool:
-    """Whether the values of type t are ints: t indexes a tuple, as bool and
-    numpy's integer types do, and float and str do not."""
-    return hasattr(t, "__index__")
 
 
 def _is_element(x, k: int) -> bool:
@@ -105,23 +85,23 @@ def bisection_inverse(u: Bisection) -> Bisection:
 class InverseSemigroup:
     """A finite inverse semigroup as an element list with an explicit table.
 
-    `table[s][t]` is s.t; rows given as tuples are kept as they are.
+    `table[s][t]` is s.t.
     Construction refuses a product, star or zero entry that is not an int
     in 0..k-1, naming its element, before the entry is used as an index.
-    It verifies that every element has exactly one generalized
-    inverse (matching the declared star), that idempotents commute, both row
-    by row against a transposed table that is not kept, and that a declared
-    zero is an element absorbing every other.
+    It verifies, cell by cell, that every element has exactly one
+    generalized inverse (matching the declared star), that idempotents
+    commute, and that a declared zero is an element absorbing every other.
+    `enumerate_bisections` skips the checks.
     """
 
     def __init__(self, elements: Sequence, table: Sequence[Sequence[int]],
                  star: Sequence[int], zero: int | None = None):
         self.elements = tuple(elements)
         k = len(self.elements)
-        self.table = tuple(row if type(row) is tuple else tuple(row) for row in table)
+        self.table = table = tuple(map(tuple, table))
         self.star = tuple(star)
         self.zero = zero
-        if len(self.table) != k or any(len(row) != k for row in self.table):
+        if len(table) != k or any(len(row) != k for row in table):
             raise StructuralError("product table must be square over the elements")
         if len(self.star) != k:
             raise StructuralError("star table length mismatch")
@@ -130,41 +110,30 @@ class InverseSemigroup:
         for s, x in enumerate(self.star):
             if not _is_element(x, k):
                 raise StructuralError(f"star of element {s} is {x!r}, not an int in 0..{k - 1}")
-        # t is a generalized inverse of s when (s.t).s = s and (t.s).t = t.
-        # The first test reads a whole row at once, as a gather from the
-        # row's column.  Packing the row as unsigned ints refuses a negative
-        # entry or one that is not an int, and the gather one past k - 1, so
-        # every row is checked before any entry is used as an index elsewhere.
-        unsigned = Struct(f"{k}I")
-        columns = tuple(zip(*self.table))
-        matches = []
-        for s, row in enumerate(self.table):
-            try:
-                unsigned.pack(*row)
-                gathered = _gather(columns[s], row)
-            except (StructError, IndexError):
+        for s, row in enumerate(table):  # one C-level scan of each row decides
+            if not (all(map(_int_type, set(map(type, row)))) and 0 <= min(row)
+                    and max(row) < k):
                 t = next(t for t, x in enumerate(row) if not _is_element(x, k))
                 raise StructuralError(f"product of elements ({s},{t}) is {row[t]!r}, "
-                                      f"not an int in 0..{k - 1}") from None
-            matches.append(_positions(gathered, s))
-        # the second test, on the matches
-        for s, found in enumerate(matches):
-            column = columns[s]
-            generalized = [t for t in found if self.table[column[t]][t] == t]
+                                      f"not an int in 0..{k - 1}")
+        # t is a generalized inverse of s when (s.t).s = s and (t.s).t = t
+        for s, row in enumerate(table):
+            generalized = [t for t, st in enumerate(row)
+                           if table[st][s] == s and table[table[t][s]][t] == t]
             if generalized != [self.star[s]]:
                 raise StructuralError(
                     f"element {s} has generalized inverses {generalized}, "
                     f"declared {self.star[s]}")
+        # a pair fails both ways round, so the first failure has f after e
         idem = self.idempotents()
-        at_idem = _reader(idem)
-        for e in idem:
-            if at_idem(self.table[e]) != at_idem(columns[e]):
-                f = next(f for f in idem if self.table[e][f] != self.table[f][e])
-                raise StructuralError(f"idempotents {e} and {f} do not commute")
-        if zero is not None and not self.table[zero] == columns[zero] == (zero,) * k:
-            s = next(s for s in range(k)
-                     if self.table[zero][s] != zero or self.table[s][zero] != zero)
-            raise StructuralError(f"declared zero fails at element {s}")
+        for i, e in enumerate(idem):
+            for f in idem[i + 1:]:
+                if table[e][f] != table[f][e]:
+                    raise StructuralError(f"idempotents {e} and {f} do not commute")
+        if zero is not None:
+            for s in range(k):
+                if table[zero][s] != zero or table[s][zero] != zero:
+                    raise StructuralError(f"declared zero fails at element {s}")
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -205,12 +174,14 @@ def enumerate_bisections(g: FiniteGroupoid, cap: int | None = None) -> InverseSe
     each full bisection restricted to each idempotent.
 
     Each element takes at most one arrow leaving each unit, with distinct
-    ranges, so it is a bisection by construction and is made without
-    `Bisection`'s check.  Refuses with `CapExceeded` once the bisections over
-    the units so far pass SEMIGROUP_ELEMENT_CAP.  The groupoid's cache holds
-    the semigroup weakly: it is reused while a caller still holds it, and a
-    dropped groupoid is freed without the cycle collector.  Assumes the
-    groupoid axioms."""
+    ranges, so it is a bisection by construction.  The bisections of a
+    groupoid form an inverse semigroup, so neither `Bisection`'s check nor
+    `InverseSemigroup`'s runs here; tests/test_derived_groupoids.py runs
+    them on what is made.  Refuses with `CapExceeded` once the bisections
+    over the units so far pass SEMIGROUP_ELEMENT_CAP.  The groupoid's cache
+    holds the semigroup weakly: it is reused while a caller still holds it,
+    and a dropped groupoid is freed without the cycle collector.  Assumes
+    the groupoid axioms."""
     check_enum_cap(g.arrow_count, cap, "bisection enumeration")
     ref = g._cache.get("bisections")
     cached = ref() if ref is not None else None
@@ -306,8 +277,9 @@ def enumerate_bisections(g: FiniteGroupoid, cap: int | None = None) -> InverseSe
         for e, read in restrictions:
             if rows[row[e]] is None:
                 rows[row[e]] = read(row)
-    elements = [_unchecked(Bisection, groupoid=g, arrows=arrows) for arrows in found]
-    semigroup = InverseSemigroup(elements, rows, _gather(index, backs), zero=index[0])
+    elements = tuple(_unchecked(Bisection, groupoid=g, arrows=arrows) for arrows in found)
+    semigroup = _unchecked(InverseSemigroup, elements=elements, table=tuple(rows),
+                           star=_gather(index, backs), zero=index[0])
     g._cache["bisections"] = weakref.ref(semigroup)
     return semigroup
 
@@ -324,7 +296,7 @@ class SemigroupAction:
     a string over the points and chr(n_points) for "undefined", s(t(x)) for
     every (t, x) is one `str.translate` of all the strings joined, and
     (s.t)(x) is the strings of row s joined.  A failure names the first
-    failing (s, t) in row-major order.
+    failing (s, t) in row-major order.  `canonical_action` skips the checks.
     """
 
     def __init__(self, semigroup: InverseSemigroup, n_points: int,
@@ -364,20 +336,19 @@ class SemigroupAction:
             if composed != product:
                 i = next(i for i, (p, q) in enumerate(zip(composed, product)) if p != q)
                 raise ActionError(f"composition law fails at elements ({s},{i // n})")
-        covered = set()
-        for e in semigroup.idempotents():
-            covered |= set(self.maps[e].keys())
-        if covered != set(range(self.n_points)):
+        if set().union(*map(self.maps.__getitem__, semigroup.idempotents())) != set(range(n)):
             raise ActionError("idempotent domains do not cover the point set")
 
 
 def canonical_action(g: FiniteGroupoid, cap: int | None = None) -> SemigroupAction:
-    """Bisections acting on the unit space: u moves src(a) to rng(a) for a in u."""
+    """Bisections acting on the unit space: u moves src(a) to rng(a) for a in
+    u.  The action laws hold by construction, so `SemigroupAction`'s checks
+    do not run here; tests/test_derived_groupoids.py runs them."""
     semigroup = enumerate_bisections(g, cap)
     unit_pos = {u: i for i, u in enumerate(g.units)}
     moves = [(unit_pos[g.src[a]], unit_pos[g.rng[a]]) for a in g.arrows()]
-    maps = [dict(map(moves.__getitem__, b.arrows)) for b in semigroup.elements]
-    return SemigroupAction(semigroup, len(g.units), maps)
+    maps = tuple(dict(map(moves.__getitem__, b.arrows)) for b in semigroup.elements)
+    return _unchecked(SemigroupAction, semigroup=semigroup, n_points=len(g.units), maps=maps)
 
 
 @dataclass(frozen=True)

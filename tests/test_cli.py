@@ -260,13 +260,16 @@ def test_selftest_json_is_deterministic(run_cli):
     assert report["timing_ms"] is None
 
 
-@pytest.mark.parametrize("cap", ["0", "-1"])
-def test_selftest_refuses_a_cap_that_admits_no_groupoid(cap, capsys):
-    assert cli.main(["selftest", "--cap", cap]) == 2
+@pytest.mark.parametrize("cap, code, message", [
+    ("0", 2, "refused: selftest: the cap 0 admits no corpus groupoid"),
+    # a negative cap is a configuration error, as for every other command
+    ("-1", 1, "error: the cap must be a non-negative integer, got -1"),
+], ids=["0", "-1"])
+def test_selftest_refuses_a_cap_that_admits_no_groupoid(cap, code, message, capsys):
+    assert cli.main(["selftest", "--cap", cap]) == code
     out = capsys.readouterr()
     assert out.out == ""
-    assert f"the cap {cap} admits no corpus groupoid" in out.err
-    assert "Traceback" not in out.err
+    assert out.err.strip() == message
 
 
 def test_table_output_mentions_checks(docs, run_cli):
@@ -280,6 +283,25 @@ def test_documents_can_arrive_on_stdin(docs, run_cli):
     out = run_cli("--json", "validate", "-", input=payload)
     assert out.returncode == 0
     assert json.loads(out.stdout)["ok"]
+
+
+_POINT = kio.groupoid_to_doc(pair_groupoid(1))
+_HOM = {"source": _POINT, "target": _POINT, "rows": 1, "cols": 1, "entries": [[1.0, 0.0]]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([_HOM], "homomorphism document must be an object"),
+    ({key: value for key, value in _HOM.items() if key != "target"},
+     "homomorphism document is missing 'target'"),
+    ({**_HOM, "entries": [[1.0, 0.0]] * 2}, "entries must hold rows*cols [re, im] pairs"),
+    ({**_HOM, "source": 5}, "groupoid document must be an object"),
+], ids=["not an object", "no target", "short entries", "groupoid not an object"])
+def test_malformed_hom_documents_exit_one(run_cli, doc, message):
+    assert run_cli("--json", "decompose", "--hom", "-", input=json.dumps(_HOM)).returncode == 0
+    out = run_cli("--json", "decompose", "--hom", "-", input=json.dumps(doc))
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr == f"error: {message}\n"
 
 
 def test_cli_runs_as_a_module(docs):

@@ -1,5 +1,7 @@
 """Every groupoid the library derives, against reference constructions that
-write each table out with its own id map and compose loop.
+write each table out with its own id map and compose loop; and the checks
+of the public constructors, which the library skips on what it derives,
+run on what it derives.
 
 The references below build the families, restrictions, isotropy quotients
 and germ groupoids as explicit tables through the public `FiniteGroupoid`
@@ -29,8 +31,15 @@ from etale_kit.groupoid import (
     quotient_by_isotropy,
     _restriction,
     restrict,
+    validation_report,
 )
-from etale_kit.inverse_semigroup import canonical_action, germ_groupoid
+from etale_kit.inverse_semigroup import (
+    InverseSemigroup,
+    SemigroupAction,
+    canonical_action,
+    germ_groupoid,
+)
+from test_semigroup_references import symmetry_kinds
 
 # -- reference constructions ---------------------------------------------------
 
@@ -263,3 +272,48 @@ def test_every_germ_groupoid_matches_its_reference():
         assert list(germs._lookup.items()) == list(ref_lookup.items())
         count += 1
     assert count == 25
+
+
+# -- the checks the library skips on what it derives ------------------------------
+
+
+def checked_cases(corpus_and_relabellings, relabel):
+    """The cases of the bisection tests: the corpus and its relabellings, and
+    the symmetry benchmark's groupoids with two relabellings of each."""
+    kinds = symmetry_kinds()
+    return (corpus_and_relabellings + kinds
+            + [(f"{name} relabelled by seed {seed}", relabel(g, seed))
+               for name, g in kinds for seed in range(2)])
+
+
+def test_every_derived_groupoid_is_what_the_public_constructor_makes(
+        corpus_and_relabellings, relabel):
+    """Each groupoid `_labelled` builds, without the constructor's checks,
+    equals the constructor's on its tables, compose key order included,
+    and satisfies the axioms: the families, each restriction to an invariant
+    set, the isotropy quotient and the germ groupoid of the canonical action."""
+    count = 0
+    for name, g in checked_cases(corpus_and_relabellings, relabel):
+        derived = [g, quotient_by_isotropy(g)[0], germ_groupoid(canonical_action(g)).groupoid]
+        derived += [restrict(g, f) for f in invariant_subsets(g)]
+        for h in derived:
+            again = FiniteGroupoid(h.arrow_count, h.units, h.src, h.rng, h.compose, h.inv)
+            assert again == h and list(again.compose) == list(h.compose), name
+            assert again.unit_set == h.unit_set, name
+            assert validation_report(h).ok, name
+            count += 1
+    assert count == 633
+
+
+def test_the_public_constructors_accept_the_semigroup_and_its_action(
+        corpus_and_relabellings, relabel):
+    """`enumerate_bisections` and `canonical_action` skip the checks of
+    `InverseSemigroup` and `SemigroupAction`; the checks pass on their fields."""
+    for name, g in checked_cases(corpus_and_relabellings, relabel):
+        action = canonical_action(g)
+        semigroup = action.semigroup
+        again = InverseSemigroup(semigroup.elements, semigroup.table, semigroup.star,
+                                 zero=semigroup.zero)
+        assert (again.elements, again.table, again.star, again.zero) == (
+            semigroup.elements, semigroup.table, semigroup.star, semigroup.zero), name
+        assert SemigroupAction(semigroup, action.n_points, action.maps).maps == action.maps

@@ -4,6 +4,7 @@ import random
 import time
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from etale_kit.cocycles import enumerate_cocycles, trivial_cocycle
@@ -84,6 +85,93 @@ def test_out_of_range_id_is_structural_not_axiomatic(r2_hand):
     with pytest.raises(StructuralError):
         FiniteGroupoid(4, [0, 1], [0, 1, 1, 7], r2_hand.rng,
                        r2_hand.compose, r2_hand.inv)
+
+
+# Z/2 as tables: arrow 0 = e, arrow 1 = g
+_Z2 = {"arrow_count": 2, "units": [0], "src": [0, 0], "rng": [0, 0],
+       "compose": [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)], "inv": [0, 1]}
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"arrow_count": -1}, "arrow count must be nonnegative, got -1"),
+    ({"rng": [0]}, "rng table has length 1, expected 2"),
+    ({"units": [0, 2]}, "unit id 2 out of range for 2 arrows"),
+    ({"compose": [(0, 0, 0), (0, 1, 1), (1, 0, 2), (1, 1, 0)]},
+     "compose entry (1,0)->2 out of range"),
+    ({"compose": [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0), (0, 1, 0)]},
+     "duplicate compose entry for pair (0,1)"),
+])
+def test_the_constructor_names_each_malformed_table(changes, message):
+    assert FiniteGroupoid(**_Z2) == cyclic_groupoid(2)
+    with pytest.raises(StructuralError) as err:
+        FiniteGroupoid(**{**_Z2, **changes})
+    assert str(err.value) == message
+
+
+def _id_cases(v0, v1):
+    """name: (a call with v0 and v1 in place of the ids 0 and 1 at one
+    position, its result when they are ints, the message naming v0 or v1
+    when they are not)."""
+    from etale_kit.aut_group import FiniteGroupAction, identity_pair, pair_matrix
+    from etale_kit.families import _cyclic_table, group_inverses, transformation_groupoid
+    from etale_kit.inverse_semigroup import Bisection
+
+    z2 = cyclic_groupoid(2)
+    m_id = pair_matrix(identity_pair(z2))
+
+    def built(**changes):
+        return lambda: FiniteGroupoid(**{**_Z2, **changes})
+
+    def action(row):
+        return transformation_groupoid(_cyclic_table(2), 2, [[0, 1], row])
+
+    return {
+        "arrow count": (lambda: FiniteGroupoid(v1, [0], [0], [0], [(0, 0, 0)], [0]),
+                        pair_groupoid(1), f"arrow count {v1!r} is not an int"),
+        "units": (built(units=[v0]), z2, f"units[0] is {v0!r}, not an int"),
+        "src": (built(src=[0, v0]), z2, f"src[1] is {v0!r}, not an int"),
+        "rng": (built(rng=[0, v0]), z2, f"rng[1] is {v0!r}, not an int"),
+        "inv": (built(inv=[0, v1]), z2, f"inv[1] is {v1!r}, not an int"),
+        "compose triples": (built(compose=[(0, 0, 0), (0, 1, 1), (1, v0, 1), (1, 1, 0)]),
+                            z2, f"compose[2][1] is {v0!r}, not an int"),
+        "compose mapping": (built(compose={(0, 0): 0, (0, 1): 1, (1, 0): v1, (1, 1): 0}),
+                            z2, f"compose[2][2] is {v1!r}, not an int"),
+        "unit set": (lambda: restrict(z2, [v0]), z2, f"unit set[0] is {v0!r}, not an int"),
+        "bisection": (lambda: Bisection(z2, (v1,)).arrows, (1,),
+                      f"arrows[0] is {v1!r}, not an int"),
+        "group table": (lambda: group_inverses([[0, v1], [1, 0]]), [0, 1],
+                        f"group table entry (0,1) is {v1!r}, not an int"),
+        "group action": (lambda: FiniteGroupAction([[0, 1], [v1, 0]], [m_id, m_id]).table,
+                         ((0, 1), (1, 0)), f"group table entry (1,0) is {v1!r}, not an int"),
+        "point action": (lambda: action([v1, 0]), action([1, 0]),
+                         f"action entry (1,0) is {v1!r}, not an int"),
+    }
+
+
+def _exact_ints(value):
+    """Whether every id in a groupoid, or in a tuple or list of ids, is an int."""
+    if isinstance(value, FiniteGroupoid):
+        value = [value.arrow_count, *value.units, *value.src, *value.rng, *value.inv,
+                 *(x for (a, b), c in value.compose.items() for x in (a, b, c))]
+    elif isinstance(value, tuple) and value and isinstance(value[0], tuple):
+        value = [x for row in value for x in row]
+    return {type(x) for x in value} == {int}
+
+
+@pytest.mark.parametrize("case", list(_id_cases(0, 1)))
+@pytest.mark.parametrize("kind", [float, str, bool, np.int64])
+def test_every_constructor_that_takes_ids_refuses_what_is_not_an_int(kind, case):
+    """Floats and strings are refused, naming the field and the position;
+    bools and numpy integers index a tuple, so they are read as the ints
+    they are."""
+    call, expected, message = _id_cases(kind(0), kind(1))[case]
+    if kind in (bool, np.int64):
+        result = call()
+        assert result == expected and _exact_ints(result)
+    else:
+        with pytest.raises(StructuralError) as err:
+            call()
+        assert str(err.value) == message
 
 
 def test_every_single_mutation_of_hand_built_tables_is_caught(r2_hand, z2_hand, bundle_hand):
