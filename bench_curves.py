@@ -7,8 +7,8 @@ Each PATH is the root of a checkout (its `src/` is imported).  For every
 point of the topic's curve, every tree runs in its own child interpreter,
 with BLAS on one thread, and reports, per phase, the median wall time over
 fresh inputs and the tracemalloc peak of one more run; a phase that raises
-records the exception's name and message and the wall time of one run
-instead.  The trees alternate in order from one
+is timed over as many fresh runs and records the exception's name and
+message in place of the peak.  The trees alternate in order from one
 point to the next, so that drift on a shared machine falls on both alike.
 
 Topics:
@@ -329,19 +329,18 @@ def once(prepare, run):  # the seconds of one timed run, and what it raised or N
 
 for name, (prepare, run) in PHASES.items():
     first, raised = once(prepare, run)
-    if raised is not None:
-        result[name] = {"raised": type(raised).__name__, "message": str(raised),
-                        "wall_ms": round(first * 1000, 3), "runs": 1}
-        continue
     times = [first] + [once(prepare, run)[0]
                        for _ in range((slow_runs if first > slow_s else runs) - 1)]
+    result[name] = {"wall_ms": round(statistics.median(times) * 1000, 3), "runs": len(times)}
+    if raised is not None:
+        result[name].update(raised=type(raised).__name__, message=str(raised))
+        continue
     held = prepare(build())
     tracemalloc.start()
     run(held)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    result[name] = {"wall_ms": round(statistics.median(times) * 1000, 3),
-                    "runs": len(times), "peak_mb": round(peak / 2**20, 3)}
+    result[name]["peak_mb"] = round(peak / 2**20, 3)
     if name in globals().get("CHILD_PEAK_KB", {}):  # ru_maxrss is in KiB on Linux
         result[name]["child_peak_mb"] = round(CHILD_PEAK_KB[name] / 2**10, 1)
 print(json.dumps(result))

@@ -29,6 +29,7 @@ from .families import group_inverses
 from .groupoid import (
     FiniteGroupoid,
     GroupoidHom,
+    _ids,
     compose_homs,
     enumerate_automorphisms,
     identity_hom,
@@ -140,8 +141,9 @@ def classify_faut(g: FiniteGroupoid, phase_order: int,
 
 
 def _commutator_closure(table: Sequence[Sequence[int]]) -> set[int]:
-    """The commutator subgroup: closure of all commutators under products."""
-    inv = group_inverses(table)
+    """The commutator subgroup of a checked group table: closure of all
+    commutators under products; the inverse of s is where its row holds 0."""
+    inv = [row.index(0) for row in table]
     k = len(table)
     gens = {table[table[s][t]][table[inv[s]][inv[t]]]
             for s in range(k) for t in range(k)}
@@ -164,8 +166,8 @@ class FiniteGroupAction:
 
     def __init__(self, table: Sequence[Sequence[int]],
                  matrices: Sequence[HomMatrix]):
-        self.inverses = group_inverses(table)  # refuses entries that are not ints
-        self.table = tuple(tuple(map(int, row)) for row in table)
+        self.inverses = group_inverses(table)
+        self.table = _ids("group table entry ({},{})", table, len(table))
         k = len(self.table)
         self.matrices = tuple(matrices)
         if len(self.matrices) != k:

@@ -1,8 +1,9 @@
 """Command-line surface: validation, analysis, norms, decomposition, selftest.
 
-Exit codes: 0 success, 1 parse/IO error or a negative --cap, 2 hypothesis
-or validation failure, or a refusal past the arrow cap or a work budget,
-3 internal inconsistency (corrupted input or failed selftest).
+Exit codes: 0 success, 1 parse/IO error or a --cap or --phases that is
+not a valid count (a StructuralError, as for a malformed document),
+2 hypothesis or validation failure, or a refusal past the arrow cap or a
+work budget, 3 internal inconsistency (corrupted input or failed selftest).
 
 At import this module loads only errors, io and groupoid, which every
 command needs; each command imports the other layers it calls, so
@@ -24,7 +25,6 @@ from .errors import (
     ActionError,
     CapExceeded,
     CocycleError,
-    ConfigError,
     HomomorphismError,
     HypothesisError,
     InternalInconsistencyError,
@@ -41,7 +41,7 @@ from .groupoid import (
     validation_report,
 )
 
-_PARSE_ERRORS = (StructuralError, ConfigError, OSError, json.JSONDecodeError)
+_PARSE_ERRORS = (StructuralError, OSError, json.JSONDecodeError)
 _HYPOTHESIS_ERRORS = (HypothesisError, HomomorphismError, CocycleError,
                       ActionError, SliceError)
 
@@ -268,6 +268,15 @@ def _cmd_selftest(args) -> tuple[int, Report]:
     return (0 if report.ok else 3), report
 
 
+def _count(text: str) -> int | str:
+    """A --cap or --phases as an int; other text is kept, for the library's
+    count check to refuse with exit 1."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="etale-kit",
@@ -282,12 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="basic structure of a groupoid")
     p.add_argument("groupoid")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_count, default=None)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("bisections", help="enumerate the bisection semigroup")
     p.add_argument("groupoid")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_count, default=None)
     p.set_defaults(func=_cmd_bisections)
 
     p = sub.add_parser("norm", help="reduced norm of an algebra element")
@@ -314,11 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aut", help="automorphism and cocycle counts")
     p.add_argument("groupoid")
-    p.add_argument("--phases", type=int, default=2, metavar="N",
+    p.add_argument("--phases", type=_count, default=2, metavar="N",
                    help="root-of-unity order of the cocycles; Z/N has N arrows, "
                         "so N counts against the cap (--phases N needs --cap "
                         ">= N), and the search's check budget applies")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_count, default=None)
     p.set_defaults(func=_cmd_aut)
 
     p = sub.add_parser("faut", help="inspect a diagonal-preserving automorphism")
@@ -328,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the built-in property suite")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=16)
+    p.add_argument("--cap", type=_count, default=16)
     p.set_defaults(func=_cmd_selftest)
     return parser
 

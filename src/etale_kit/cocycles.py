@@ -22,7 +22,7 @@ from .errors import (
     check_enum_cap,
 )
 from .families import cyclic_groupoid
-from .groupoid import FiniteGroupoid, GroupoidHom, _unchecked, enumerate_homomorphisms
+from .groupoid import FiniteGroupoid, GroupoidHom, _int, _unchecked, enumerate_homomorphisms
 _cyclic_target = lru_cache(maxsize=32)(cyclic_groupoid)  # one Z/n per order; no searched groupoid
 
 __all__ = [
@@ -143,6 +143,9 @@ class Cocycle:
         if len(values) != groupoid.arrow_count:
             raise StructuralError(
                 f"cocycle has {len(values)} values, expected {groupoid.arrow_count}")
+        for a, v in enumerate(values):
+            if not isinstance(v, Phase):
+                raise StructuralError(f"values[{a}] is {v!r}, not a Phase")
         units, compose = groupoid.units, groupoid.compose.items()
         if all(v.is_exact for v in values):
             # exponents over one common order, added in Z/order
@@ -213,8 +216,7 @@ def enumerate_cocycles(g: FiniteGroupoid, n: int, cap: int | None = None) -> lis
     cache, after the cap checks, and every call builds a fresh list of fresh
     cocycles from them; every search into Z/n shares one target.
     """
-    if n < 1:
-        raise StructuralError(f"root-of-unity order must be >= 1, got {n}")
+    n = _int("root-of-unity order", n, 1)
     check_enum_cap(g.arrow_count, cap, "cocycle enumeration")
     check_enum_cap(n, cap, f"cocycle enumeration into Z/{n}")
     key = ("cocycles", n)

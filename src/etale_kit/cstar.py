@@ -12,7 +12,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ROW_SPACE_CUT, TOL, HypothesisError, SliceError, StructuralError
-from .groupoid import FiniteGroupoid, is_effective
+from .groupoid import FiniteGroupoid, _int, _unchecked, is_effective
 
 __all__ = [
     "AlgebraElement",
@@ -72,7 +72,7 @@ def _same_groupoid(f: AlgebraElement, g: AlgebraElement) -> None:
 
 def delta(g: FiniteGroupoid, a: int) -> AlgebraElement:
     v = np.zeros(g.arrow_count, dtype=complex)
-    v[a] = 1.0
+    v[_int("arrow", a, 0, g.arrow_count - 1)] = 1.0
     return AlgebraElement(g, v)
 
 
@@ -120,6 +120,7 @@ class LeftRegularRep:
     """
 
     def __init__(self, groupoid: FiniteGroupoid, unit: int):
+        unit = _int("unit", unit, 0, groupoid.arrow_count - 1)
         if not groupoid.is_unit(unit):
             raise StructuralError(f"{unit} is not a unit")
         self.groupoid = groupoid
@@ -190,15 +191,13 @@ class Slice:
 
     __slots__ = ("groupoid", "basis")
 
-    def __init__(self, groupoid: FiniteGroupoid, vectors, *, _orthonormal: bool = False):
+    def __init__(self, groupoid: FiniteGroupoid, vectors):
         mat = np.asarray(vectors, dtype=complex)
         if mat.ndim != 2 or mat.shape[1] != groupoid.arrow_count:
             raise StructuralError("slice basis must be rows of arrow length")
         if not np.all(np.isfinite(mat)):
             raise StructuralError("slice basis must be finite")
-        if not _orthonormal:
-            mat = _row_space_basis(mat)
-        mat = mat.copy()
+        mat = _row_space_basis(mat).copy()
         mat.flags.writeable = False
         self.groupoid = groupoid
         self.basis = mat
@@ -227,10 +226,12 @@ def _row_space_basis(mat: np.ndarray) -> np.ndarray:
 
 
 def slice_of_bisection(u: Bisection) -> Slice:
+    """The span of the point masses of u's arrows, which are already orthonormal."""
     g = u.groupoid
     mat = np.zeros((len(u.arrows), g.arrow_count), dtype=complex)
     mat[range(len(u.arrows)), u.arrows] = 1.0
-    return Slice(g, mat, _orthonormal=True)
+    mat.flags.writeable = False
+    return _unchecked(Slice, groupoid=g, basis=mat)
 
 
 def slice_product(m: Slice, n: Slice) -> Slice:

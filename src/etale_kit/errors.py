@@ -1,4 +1,7 @@
-"""Shared exception types, enumeration caps and numerical tolerances."""
+"""Shared exception types, enumeration caps and numerical tolerances.
+
+A cap that is not a non-negative integer is a `StructuralError`, like every
+other malformed count."""
 
 from __future__ import annotations
 
@@ -26,10 +29,6 @@ ROW_SPACE_CUT = 1e-12  # relative singular-value cut of a slice basis
 
 class StructuralError(ValueError):
     """Malformed tables or documents: out-of-range ids, shape mismatches."""
-
-
-class ConfigError(ValueError):
-    """An explicit arrow cap is negative."""
 
 
 class HomomorphismError(ValueError):
@@ -64,10 +63,8 @@ def enum_cap(cap: int | None = None) -> int:
     """The arrow cap: `cap` itself, or `DEFAULT_ENUM_CAP` when it is None."""
     if cap is None:
         return DEFAULT_ENUM_CAP
-    cap = int(cap)
-    if cap < 0:
-        raise ConfigError(f"the cap must be a non-negative integer, got {cap}")
-    return cap
+    from .groupoid import _int  # groupoid imports this module
+    return _int("the cap", cap)
 
 
 def _charge(spent: int, amount: int, budget: int, what: str, unit: str) -> int:

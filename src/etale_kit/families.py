@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import StructuralError
-from .groupoid import FiniteGroupoid, _int_type, _labelled, validation_report
+from .errors import StructuralError, enum_cap
+from .groupoid import FiniteGroupoid, _ids, _int, _labelled, validation_report
 
 __all__ = [
     "pair_groupoid",
@@ -20,8 +20,7 @@ __all__ = [
 
 def pair_groupoid(n: int) -> FiniteGroupoid:
     """The pair groupoid on n points: one arrow (i, j) between any two points."""
-    if n < 0:
-        raise StructuralError("point count must be nonnegative")
+    n = _int("point count", n)
     units = [(i, i) for i in range(n)]
     pairs = units + sorted((i, j) for i in range(n) for j in range(n) if i != j)
     return _labelled(pairs, units, lambda p: (p[1], p[1]), lambda p: (p[0], p[0]),
@@ -35,17 +34,13 @@ def _cyclic_table(n: int) -> list[list[int]]:
 def cyclic_groupoid(n: int) -> FiniteGroupoid:
     """Z/n viewed as a groupoid with a single unit (the identity, arrow 0):
     the group bundle of one fiber."""
-    if n < 1:
-        raise StructuralError("cyclic order must be >= 1")
-    return group_bundle([n])
+    return group_bundle([_int("cyclic order", n, 1)])
 
 
 def group_bundle(orders: Sequence[int]) -> FiniteGroupoid:
     """A bundle of cyclic groups: point p carries Z/orders[p], no arrows
     between distinct points. Units first, then fiber elements by (point, power)."""
-    orders = [int(m) for m in orders]
-    if not all(m >= 1 for m in orders):
-        raise StructuralError("every fiber order must be >= 1")
+    orders = [_int(f"orders[{p}]", m, 1) for p, m in enumerate(orders)]
     units = [(p, 0) for p in range(len(orders))]
     labels = units + [(p, k) for p, m in enumerate(orders) for k in range(1, m)]
     return _labelled(labels, units, lambda e: (e[0], 0), lambda e: (e[0], 0),
@@ -60,12 +55,7 @@ def group_inverses(table: Sequence[Sequence[int]]) -> list[int]:
     k = len(table)
     if any(len(row) != k for row in table):
         raise StructuralError("group table must be square")
-    for a, row in enumerate(table):
-        for b, c in enumerate(row):
-            if not _int_type(type(c)):
-                raise StructuralError(f"group table entry ({a},{b}) is {c!r}, not an int")
-            if not 0 <= c < k:
-                raise StructuralError(f"group table entry ({a},{b}) is {c}, outside 0..{k - 1}")
+    table = _ids("group table entry ({},{})", table, k)
     if not k or any(table[0][a] != a or table[a][0] != a for a in range(k)):
         raise StructuralError("group table must have identity 0")
     for a in range(k):
@@ -96,16 +86,12 @@ def transformation_groupoid(
     (0, x) the unit at x.  Refuses with `StructuralError` a table that is not
     a group, an action entry outside the points, and an action that fails
     the action laws, which are checked as the axioms of the built groupoid."""
+    n_points = _int("point count", n_points)
     k = len(table)
     ginv = group_inverses(table)
     if len(action) != k or any(len(row) != n_points for row in action):
         raise StructuralError("action table must be |group| x |points|")
-    for g, row in enumerate(action):
-        for x, y in enumerate(row):
-            if not _int_type(type(y)):
-                raise StructuralError(f"action entry ({g},{x}) is {y!r}, not an int")
-            if not 0 <= y < n_points:
-                raise StructuralError(f"action entry ({g},{x}) is {y}, outside 0..{n_points - 1}")
+    action = _ids("action entry ({},{})", action, n_points)
     units = [(0, x) for x in range(n_points)]
     labels = units + [(g, x) for g in range(1, k) for x in range(n_points)]
     # the action laws are the groupoid axioms of these formulas: the identity
@@ -168,5 +154,6 @@ def standard_corpus(cap: int | None = None) -> list[tuple[str, FiniteGroupoid]]:
     entries.append(("group_bundle([2,1])+pair(2)",
                     disjoint_union([group_bundle([2, 1]), pair_groupoid(2)])))
     if cap is not None:
+        cap = enum_cap(cap)
         entries = [(name, g) for name, g in entries if g.arrow_count <= cap]
     return entries

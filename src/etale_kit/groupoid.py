@@ -43,16 +43,44 @@ def _int_type(t: type) -> bool:
     return hasattr(t, "__index__")
 
 
-def _ids(name: str, values: Iterable) -> tuple[int, ...]:
-    """The values as a tuple of ints, exact ints decided by one C-level scan
-    of their types; `StructuralError` names the first value that is not one."""
-    values = tuple(values)
-    if set(map(type, values)) <= {int}:
-        return values
-    for i, x in enumerate(values):
-        if not _int_type(type(x)):
-            raise StructuralError(f"{name}[{i}] is {x!r}, not an int")
-    return tuple(map(index, values))
+def _ids(label: str, values, n: int, error: type[Exception] = StructuralError) -> tuple:
+    """The ids, each an int in 0..n-1, as a tuple of exact ints; or, when
+    `label` has two `{}` fields, a table of rows of ids as a tuple of tuples.
+
+    One C-level scan each of the types, the least and the largest value
+    decides.  Only a failure walks the values: `error` names the first that
+    is not an int in range by `label` formatted with its position."""
+    table = label.count("{}") == 2
+    # rows go to a list first: tuple() of an iterator is slower under the
+    # cycle collector
+    values = list(map(tuple, values)) if table else tuple(values)
+    flat = list(chain.from_iterable(values)) if table else values
+    types = set(map(type, flat))
+    if types <= {int}:
+        if not flat or min(flat) >= 0 and max(flat) < n:
+            return tuple(values)
+    elif all(map(_int_type, types)):  # bool, numpy integers: check them as ints
+        return _ids(label, (tuple(map(index, row)) for row in values) if table
+                    else map(index, values), n, error)
+    cells = (((i, j), x) for i, row in enumerate(values) for j, x in enumerate(row)) \
+        if table else (((i,), x) for i, x in enumerate(values))
+    at, x = next((at, x) for at, x in cells if not (_int_type(type(x)) and 0 <= index(x) < n))
+    raise error(f"{label.format(*at)} is {x!r}, not an int in 0..{n - 1}")
+
+
+def _int(label: str, value, least: int = 0, most: int | None = None,
+         error: type[Exception] = StructuralError) -> int:
+    """One id or count as an exact int, refused with `error` unless it is an
+    int, by `_int_type`, in least..most; a count has no largest value, and
+    its least is 0 or 1."""
+    if _int_type(type(value)):
+        exact = index(value)
+        if least <= exact and (most is None or exact <= most):
+            return exact
+    if most is not None:
+        raise error(f"{label} is {value!r}, not an int in {least}..{most}")
+    raise error(f"{label} must be a {'positive' if least else 'non-negative'} integer, "
+                f"got {value!r}")
 
 
 class FiniteGroupoid:
@@ -61,9 +89,9 @@ class FiniteGroupoid:
     Units are a flagged subset of the arrows; `compose` is a partial table
     defined exactly on the composable pairs (source of the left factor equals
     range of the right factor), and iterates in ascending (a, b) key order.
-    Construction checks only that ids are ints, by `_int_type`, and in
-    range; run `validation_report` for the groupoid axioms.  Instances are
-    immutable values after construction.
+    Construction checks only that ids are ints in range, by `_ids`; run
+    `validation_report` for the groupoid axioms.  Instances are immutable
+    values after construction.
     """
 
     __slots__ = ("arrow_count", "units", "src", "rng", "inv", "compose",
@@ -78,37 +106,22 @@ class FiniteGroupoid:
         compose: Mapping[tuple[int, int], int] | Iterable[tuple[int, int, int]],
         inv: Iterable[int],
     ):
-        if not _int_type(type(arrow_count)):
-            raise StructuralError(f"arrow count {arrow_count!r} is not an int")
-        n = index(arrow_count)
-        if n < 0:
-            raise StructuralError(f"arrow count must be nonnegative, got {n}")
-        self.arrow_count = n
-        self.units = tuple(sorted(set(_ids("units", units))))
-        self.src = _ids("src", src)
-        self.rng = _ids("rng", rng)
-        self.inv = _ids("inv", inv)
-        for name, tab in (("src", self.src), ("rng", self.rng), ("inv", self.inv)):
+        n = self.arrow_count = _int("arrow count", arrow_count)
+        src, rng, inv = tuple(src), tuple(rng), tuple(inv)
+        for name, tab in (("src", src), ("rng", rng), ("inv", inv)):
             if len(tab) != n:
                 raise StructuralError(f"{name} table has length {len(tab)}, expected {n}")
-            for i, a in enumerate(tab):
-                if not 0 <= a < n:
-                    raise StructuralError(f"{name}[{i}] = {a} out of range for {n} arrows")
-        for u in self.units:
-            if not 0 <= u < n:
-                raise StructuralError(f"unit id {u} out of range for {n} arrows")
-        items = ([(a, b, c) for (a, b), c in compose.items()] if isinstance(compose, Mapping)
-                 else [(a, b, c) for a, b, c in compose])
-        if not set(map(type, chain.from_iterable(items))) <= {int}:
-            items = [_ids(f"compose[{i}]", entry) for i, entry in enumerate(items)]
-        items.sort()
-        table: dict[tuple[int, int], int] = {}
-        for a, b, c in items:
-            if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
-                raise StructuralError(f"compose entry ({a},{b})->{c} out of range")
-            if (a, b) in table:
-                raise StructuralError(f"duplicate compose entry for pair ({a},{b})")
-            table[(a, b)] = c
+        self.units = tuple(sorted(set(_ids("units[{}]", units, n))))
+        self.src = _ids("src[{}]", src, n)
+        self.rng = _ids("rng[{}]", rng, n)
+        self.inv = _ids("inv[{}]", inv, n)
+        if isinstance(compose, Mapping):
+            compose = [(a, b, c) for (a, b), c in compose.items()]
+        items = sorted(_ids("compose[{}][{}]", compose, n))
+        table = {(a, b): c for a, b, c in items}
+        if len(table) != len(items):  # sorted, so a repeated pair is adjacent
+            a, b, _ = next(x for x, y in zip(items, items[1:]) if x[:2] == y[:2])
+            raise StructuralError(f"duplicate compose entry for pair ({a},{b})")
         self.compose = table
         self.unit_set = frozenset(self.units)
         self._hash = None
@@ -402,7 +415,7 @@ def invariant_subsets(g: FiniteGroupoid) -> list[tuple[int, ...]]:
 
 
 def normalize_unit_set(g: FiniteGroupoid, subset: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(sorted(set(_ids("unit set", subset))))
+    out = tuple(sorted(set(_ids("unit set[{}]", subset, g.arrow_count))))
     for x in out:
         if x not in g.unit_set:
             raise StructuralError(f"{x} is not a unit of the groupoid")
@@ -466,13 +479,11 @@ class GroupoidHom:
 
     def __post_init__(self):
         dom, cod, m = self.domain, self.codomain, tuple(self.mapping)
-        object.__setattr__(self, "mapping", m)
         if len(m) != dom.arrow_count:
             raise StructuralError(
                 f"mapping has length {len(m)}, expected {dom.arrow_count}")
-        for a, b in enumerate(m):
-            if not 0 <= b < cod.arrow_count:
-                raise StructuralError(f"image of arrow {a} is {b}, out of range")
+        m = _ids("mapping[{}]", m, cod.arrow_count)
+        object.__setattr__(self, "mapping", m)
         for x in dom.units:
             if not cod.is_unit(m[x]):
                 raise HomomorphismError(f"unit {x} maps to non-unit {m[x]}")

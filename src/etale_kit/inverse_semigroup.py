@@ -5,7 +5,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add, index, sub
+from operator import add, sub
 from typing import Sequence
 
 from .errors import (
@@ -16,7 +16,7 @@ from .errors import (
     _charge,
     check_enum_cap,
 )
-from .groupoid import (FiniteGroupoid, GroupoidHom, _ids, _int_type, _labelled, _reader,
+from .groupoid import (FiniteGroupoid, GroupoidHom, _ids, _int, _labelled, _reader,
                        _unchecked, validation_report)
 
 __all__ = [
@@ -42,13 +42,11 @@ class Bisection:
     arrows: tuple[int, ...]
 
     def __post_init__(self):
-        arrows = tuple(sorted(set(_ids("arrows", self.arrows))))
-        object.__setattr__(self, "arrows", arrows)
         g = self.groupoid
+        arrows = tuple(sorted(set(_ids("arrows[{}]", self.arrows, g.arrow_count))))
+        object.__setattr__(self, "arrows", arrows)
         seen_src, seen_rng = set(), set()
         for a in arrows:
-            if not 0 <= a < g.arrow_count:
-                raise StructuralError(f"arrow {a} out of range")
             if g.src[a] in seen_src:
                 raise StructuralError(f"source map not injective on arrows (at {a})")
             if g.rng[a] in seen_rng:
@@ -60,11 +58,6 @@ class Bisection:
 def _gather(seq, indices) -> tuple:
     """tuple(seq[i] for i in indices), in one C-level pass."""
     return _reader(tuple(indices))(seq)
-
-
-def _is_element(x, k: int) -> bool:
-    """Whether x is an int in 0..k-1."""
-    return _int_type(type(x)) and 0 <= x < k
 
 
 def bisection_product(u: Bisection, v: Bisection) -> Bisection:
@@ -98,24 +91,16 @@ class InverseSemigroup:
                  star: Sequence[int], zero: int | None = None):
         self.elements = tuple(elements)
         k = len(self.elements)
-        self.table = table = tuple(map(tuple, table))
-        self.star = tuple(star)
-        self.zero = zero
+        table, star = tuple(table), tuple(star)
         if len(table) != k or any(len(row) != k for row in table):
             raise StructuralError("product table must be square over the elements")
-        if len(self.star) != k:
+        if len(star) != k:
             raise StructuralError("star table length mismatch")
-        if zero is not None and not _is_element(zero, k):
-            raise StructuralError(f"declared zero {zero!r} out of range")
-        for s, x in enumerate(self.star):
-            if not _is_element(x, k):
-                raise StructuralError(f"star of element {s} is {x!r}, not an int in 0..{k - 1}")
-        for s, row in enumerate(table):  # one C-level scan of each row decides
-            if not (all(map(_int_type, set(map(type, row)))) and 0 <= min(row)
-                    and max(row) < k):
-                t = next(t for t, x in enumerate(row) if not _is_element(x, k))
-                raise StructuralError(f"product of elements ({s},{t}) is {row[t]!r}, "
-                                      f"not an int in 0..{k - 1}")
+        if zero is not None:
+            zero = _int("declared zero", zero, 0, k - 1)
+        self.zero = zero
+        self.star = _ids("star of element {}", star, k)
+        self.table = table = _ids("product of elements ({},{})", table, k)
         # t is a generalized inverse of s when (s.t).s = s and (t.s).t = t
         for s, row in enumerate(table):
             generalized = [t for t, st in enumerate(row)
@@ -289,9 +274,9 @@ class SemigroupAction:
 
     `maps[s]` is the partial bijection of element s as a dict; its key set is
     the domain of the idempotent s*s.  Construction refuses a point count
-    that is not an int in 0..0x10FFFF and point ids that are not ints,
-    checks that every map is a bijection onto the domain of s s*, that the
-    idempotent domains cover the space, and the composition law
+    that is not an int in 0..0x10FFFF and a point id that is not an int in
+    0..n_points-1, checks that every map is a bijection onto the domain of
+    s s*, that the idempotent domains cover the space, and the composition law
     s(t(x)) = (s.t)(x) exhaustively, one element s at a time: with each map
     a string over the points and chr(n_points) for "undefined", s(t(x)) for
     every (t, x) is one `str.translate` of all the strings joined, and
@@ -302,24 +287,21 @@ class SemigroupAction:
     def __init__(self, semigroup: InverseSemigroup, n_points: int,
                  maps: Sequence[dict[int, int]]):
         self.semigroup = semigroup
-        if not _int_type(type(n_points)):
-            raise ActionError(f"point count {n_points!r} is not an int")
-        self.n_points = index(n_points)
-        if not 0 <= self.n_points <= 0x10FFFF:
-            raise ActionError(f"point count {self.n_points} outside 0..0x10FFFF")
-        self.maps = tuple(map(dict, maps))
+        self.n_points = _int("point count", n_points, 0, 0x10FFFF, ActionError)
+        maps = tuple(map(dict, maps))
         k = len(semigroup)
-        if len(self.maps) != k:
+        if len(maps) != k:
             raise StructuralError("one partial map per semigroup element required")
-        for s, m in enumerate(self.maps):
+        checked = []
+        for s, m in enumerate(maps):
             # a float id in range would pass every other check and fail in `chr`
-            points = [*m, *m.values()]
-            if not all(map(_int_type, set(map(type, points)))):
-                raise ActionError(f"map of element {s} has a point id that is not an int")
-            if points and not (0 <= min(points) and max(points) < self.n_points):
-                raise ActionError(f"map of element {s} leaves the point set")
+            points = _ids(f"map of element {s} point id", [*m, *m.values()],
+                          self.n_points, ActionError)
+            m = dict(zip(points[:len(m)], points[len(m):]))
             if len(set(m.values())) != len(m):
                 raise ActionError(f"map of element {s} is not injective")
+            checked.append(m)
+        self.maps = tuple(checked)
         table, star = semigroup.table, semigroup.star
         for s, m in enumerate(self.maps):
             if m.keys() != self.maps[table[star[s]][s]].keys():
@@ -465,13 +447,8 @@ def induced_germ_hom(
         raise StructuralError("element map length mismatch")
     if len(point_map) != source.n_points:
         raise StructuralError("point map length mismatch")
-    for name, entries in (("element", element_map), ("point", point_map)):
-        if not all(map(_int_type, set(map(type, entries)))):
-            raise StructuralError(f"{name} map has an entry that is not an int")
-    if not all(0 <= t < len(tsg) for t in element_map):
-        raise StructuralError("element map leaves the target semigroup")
-    if not all(0 <= y < target.n_points for y in point_map):
-        raise StructuralError("point map leaves the target point set")
+    element_map = _ids("element map[{}]", element_map, len(tsg))
+    point_map = _ids("point map[{}]", point_map, target.n_points)
     for s in range(len(ssg)):
         for t in range(len(ssg)):
             if element_map[ssg.mul(s, t)] != tsg.mul(element_map[s], element_map[t]):

@@ -78,7 +78,7 @@ def _random_element(g, rng: np.random.Generator) -> AlgebraElement:
 def run_selftest(seed: int = 0, cap: int = 16) -> list[dict]:
     rnd = random.Random(seed)
     nprng = np.random.default_rng(seed)
-    cap = enum_cap(cap)  # a negative cap is a ConfigError, not an empty corpus
+    cap = enum_cap(cap)  # a negative cap is a StructuralError, not an empty corpus
     corpus = standard_corpus(cap)
     if not corpus:
         raise CapExceeded(f"selftest: the cap {cap} admits no corpus groupoid")

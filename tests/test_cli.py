@@ -13,7 +13,7 @@ import pytest
 from etale_kit import cli
 from etale_kit import io as kio
 from etale_kit.decomposition import HomMatrix, quotient_hom, validate_hom
-from etale_kit.errors import DEFAULT_ENUM_CAP, ConfigError, enum_cap
+from etale_kit.errors import DEFAULT_ENUM_CAP, StructuralError, enum_cap
 from etale_kit.families import cyclic_groupoid, group_bundle, pair_groupoid
 from etale_kit.groupoid import enumerate_automorphisms, invariant_subsets
 
@@ -246,8 +246,21 @@ def test_negative_cap_exits_one(docs, run_cli, command):
 
 
 def test_negative_cap_is_refused_in_process():
-    with pytest.raises(ConfigError, match="got -1"):
+    with pytest.raises(StructuralError, match="got -1"):
         enumerate_automorphisms(pair_groupoid(2), cap=-1)
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--cap", "2.5", "the cap must be a non-negative integer, got '2.5'"),
+    ("--cap", "abc", "the cap must be a non-negative integer, got 'abc'"),
+    ("--phases", "2.5", "root-of-unity order must be a positive integer, got '2.5'"),
+    ("--phases", "0", "root-of-unity order must be a positive integer, got 0"),
+])
+def test_a_count_option_that_is_not_a_count_exits_one(docs, option, value, message, capsys):
+    assert cli.main(["aut", docs["r2"], option, value]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message}\n"
 
 
 def test_selftest_json_is_deterministic(run_cli):

@@ -414,7 +414,7 @@ def reference_slice_product(m, n):
     prods = [reference_convolve(AlgebraElement(g, u), AlgebraElement(g, v)).coeff
              for u in m.basis for v in n.basis]
     if not prods:
-        return Slice(g, np.zeros((0, g.arrow_count), dtype=complex), _orthonormal=True)
+        return Slice(g, np.zeros((0, g.arrow_count), dtype=complex))
     return Slice(g, np.array(prods))
 
 

@@ -220,3 +220,16 @@ def test_each_command_loads_only_the_layers_it_calls(tmp_path):
         assert code == 0, (argv, child.stderr)
         assert LOADED_BY_EVERY_COMMAND <= set(loaded), (argv, loaded)
         assert not unloaded & set(loaded), (argv, loaded)
+
+
+def test_only_the_two_id_helpers_decide_what_an_int_is():
+    """`groupoid._int_type` is read only inside `_ids` and `_int`, which every
+    id and count check of the package calls."""
+    users = set()
+    for path in Path(etale_kit.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            for inner in ast.walk(node):
+                if (isinstance(inner, ast.Name) and inner.id == "_int_type"
+                        or isinstance(inner, ast.alias) and inner.name == "_int_type"):
+                    users.add((path.stem, getattr(node, "name", None)))
+    assert users == {("groupoid", "_ids"), ("groupoid", "_int")}, users

@@ -75,7 +75,7 @@ def test_transformation_rejects_non_actions():
     ([[-2, 1], [1, 0]], r"\(0,0\) is -2"),
 ])
 def test_transformation_refuses_action_entries_outside_the_points(action, entry):
-    with pytest.raises(StructuralError, match=entry + r", outside 0\.\.1"):
+    with pytest.raises(StructuralError, match=entry + r", not an int in 0\.\.1"):
         transformation_groupoid(_cyclic_table(2), 2, action)
 
 

@@ -10,6 +10,7 @@ import pytest
 from etale_kit.cocycles import enumerate_cocycles, trivial_cocycle
 from etale_kit.decomposition import DecompositionData, build_hom, decompose
 from etale_kit.errors import (
+    ActionError,
     CapExceeded,
     HomomorphismError,
     HypothesisError,
@@ -93,11 +94,11 @@ _Z2 = {"arrow_count": 2, "units": [0], "src": [0, 0], "rng": [0, 0],
 
 
 @pytest.mark.parametrize("changes, message", [
-    ({"arrow_count": -1}, "arrow count must be nonnegative, got -1"),
+    ({"arrow_count": -1}, "arrow count must be a non-negative integer, got -1"),
     ({"rng": [0]}, "rng table has length 1, expected 2"),
-    ({"units": [0, 2]}, "unit id 2 out of range for 2 arrows"),
+    ({"units": [0, 2]}, "units[1] is 2, not an int in 0..1"),
     ({"compose": [(0, 0, 0), (0, 1, 1), (1, 0, 2), (1, 1, 0)]},
-     "compose entry (1,0)->2 out of range"),
+     "compose[2][2] is 2, not an int in 0..1"),
     ({"compose": [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0), (0, 1, 0)]},
      "duplicate compose entry for pair (0,1)"),
 ])
@@ -108,43 +109,85 @@ def test_the_constructor_names_each_malformed_table(changes, message):
     assert str(err.value) == message
 
 
-def _id_cases(v0, v1):
-    """name: (a call with v0 and v1 in place of the ids 0 and 1 at one
-    position, its result when they are ints, the message naming v0 or v1
-    when they are not)."""
+def _id_cases():
+    """name: (a call with the value v at one id or count position, the int
+    that position holds in a call that succeeds, and how the position is
+    checked: ("id", its label, n) for an int in 0..n-1, or ("count", its
+    label, least value) for an int with no largest value)."""
     from etale_kit.aut_group import FiniteGroupAction, identity_pair, pair_matrix
-    from etale_kit.families import _cyclic_table, group_inverses, transformation_groupoid
-    from etale_kit.inverse_semigroup import Bisection
+    from etale_kit.cstar import LeftRegularRep, delta
+    from etale_kit.families import (_cyclic_table, group_inverses, standard_corpus,
+                                    transformation_groupoid)
+    from etale_kit.inverse_semigroup import (Bisection, InverseSemigroup, SemigroupAction,
+                                             canonical_action, enumerate_bisections,
+                                             induced_germ_hom)
 
-    z2 = cyclic_groupoid(2)
+    z2, r1, r2 = cyclic_groupoid(2), pair_groupoid(1), pair_groupoid(2)
     m_id = pair_matrix(identity_pair(z2))
+    action, point = canonical_action(r2), canonical_action(r1)  # 5 = {1 -> 0, 0 -> 1}
+    semilattice = [[0, 0], [0, 1]]
 
     def built(**changes):
         return lambda: FiniteGroupoid(**{**_Z2, **changes})
 
-    def action(row):
-        return transformation_groupoid(_cyclic_table(2), 2, [[0, 1], row])
+    def germ_map(points, elements):
+        return lambda: induced_germ_hom(action, action, points, elements).mapping
+
+    def point_map(v):
+        maps = [*action.maps[:5], {1: 0, 0: v}, *action.maps[6:]]
+        return lambda: tuple(SemigroupAction(action.semigroup, 2, maps).maps[5].items())
 
     return {
-        "arrow count": (lambda: FiniteGroupoid(v1, [0], [0], [0], [(0, 0, 0)], [0]),
-                        pair_groupoid(1), f"arrow count {v1!r} is not an int"),
-        "units": (built(units=[v0]), z2, f"units[0] is {v0!r}, not an int"),
-        "src": (built(src=[0, v0]), z2, f"src[1] is {v0!r}, not an int"),
-        "rng": (built(rng=[0, v0]), z2, f"rng[1] is {v0!r}, not an int"),
-        "inv": (built(inv=[0, v1]), z2, f"inv[1] is {v1!r}, not an int"),
-        "compose triples": (built(compose=[(0, 0, 0), (0, 1, 1), (1, v0, 1), (1, 1, 0)]),
-                            z2, f"compose[2][1] is {v0!r}, not an int"),
-        "compose mapping": (built(compose={(0, 0): 0, (0, 1): 1, (1, 0): v1, (1, 1): 0}),
-                            z2, f"compose[2][2] is {v1!r}, not an int"),
-        "unit set": (lambda: restrict(z2, [v0]), z2, f"unit set[0] is {v0!r}, not an int"),
-        "bisection": (lambda: Bisection(z2, (v1,)).arrows, (1,),
-                      f"arrows[0] is {v1!r}, not an int"),
-        "group table": (lambda: group_inverses([[0, v1], [1, 0]]), [0, 1],
-                        f"group table entry (0,1) is {v1!r}, not an int"),
-        "group action": (lambda: FiniteGroupAction([[0, 1], [v1, 0]], [m_id, m_id]).table,
-                         ((0, 1), (1, 0)), f"group table entry (1,0) is {v1!r}, not an int"),
-        "point action": (lambda: action([v1, 0]), action([1, 0]),
-                         f"action entry (1,0) is {v1!r}, not an int"),
+        "arrow count": (lambda v: lambda: FiniteGroupoid(v, [0], [0], [0], [(0, 0, 0)], [0]),
+                        1, ("count", "arrow count", 0)),
+        "units": (lambda v: built(units=[v]), 0, ("id", "units[0]", 2)),
+        "src": (lambda v: built(src=[0, v]), 0, ("id", "src[1]", 2)),
+        "rng": (lambda v: built(rng=[0, v]), 0, ("id", "rng[1]", 2)),
+        "inv": (lambda v: built(inv=[0, v]), 1, ("id", "inv[1]", 2)),
+        "compose triples": (lambda v: built(compose=[(0, 0, 0), (0, 1, 1), (1, v, 1), (1, 1, 0)]),
+                            0, ("id", "compose[2][1]", 2)),
+        "compose mapping": (lambda v: built(compose={(0, 0): 0, (0, 1): 1, (1, 0): v, (1, 1): 0}),
+                            1, ("id", "compose[2][2]", 2)),
+        "unit set": (lambda v: lambda: restrict(z2, [v]), 0, ("id", "unit set[0]", 2)),
+        "homomorphism": (lambda v: lambda: GroupoidHom(r1, r1, (v,)).mapping, 0,
+                         ("id", "mapping[0]", 1)),
+        "delta": (lambda v: lambda: np.flatnonzero(delta(r2, v).coeff).tolist(), 1,
+                  ("id", "arrow", 4)),
+        "regular rep": (lambda v: lambda: (LeftRegularRep(r2, v).unit, *LeftRegularRep(r2, v).basis),
+                        0, ("id", "unit", 4)),
+        "bisection": (lambda v: lambda: Bisection(z2, (v,)).arrows, 1, ("id", "arrows[0]", 2)),
+        "group table": (lambda v: lambda: group_inverses([[0, v], [1, 0]]), 1,
+                        ("id", "group table entry (0,1)", 2)),
+        "group action": (lambda v: lambda: FiniteGroupAction([[0, 1], [v, 0]], [m_id, m_id]).table,
+                         1, ("id", "group table entry (1,0)", 2)),
+        "point action": (lambda v: lambda: transformation_groupoid(
+            _cyclic_table(2), 2, [[0, 1], [v, 0]]), 1, ("id", "action entry (1,0)", 2)),
+        "semigroup product": (lambda v: lambda: InverseSemigroup(
+            "01", [[0, 0], [0, v]], [0, 1]).table, 1, ("id", "product of elements (1,1)", 2)),
+        "semigroup star": (lambda v: lambda: InverseSemigroup("01", semilattice, [0, v]).star,
+                           1, ("id", "star of element 1", 2)),
+        "semigroup zero": (lambda v: lambda: (InverseSemigroup("01", semilattice, [0, 1],
+                                                               zero=v).zero,),
+                           0, ("id", "declared zero", 2)),
+        "semigroup action point count": (lambda v: lambda: (SemigroupAction(
+            point.semigroup, v, point.maps).n_points,), 1, ("id", "point count", 0x110000)),
+        "semigroup action point": (point_map, 1, ("id", "map of element 5 point id", 2)),
+        "germ element map": (lambda v: germ_map([0, 1], [0, v, 2, 3, 4, 5, 6]), 1,
+                             ("id", "element map[1]", 7)),
+        "germ point map": (lambda v: germ_map([0, v], list(range(7))), 1,
+                           ("id", "point map[1]", 2)),
+        "pair point count": (lambda v: lambda: pair_groupoid(v), 2, ("count", "point count", 0)),
+        "cyclic order": (lambda v: lambda: cyclic_groupoid(v), 2, ("count", "cyclic order", 1)),
+        "fiber order": (lambda v: lambda: group_bundle([2, v]), 3, ("count", "orders[1]", 1)),
+        "group action point count": (lambda v: lambda: transformation_groupoid([[0]], v, [[0]]),
+                                     1, ("count", "point count", 0)),
+        "cocycle order": (lambda v: lambda: tuple(
+            phase.den for c in enumerate_cocycles(r1, v) for phase in c.values), 2,
+            ("count", "root-of-unity order", 1)),
+        "cap": (lambda v: lambda: (len(enumerate_bisections(r1, cap=v)),), 1,
+                ("count", "the cap", 0)),
+        "corpus cap": (lambda v: lambda: tuple(g.arrow_count for _, g in standard_corpus(v)), 9,
+                       ("count", "the cap", 0)),
     }
 
 
@@ -158,20 +201,50 @@ def _exact_ints(value):
     return {type(x) for x in value} == {int}
 
 
-@pytest.mark.parametrize("case", list(_id_cases(0, 1)))
-@pytest.mark.parametrize("kind", [float, str, bool, np.int64])
+def _refusal(shape, label, bound, value):
+    if shape == "id":
+        return f"{label} is {value!r}, not an int in 0..{bound - 1}"
+    return f"{label} must be a {'positive' if bound else 'non-negative'} integer, got {value!r}"
+
+
+def _id_params():
+    """(kind, case) pairs: every case takes a float, a str, a bool, a numpy
+    integer and -1; an id also takes n, and a positive count 0."""
+    for case, (_, _, (shape, _, bound)) in _id_cases().items():
+        kinds = ["float", "str", "bool", "int64", "negative"]
+        if shape == "id" or bound:
+            kinds.append("out of range")
+        yield from (pytest.param(kind, case, id=f"{kind}-{case}") for kind in kinds)
+
+
+@pytest.mark.parametrize("kind, case", list(_id_params()))
 def test_every_constructor_that_takes_ids_refuses_what_is_not_an_int(kind, case):
-    """Floats and strings are refused, naming the field and the position;
-    bools and numpy integers index a tuple, so they are read as the ints
-    they are."""
-    call, expected, message = _id_cases(kind(0), kind(1))[case]
-    if kind in (bool, np.int64):
+    """Floats, strings and values out of range are refused in one shape,
+    naming the field and the position; bools and numpy integers index a
+    tuple, so they are read as the ints they are."""
+    make, good, (shape, label, bound) = _id_cases()[case]
+    value = {"float": float(good), "str": str(good), "bool": bool(good),
+             "int64": np.int64(good), "negative": -1,
+             "out of range": bound if shape == "id" else 0}[kind]
+    call = make(value)
+    if kind in ("bool", "int64"):
         result = call()
-        assert result == expected and _exact_ints(result)
-    else:
-        with pytest.raises(StructuralError) as err:
-            call()
-        assert str(err.value) == message
+        assert result == make(int(value))() and _exact_ints(result)
+        return
+    with pytest.raises(Exception) as err:
+        call()
+    assert not isinstance(err.value, (TypeError, IndexError, AttributeError, KeyError))
+    error = ActionError if case.startswith("semigroup action") else StructuralError
+    assert type(err.value) is error
+    assert str(err.value) == _refusal(shape, label, bound, value)
+
+
+@pytest.mark.parametrize("value", [1, 1.0, None, "1"])
+def test_a_cocycle_value_that_is_not_a_phase_is_refused(value):
+    from etale_kit.cocycles import Cocycle, Phase
+    with pytest.raises(StructuralError) as err:
+        Cocycle(pair_groupoid(2), [Phase.exact(0, 1)] * 3 + [value])
+    assert str(err.value) == f"values[3] is {value!r}, not a Phase"
 
 
 def test_every_single_mutation_of_hand_built_tables_is_caught(r2_hand, z2_hand, bundle_hand):

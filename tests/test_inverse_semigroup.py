@@ -1,6 +1,7 @@
 """Bisections, the inverse semigroup laws, actions, and germ groupoids."""
 
 import gc
+import re
 from collections import Counter
 from itertools import combinations
 from math import comb, factorial
@@ -146,14 +147,15 @@ def test_every_generalized_inverse_is_named():
 
 @pytest.mark.parametrize("zero", [5, 1, -1])
 def test_a_zero_outside_the_elements_is_refused(zero):
-    with pytest.raises(StructuralError, match=f"declared zero {zero} out of range"):
+    with pytest.raises(StructuralError, match=f"declared zero is {zero}, not an int in 0..0"):
         InverseSemigroup(["a"], [[0]], [0], zero=zero)
 
 
 @pytest.mark.parametrize("n_points", [-1, 0x110000])
 def test_a_point_count_outside_the_code_points_is_refused(n_points):
     semigroup = enumerate_bisections(pair_groupoid(1))
-    with pytest.raises(ActionError, match=f"point count {n_points} outside 0..0x10FFFF"):
+    with pytest.raises(ActionError,
+                       match=f"point count is {n_points}, not an int in 0..1114111"):
         SemigroupAction(semigroup, n_points, [{}, {}])
 
 
@@ -161,8 +163,10 @@ def test_a_point_count_outside_the_code_points_is_refused(n_points):
 def test_a_point_id_that_is_not_an_int_is_refused(unit_map):
     # a float id in range passes the range, injectivity and domain checks
     semigroup = enumerate_bisections(pair_groupoid(1))
-    with pytest.raises(ActionError, match="map of element 1 has a point id that is not an int"):
+    point = next(x for x in [*unit_map, *unit_map.values()] if type(x) is not int)
+    with pytest.raises(ActionError) as err:
         SemigroupAction(semigroup, 1, [{}, unit_map])
+    assert str(err.value) == f"map of element 1 point id is {point!r}, not an int in 0..0"
 
 
 def test_cap_refusal():
@@ -402,15 +406,15 @@ def test_induced_germ_hom_rejects_nonequivariant_maps(r2_hand):
 
 
 @pytest.mark.parametrize("points, elements, message", [
-    ([0, 1], [99] * 7, "element map leaves the target semigroup"),
-    ([0, 1], [-1] * 7, "element map leaves the target semigroup"),
-    ([0, 2], list(range(7)), "point map leaves the target point set"),
-    ([-1, 1], list(range(7)), "point map leaves the target point set"),
+    ([0, 1], [99] * 7, "element map[0] is 99, not an int in 0..6"),
+    ([0, 1], [-1] * 7, "element map[0] is -1, not an int in 0..6"),
+    ([0, 2], list(range(7)), "point map[1] is 2, not an int in 0..1"),
+    ([-1, 1], list(range(7)), "point map[0] is -1, not an int in 0..1"),
 ])
 def test_induced_germ_hom_refuses_maps_out_of_range(points, elements, message):
     action = canonical_action(pair_groupoid(2))
     assert len(action.semigroup) == 7
-    with pytest.raises(StructuralError, match=message):
+    with pytest.raises(StructuralError, match=re.escape(message)):
         induced_germ_hom(action, action, points, elements)
 
 
@@ -462,7 +466,7 @@ def test_an_entry_that_is_not_an_element_is_refused(table, star, message):
 
 
 def test_a_zero_that_is_not_an_int_is_refused():
-    with pytest.raises(StructuralError, match="declared zero 0.0 out of range"):
+    with pytest.raises(StructuralError, match="declared zero is 0.0, not an int in 0..1"):
         InverseSemigroup(["0", "1"], [[0, 0], [0, 1]], [0, 1], zero=0.0)
 
 
@@ -475,29 +479,29 @@ def test_list_and_tuple_rows_give_one_table():
 
 def test_a_point_count_that_is_not_an_int_is_refused():
     semigroup = enumerate_bisections(pair_groupoid(1))
-    with pytest.raises(ActionError, match="point count 2.9 is not an int"):
+    with pytest.raises(ActionError, match="point count is 2.9, not an int in 0..1114111"):
         SemigroupAction(semigroup, 2.9, [{}, {0: 0, 1: 1}])
 
 
 @pytest.mark.parametrize("points, elements, message", [
-    ([0.9, 1.9], [i + 0.9 for i in range(7)], "element map has an entry that is not an int"),
-    ([0.9, 1.9], list(range(7)), "point map has an entry that is not an int"),
+    ([0.9, 1.9], [i + 0.9 for i in range(7)], "element map[0] is 0.9, not an int in 0..6"),
+    ([0.9, 1.9], list(range(7)), "point map[0] is 0.9, not an int in 0..1"),
 ])
 def test_induced_germ_hom_refuses_maps_that_are_not_ints(points, elements, message):
     action = canonical_action(pair_groupoid(2))
-    with pytest.raises(StructuralError, match=message):
+    with pytest.raises(StructuralError, match=re.escape(message)):
         induced_germ_hom(action, action, points, elements)
 
 
 @pytest.mark.parametrize("planted, message", [
-    ({5: {1: 0, 0: 1.0}}, "map of element 5 has a point id that is not an int"),
-    ({4: {1: 2}}, "map of element 4 leaves the point set"),
-    ({4: {-1: 0}}, "map of element 4 leaves the point set"),
+    ({5: {1: 0, 0: 1.0}}, "map of element 5 point id is 1.0, not an int in 0..1"),
+    ({4: {1: 2}}, "map of element 4 point id is 2, not an int in 0..1"),
+    ({4: {-1: 0}}, "map of element 4 point id is -1, not an int in 0..1"),
     ({5: {1: 0, 0: 0}}, "map of element 5 is not injective"),
     ({4: {0: 0}}, "domain of element 4 differs from dom(s*s)"),
     ({4: {1: 1}}, "range of element 4 differs from dom(ss*)"),
     # every map's points are checked before any map's domain and range
-    ({4: {0: 0}, 6: {0: 1.0}}, "map of element 6 has a point id that is not an int"),
+    ({4: {0: 0}, 6: {0: 1.0}}, "map of element 6 point id is 1.0, not an int in 0..1"),
     ({4: {0: 0}, 5: {1: 0, 0: 0}}, "map of element 5 is not injective"),
 ])
 def test_the_per_map_checks_name_the_first_map_at_fault(planted, message):

@@ -262,7 +262,8 @@ def test_an_action_on_no_points():
     assert ref_composition_failure(semigroup, 0, maps) is None
     action = SemigroupAction(semigroup, 0, maps)
     assert action.n_points == 0
-    with pytest.raises(ActionError, match="map of element 1 leaves the point set"):
+    with pytest.raises(ActionError,
+                       match=r"map of element 1 point id is 0, not an int in 0\.\.-1"):
         SemigroupAction(semigroup, 0, [{}, {0: 0}] + maps[2:])
 
 
