@@ -4,12 +4,16 @@
         --tree parent=PATH --tree change=. --out BENCH_<topic>.json
 
 Each PATH is the root of a checkout (its `src/` is imported).  For every
-point of the topic's curve, every tree runs in its own child interpreter,
-with BLAS on one thread, and reports, per phase, the median wall time over
-fresh inputs and the tracemalloc peak of one more run; a phase that raises
-is timed over as many fresh runs and records the exception's name and
-message in place of the peak.  The trees alternate in order from one
-point to the next, so that drift on a shared machine falls on both alike.
+point of the topic's curve, every tree runs in CHILDREN child interpreters,
+with BLAS on one thread.  Each child reports, per phase, the median wall
+time over fresh inputs and the tracemalloc peak of one more run; a phase
+that raises is timed over as many fresh runs and records the exception's
+name and message in place of the peak.  A point records, per tree and
+phase, the median over its children, with each child's median in
+`children_ms`, so that a difference between trees can be read against the
+spread within one.  The trees alternate in order from one child to the
+next, and each point starts with the tree the last one ended with, so
+that drift on a shared machine falls on both alike.
 
 Topics:
 
@@ -33,12 +37,17 @@ Topics:
   (`InverseSemigroup` on the fields of the table) and `action_checks`
   (`SemigroupAction` on the fields of `canonical_action`).
 - `enum`: `automorphisms` of group_bundle([1]*k) and `cocycles` of pair(k)
-  into Z/3 (arrow cap 2000), k = 1..9, where the search's budget refuses.
-  On both families, `decomposition_data`: every triple, at root-of-unity
-  order 4, from a fresh source into each effective member of
-  `standard_corpus()`, counted as `triples`.  Then three refusal points:
-  `automorphisms` of pair(n), n = 17, 25 and 35, at arrow cap 2000, each
-  refused by the search's budget.
+  into Z/3 (arrow cap 2000), k = 1..9, where the search's budget refuses
+  the first and, before the search counted its outputs, also the second
+  from k = 8.  On both families, `decomposition_data`: every triple, at
+  root-of-unity order 4, from a fresh source into each effective member
+  of `standard_corpus()`, counted as `triples`.  Then three refusal
+  points: `automorphisms` of pair(n), n = 17, 25 and 35, at arrow cap
+  2000, each refused by the search's budget.  Then the seven groupoids of
+  the `symmetry_enum` benchmark (`families.symmetry_kinds`) and Z/12
+  acting on 4 points by x -> x + g mod 4 (48 arrows, 1,296 automorphisms,
+  once refused), each built from its document: `automorphisms` and
+  `cocycles` at its root-of-unity order (3 for Z/12 on 4 points).
 - `hom`: twisted pair(n), n = 2..16: a shuffled point bijection of pair(n)
   with the coboundary of random 12th-root point phases as its twist; and
   pair(12)+pair(4) onto pair(12), whose invariant set is the pair(12)
@@ -69,6 +78,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -120,21 +130,29 @@ from etale_kit.cocycles import enumerate_cocycles
 from etale_kit.decomposition import enumerate_decomposition_data
 from etale_kit.families import group_bundle, pair_groupoid, standard_corpus
 from etale_kit.groupoid import enumerate_automorphisms, is_effective
+from etale_kit.io import groupoid_from_doc
 
 targets = [h for _, h in standard_corpus() if is_effective(h)]
 
 def build():
+    if family == "document":  # a groupoid document and an order, as JSON
+        return groupoid_from_doc(json.loads(sys.argv[8])["groupoid"])
     return group_bundle([1] * size) if family == "group_bundle" else pair_groupoid(size)
 
 def decomposition_data(g):
     return sum(1 for h in targets for _ in enumerate_decomposition_data(g, h, 4))
 
+automorphisms = (lambda g: g, lambda g: enumerate_automorphisms(g, 2000))
 if family == "pair":
     PHASES = {"cocycles": (lambda g: g, lambda g: enumerate_cocycles(g, 3, 2000))}
+elif family == "document":
+    order = json.loads(sys.argv[8])["order"]
+    PHASES = {"automorphisms": automorphisms,
+              "cocycles": (lambda g: g, lambda g: enumerate_cocycles(g, order, 2000))}
 else:
-    PHASES = {"automorphisms": (lambda g: g, lambda g: enumerate_automorphisms(g, 2000))}
+    PHASES = {"automorphisms": automorphisms}
 result = {"arrows": build().arrow_count}
-if family != "refusal":  # a refusal point times the automorphism search alone
+if family in ("group_bundle", "pair"):  # other points time the searches alone
     PHASES["decomposition_data"] = (lambda g: g, decomposition_data)
     result["triples"] = decomposition_data(build())
 """
@@ -316,7 +334,7 @@ import json, statistics, sys, time, tracemalloc
 sys.path.insert(0, sys.argv[1])
 family, size = sys.argv[2], int(sys.argv[3])
 runs, slow_runs, slow_s = int(sys.argv[4]), int(sys.argv[5]), float(sys.argv[6])
-exec(sys.argv[7])
+exec(sys.argv[7])  # argv[8], when given, is the point's document
 
 def once(prepare, run):  # the seconds of one timed run, and what it raised or None
     held = prepare(build())  # kept alive through the timed phase
@@ -353,7 +371,8 @@ TOPICS = {
                 lambda family, size: f"pair({size})"),
     "enum": (ENUM, [("group_bundle", k) for k in range(1, 10)]
              + [("pair", k) for k in range(1, 10)]
-             + [("refusal", n) for n in (17, 25, 35)], (5, 3, 0.5),
+             + [("refusal", n) for n in (17, 25, 35)]
+             + [("document", i) for i in range(8)], (5, 3, 0.5),
              lambda family, size: {"group_bundle": f"group_bundle([1]*{size})",
                                    "pair": f"pair({size}) into Z/3",
                                    "refusal": f"pair({size}) at arrow cap 2000"}[family]),
@@ -380,7 +399,27 @@ TOPICS = {
 }
 
 
-def measure(root: Path, topic: str, family: str, size: int) -> dict:
+# the child interpreters per tree and point
+CHILDREN = 3
+
+
+def documents() -> list[tuple[str, str]]:
+    """The `document` points of the enum curve, each a label and the JSON
+    of its groupoid document and root-of-unity order: the seven
+    `symmetry_kinds` and Z/12 on 4 points.  They are built once, by the
+    `src/` next to this script, so that every tree reads the same tables."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent / "src"))
+    from etale_kit.families import symmetry_kinds, transformation_groupoid
+    from etale_kit.io import canonical_json, groupoid_to_doc
+    z12 = [[(a + b) % 12 for b in range(12)] for a in range(12)]
+    points = symmetry_kinds() + [
+        ("Z/12 on 4 points", transformation_groupoid(
+            z12, 4, [[(x + g) % 4 for x in range(4)] for g in range(12)]), 3)]
+    return [(name, canonical_json({"groupoid": groupoid_to_doc(g), "order": order}))
+            for name, g, order in points]
+
+
+def measure(root: Path, topic: str, family: str, size: int, document: str = "") -> dict:
     code, _, (runs, slow_runs, slow_s), _ = TOPICS[topic]
     # BLAS runs single-threaded, as in perfbench/run.py: with its default
     # threads, an occasional child ran small products ~40 times slower
@@ -388,9 +427,23 @@ def measure(root: Path, topic: str, family: str, size: int) -> dict:
                MKL_NUM_THREADS="1")
     out = subprocess.run(
         [sys.executable, "-c", CHILD, str(root / "src"), family, str(size),
-         str(runs), str(slow_runs), str(slow_s), code],
+         str(runs), str(slow_runs), str(slow_s), code, document],
         check=True, capture_output=True, text=True, env=env)
     return json.loads(out.stdout)
+
+
+def merged(children: list[dict]) -> dict:
+    """One tree's record of a point from its children's: per phase, the
+    median of their wall times and peaks, and each child's wall time."""
+    out = dict(children[0])
+    for name, phase in out.items():
+        if isinstance(phase, dict):
+            walls = [child[name]["wall_ms"] for child in children]
+            out[name] = dict(phase, wall_ms=statistics.median(walls), children_ms=walls)
+            for key in ("peak_mb", "child_peak_mb"):
+                if key in phase:
+                    out[name][key] = statistics.median(child[name][key] for child in children)
+    return out
 
 
 def cpu_model() -> str:
@@ -413,22 +466,30 @@ def main() -> None:
     trees = [(name, Path(path).resolve())
              for name, path in (t.split("=", 1) for t in args.tree)]
     _, points, _, label = TOPICS[args.topic]
-    curve = []
-    for i, (family, size) in enumerate(points):
-        point = {"groupoid": label(family, size)}
-        for name, root in trees[::-1] if i % 2 else trees:
-            point[name] = measure(root, args.topic, family, size)
-            print(point["groupoid"], name, point[name], file=sys.stderr)
-        curve.append(point)
+    docs = documents() if any(family == "document" for family, _ in points) else []
+    curve, order = [], trees
+    for family, size in points:
+        name, document = docs[size] if family == "document" else (label(family, size), "")
+        runs: dict[str, list[dict]] = {tree: [] for tree, _ in trees}
+        for _ in range(CHILDREN):
+            for tree, root in order:
+                runs[tree].append(measure(root, args.topic, family, size, document))
+                print(name, tree, runs[tree][-1], file=sys.stderr)
+            order = order[::-1]
+        curve.append({"groupoid": name, **{tree: merged(runs[tree]) for tree, _ in trees}})
     doc = {
         "topic": args.topic,
         "command": f"python3 bench_curves.py --topic {args.topic} " + " ".join(
             f"--tree {name}=PATH" for name, _ in trees) + f" --out {args.out}",
         "machine": {"cpu": cpu_model(), "cores": len(os.sched_getaffinity(0)),
                     "python": platform.python_version()},
-        "units": {"wall_ms": "median wall time over `runs` fresh inputs, ms",
-                  "peak_mb": "tracemalloc peak of one more run, MiB",
-                  "child_peak_mb": "largest peak RSS of the phase's child processes, MiB"},
+        "units": {"wall_ms": f"median over {CHILDREN} children of each child's median "
+                             "wall time over `runs` fresh inputs, ms",
+                  "children_ms": "each child's median wall time, in the order run, ms",
+                  "peak_mb": "median over the children of the tracemalloc peak of one "
+                             "more run, MiB",
+                  "child_peak_mb": "median over the children of the largest peak RSS "
+                                   "of the phase's child processes, MiB"},
         "curve": curve,
     }
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")

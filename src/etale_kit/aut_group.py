@@ -118,7 +118,10 @@ def classify_faut(g: FiniteGroupoid, phase_order: int,
                   cap: int | None = None) -> list[Cocycle]:
     """The cocycles valued in the n-th roots of unity, which biject with the
     diagonal-fixing monomial automorphisms.  On a principal groupoid the
-    bijection is verified against the enumerated automorphism pairs."""
+    bijection is verified against the enumerated automorphism pairs.  A
+    pair fixes the diagonal only if its automorphism fixes every unit, so
+    only the automorphisms that do are paired with each cocycle: |Aut|
+    unit checks and few pairs, not |Aut| * |cocycles| pairs."""
     cocycles = enumerate_cocycles(g, phase_order, cap)
     if is_effective(g):
         for c in cocycles:
@@ -127,7 +130,7 @@ def classify_faut(g: FiniteGroupoid, phase_order: int,
                     "a cocycle pair fails to fix the diagonal")
         auts = enumerate_automorphisms(g, cap)
         for phi in auts:
-            if phi.is_identity():
+            if phi.is_identity() or any(phi.mapping[x] != x for x in g.units):
                 continue
             for c in cocycles:
                 if fixes_diagonal(AutPair(phi, c)):

@@ -1,7 +1,8 @@
 """Command-line surface: validation, analysis, norms, decomposition, selftest.
 
-Exit codes: 0 success, 1 parse/IO error or a --cap or --phases that is
-not a valid count (a StructuralError, as for a malformed document),
+Exit codes: 0 success, 1 parse/IO error, a --cap or --phases that is
+not a valid count or a --seed that is not an integer (a StructuralError,
+as for a malformed document),
 2 hypothesis or validation failure, or a refusal past the arrow cap or a
 work budget, 3 internal inconsistency (corrupted input or failed selftest).
 
@@ -33,6 +34,7 @@ from .errors import (
     enum_cap,
 )
 from .groupoid import (
+    _automorphism_count,
     enumerate_automorphisms,
     is_effective,
     isotropy_interior,
@@ -133,7 +135,7 @@ def _cmd_analyze(args) -> tuple[int, Report]:
         "topologically_principal": is_effective(g),
         "quotient_arrows": quotient.arrow_count,
     })
-    report.data["automorphisms"] = (len(enumerate_automorphisms(g, args.cap))
+    report.data["automorphisms"] = (_automorphism_count(g)
                                     if g.arrow_count <= enum_cap(args.cap) else None)
     report.add_check("analyze", True)
     return 0, report
@@ -261,6 +263,8 @@ def _cmd_faut(args) -> tuple[int, Report]:
 def _cmd_selftest(args) -> tuple[int, Report]:
     from .selftest import run_selftest
     report = Report("selftest")
+    if not isinstance(args.seed, int):
+        raise StructuralError(f"--seed must be an integer, got {args.seed!r}")
     report.inputs["seed"] = args.seed
     report.inputs["cap"] = args.cap
     for c in run_selftest(seed=args.seed, cap=args.cap):
@@ -269,8 +273,8 @@ def _cmd_selftest(args) -> tuple[int, Report]:
 
 
 def _count(text: str) -> int | str:
-    """A --cap or --phases as an int; other text is kept, for the library's
-    count check to refuse with exit 1."""
+    """A --cap, --phases or --seed as an int; other text is kept, to be
+    refused with exit 1 by the library's count check or by `selftest`."""
     try:
         return int(text)
     except ValueError:
@@ -336,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_faut)
 
     p = sub.add_parser("selftest", help="run the built-in property suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--cap", type=_count, default=16)
     p.set_defaults(func=_cmd_selftest)
     return parser

@@ -210,7 +210,10 @@ def enumerate_cocycles(g: FiniteGroupoid, n: int, cap: int | None = None) -> lis
 
     Such a cocycle is exactly a groupoid homomorphism into Z/n, taken as a
     one-unit groupoid, so this runs the homomorphism search and reads each
-    mapping as its exponent vector.  Refuses groupoids with more arrows than
+    mapping as its exponent vector.  Their number is n^(|O| - 1) times
+    |Hom(H, Z/n)| per component of orbit O and vertex group H, and the
+    search charges it times the arrows before it builds any (see
+    `enumerate_homomorphisms`).  Refuses groupoids with more arrows than
     the enumeration cap, and orders n above the cap, since Z/n has n arrows.
     The search runs once per order: its exponent vectors are kept in g's
     cache, after the cap checks, and every call builds a fresh list of fresh

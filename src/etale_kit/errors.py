@@ -12,8 +12,10 @@ DEFAULT_ENUM_CAP = 16
 # Work budgets, each charged through `_charge` by the module that reads it:
 # the bisections of `enumerate_bisections`, whose table is quadratic in them;
 SEMIGROUP_ELEMENT_CAP = 1024
-# the homomorphism search's compose checks, its candidates times its checks
-# per level entered; the unit sets of `invariant_subsets`, and the triples
+# the homomorphism search's mapping entries, its outputs times the domain's
+# arrows, counted before any is formed, and on their own the compose checks
+# of its searches between vertex groups and the partial counts of placing
+# its components; the unit sets of `invariant_subsets`, and the triples
 # of `enumerate_decomposition_data`; the products of two nonzero entries in
 # `validate_hom`'s multiplicativity check, counted before any is formed.
 CHECK_BUDGET = 2_000_000

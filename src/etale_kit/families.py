@@ -15,6 +15,7 @@ __all__ = [
     "transformation_groupoid",
     "disjoint_union",
     "standard_corpus",
+    "symmetry_kinds",
 ]
 
 
@@ -157,3 +158,22 @@ def standard_corpus(cap: int | None = None) -> list[tuple[str, FiniteGroupoid]]:
         cap = enum_cap(cap)
         entries = [(name, g) for name, g in entries if g.arrow_count <= cap]
     return entries
+
+
+def symmetry_kinds() -> list[tuple[str, FiniteGroupoid, int]]:
+    """The seven groupoids of the `symmetry_enum` benchmark, each with the
+    root-of-unity order of its cocycles there."""
+    swap_pairs = [x ^ 1 if x ^ 1 < 5 else x for x in range(5)]
+    rotate_three = [[(x + g) % 3 if x < 3 else x for x in range(4)] for g in range(3)]
+    return [
+        ("pair(4)", pair_groupoid(4), 2),
+        ("group_bundle([3,3,3,3])", group_bundle([3] * 4), 3),
+        ("3xpair(2)", disjoint_union([pair_groupoid(2)] * 3), 2),
+        ("pair(3)+group_bundle([2,2])",
+         disjoint_union([pair_groupoid(3), group_bundle([2, 2])]), 2),
+        ("pair(2)+pair(2)+group_bundle([3])",
+         disjoint_union([pair_groupoid(2), pair_groupoid(2), group_bundle([3])]), 3),
+        ("Z/2 on 5 points",
+         transformation_groupoid(_cyclic_table(2), 5, [list(range(5)), swap_pairs]), 2),
+        ("Z/3 on 4 points", transformation_groupoid(_cyclic_table(3), 4, rotate_three), 3),
+    ]

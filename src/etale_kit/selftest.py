@@ -77,7 +77,8 @@ def _random_element(g, rng: np.random.Generator) -> AlgebraElement:
 
 def run_selftest(seed: int = 0, cap: int = 16) -> list[dict]:
     rnd = random.Random(seed)
-    nprng = np.random.default_rng(seed)
+    # `random.Random` seeds with |seed|, and numpy refuses a negative one
+    nprng = np.random.default_rng(abs(seed))
     cap = enum_cap(cap)  # a negative cap is a StructuralError, not an empty corpus
     corpus = standard_corpus(cap)
     if not corpus:

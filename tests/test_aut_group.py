@@ -204,6 +204,23 @@ def test_classify_faut_counts_and_commutativity():
             assert cocycle_product(c1, c2) == cocycle_product(c2, c1)
 
 
+def test_classify_faut_pairs_only_the_automorphisms_that_fix_every_unit(monkeypatch):
+    """On pair(3) every automorphism but the identity moves a unit, so the
+    only diagonal checks are the 4 cocycles' with the identity, where each
+    of the 5 others once took 4 more."""
+    from etale_kit import aut_group
+    calls = []
+
+    def counted(pair):
+        calls.append(pair)
+        return fixes_diagonal(pair)
+
+    monkeypatch.setattr(aut_group, "fixes_diagonal", counted)
+    assert len(classify_faut(pair_groupoid(3), 2)) == 4
+    assert len(calls) == 4
+    assert all(pair.phi.is_identity() for pair in calls)
+
+
 def test_group_table_helpers():
     perms, s3 = symmetric_table(3)
     inv = group_inverses(s3)

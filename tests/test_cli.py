@@ -273,6 +273,22 @@ def test_selftest_json_is_deterministic(run_cli):
     assert report["timing_ms"] is None
 
 
+@pytest.mark.parametrize("seed", ["x", "2.5", ""])
+def test_selftest_seed_that_is_not_an_integer_exits_one(seed, capsys):
+    assert cli.main(["selftest", "--seed", seed, "--cap", "4"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: --seed must be an integer, got {seed!r}\n"
+
+
+def test_selftest_negative_seed_runs_as_its_absolute_value(run_cli):
+    # `random.Random` seeds with |seed|, and so does the numpy stream
+    negative = run_cli("--json", "selftest", "--seed", "-7", "--cap", "4")
+    positive = run_cli("--json", "selftest", "--seed", "7", "--cap", "4")
+    assert negative.returncode == positive.returncode == 0
+    assert negative.stdout == positive.stdout.replace('"seed":7', '"seed":-7')
+
+
 @pytest.mark.parametrize("cap, code, message", [
     ("0", 2, "refused: selftest: the cap 0 admits no corpus groupoid"),
     # a negative cap is a configuration error, as for every other command
@@ -335,25 +351,39 @@ def discrete16(tmp_path_factory):
     return str(path)
 
 
-@pytest.mark.parametrize("command", ["aut", "analyze"])
+@pytest.mark.parametrize("command", ["aut"])
 def test_search_budget_refusal_exits_two(discrete16, command, run_cli):
+    # 16! automorphisms of 16 entries each, charged before any is built
     out = run_cli(command, discrete16)
     assert out.returncode == 2
     assert out.stdout == ""
-    assert out.stderr == ("refused: homomorphism search needs 2000016 compose checks, "
+    assert out.stderr == ("refused: homomorphism search needs 334764638208000 mapping entries, "
                           "over the budget of 2000000\n")
 
 
-def test_raised_cap_refusal_ends_at_the_check_budget(tmp_path, run_cli):
-    # pair(35) passes an arrow cap of 2000 with its 1,225 arrows; its 35!
-    # automorphisms are refused once the search's compose checks pass the budget
-    path = tmp_path / "pair35.json"
+@pytest.fixture(scope="module")
+def pair35(tmp_path_factory):
+    """pair(35): its 1,225 arrows pass an arrow cap of 2000."""
+    path = tmp_path_factory.mktemp("budget") / "pair35.json"
     path.write_text(kio.canonical_json(kio.groupoid_to_doc(pair_groupoid(35))))
-    out = run_cli("analyze", str(path), "--cap", "2000")
+    return str(path)
+
+
+def test_raised_cap_refusal_ends_at_the_check_budget(pair35, run_cli):
+    # the 35! automorphisms are refused by their count, before any is built
+    out = run_cli("aut", pair35, "--cap", "2000")
     assert out.returncode == 2
     assert out.stdout == ""
-    assert out.stderr == ("refused: homomorphism search needs 2000048 compose checks, "
-                          "over the budget of 2000000\n")
+    assert out.stderr == ("refused: homomorphism search needs 12658106258823027538841647888465920000000000 mapping "
+                          "entries, over the budget of 2000000\n")
+
+
+def test_analyze_counts_automorphisms_past_the_budget(discrete16, pair35, run_cli):
+    # `analyze` reads the count the budget is charged by, and builds none
+    for argv, count in [((discrete16,), 20922789888000), ((pair35, "--cap", "2000"), 10333147966386144929666651337523200000000)]:
+        out = run_cli("--json", "analyze", *argv)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["data"]["automorphisms"] == count
 
 
 def test_dense_check_refusal_exits_two(twisted_pair16, tmp_path, run_cli):

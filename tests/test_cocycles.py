@@ -273,10 +273,12 @@ def test_cocycle_searches_share_one_target_per_order(monkeypatch):
 
 
 def test_cocycle_enumeration_enforces_the_search_budget():
-    # 16 arrows and order 16 pass the cap; the 16^4 cocycles blow the budget
-    with pytest.raises(CapExceeded, match="homomorphism search needs 2000040 compose "
-                       "checks, over the budget of 2000000"):
-        enumerate_cocycles(disjoint_union([pair_groupoid(2)] * 4), 16)
+    # 16 arrows and order 16 pass the cap; the 16^4 cocycles of 16 entries
+    # each fit the budget, and the 16^7 of pair(8), of 64 entries each, do not
+    assert len(enumerate_cocycles(disjoint_union([pair_groupoid(2)] * 4), 16)) == 16 ** 4
+    with pytest.raises(CapExceeded, match="homomorphism search needs 17179869184 mapping "
+                       "entries, over the budget of 2000000"):
+        enumerate_cocycles(pair_groupoid(8), 16, cap=64)
 
 
 @pytest.fixture

@@ -424,8 +424,8 @@ def test_quaternion_group_has_24_automorphisms():
 
 def test_automorphism_search_enforces_the_search_budget():
     # 16 arrows pass the cap, but 16 points without arrows have 16! automorphisms
-    with pytest.raises(CapExceeded, match="homomorphism search needs 2000016 compose "
-                       "checks, over the budget of 2000000"):
+    with pytest.raises(CapExceeded, match="homomorphism search needs 334764638208000 mapping "
+                       "entries, over the budget of 2000000"):
         enumerate_automorphisms(group_bundle([1] * 16))
 
 
@@ -757,10 +757,10 @@ def test_the_arrow_cap_is_checked_before_the_cache(automorphism_searches):
 def test_a_refusal_by_the_check_budget_is_not_kept(automorphism_searches, monkeypatch):
     from etale_kit import errors, groupoid
     g = pair_groupoid(3)
-    # the search of pair(3)'s automorphisms charges 174 compose checks
-    monkeypatch.setattr(groupoid, "CHECK_BUDGET", 173)
+    # pair(3)'s 6 automorphisms of 9 entries each are charged 54 mapping entries
+    monkeypatch.setattr(groupoid, "CHECK_BUDGET", 53)
     for _ in range(2):
-        with pytest.raises(CapExceeded, match="needs 174 compose checks"):
+        with pytest.raises(CapExceeded, match="needs 54 mapping entries"):
             enumerate_automorphisms(g)
     monkeypatch.setattr(groupoid, "CHECK_BUDGET", errors.CHECK_BUDGET)
     assert len(enumerate_automorphisms(g)) == 6

@@ -33,7 +33,7 @@ def _identity_is_a_hom():
 # (module, constant, a call on fresh inputs whose answer is comparable, the
 # exact count of work it needs, the unit of that count)
 LIMITS = [
-    (groupoid, "CHECK_BUDGET", _automorphism_count, 174, "compose checks"),
+    (groupoid, "CHECK_BUDGET", _automorphism_count, 54, "mapping entries"),
     (groupoid, "SEARCH_BUDGET",
      lambda: invariant_subsets(group_bundle([1] * 5)), 32, "unit sets"),
     (decomposition, "SEARCH_BUDGET", _triple_count, 5, "triples"),
