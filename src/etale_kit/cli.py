@@ -8,8 +8,8 @@ work budget, 3 internal inconsistency (corrupted input or failed selftest).
 
 At import this module loads only errors, io and groupoid, which every
 command needs; each command imports the other layers it calls, so
-validate, analyze and quotient load nothing more, and only norm, decompose,
-rigidity, faut and selftest load numpy.
+validate and quotient load nothing more, analyze and aut load hom_search,
+and only norm, decompose, rigidity, faut and selftest load numpy.
 """
 
 from __future__ import annotations

@@ -12,11 +12,11 @@ DEFAULT_ENUM_CAP = 16
 # Work budgets, each charged through `_charge` by the module that reads it:
 # the bisections of `enumerate_bisections`, whose table is quadratic in them;
 SEMIGROUP_ELEMENT_CAP = 1024
-# the homomorphism search's mapping entries, its outputs times the domain's
-# arrows, counted before any is formed, and on their own the compose checks
-# of its searches between vertex groups and the partial counts of placing
-# its components; the unit sets of `invariant_subsets`, and the triples
-# of `enumerate_decomposition_data`; the products of two nonzero entries in
+# `hom_search`'s mapping entries, counted before any is formed, and on their
+# own its compose checks and a bound on its partial counts, each worth ten
+# compose checks, charged before any is kept; the unit sets of `groupoid`'s
+# `invariant_subsets`, and the triples of `decomposition`'s
+# `enumerate_decomposition_data`; the products of two nonzero entries in
 # `validate_hom`'s multiplicativity check, counted before any is formed.
 CHECK_BUDGET = 2_000_000
 SEARCH_BUDGET = 1_000_000

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice, permutations, product, repeat
-from math import comb, perm, prod
+from itertools import chain, islice, repeat
 from operator import index, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
-    CHECK_BUDGET,
     SEARCH_BUDGET,
     HomomorphismError,
     HypothesisError,
@@ -396,14 +393,53 @@ def is_effective(g: FiniteGroupoid) -> bool:
     return isotropy_interior(g) == g.units
 
 
-def orbits(g: FiniteGroupoid) -> tuple[tuple[int, ...], ...]:
-    """Partition of the units under the reachability relation, sorted.
+class _Orbits(NamedTuple):
+    """A groupoid's orbits, the least unit of each as its base x, and what
+    a transitive component pair(O) x H is read through (Brown, *Topology
+    and Groupoids*, 6.7.3).
 
-    Assumes the groupoid axioms: composition makes reachability one step, so
-    the orbit of a unit x is the set of ranges of the arrows leaving x."""
-    by_src = g.by_src()
-    return tuple(sorted({tuple(sorted({g.rng[a] for a in by_src[x]}))
-                         for x in g.units}))
+    `orbits` lists the orbits, sorted.  Indexed by arrow id, for units only
+    (-1 elsewhere): `orbit_of` gives the orbit's index and `spanning` the
+    least arrow t_y: x -> y, with t_x = x.  `loops` lists, per orbit, the
+    arrows from x to x ascending: the vertex group H at x."""
+
+    orbits: tuple[tuple[int, ...], ...]
+    orbit_of: tuple[int, ...]
+    spanning: tuple[int, ...]
+    loops: tuple[tuple[int, ...], ...]
+
+
+def _orbit_tier(g: FiniteGroupoid) -> _Orbits:
+    """g's `_Orbits`, built once and kept in its cache; ints only, with no
+    reference back to g.
+
+    The units are met in ascending order, so the first of an orbit met is
+    its base x, and one pass over the arrows leaving x gives the orbit, the
+    least arrow to each of its units, and the loops at x.  Assumes the
+    groupoid axioms, under which composition makes reachability one step."""
+    cached = g._cache.get("orbits")
+    if cached is None:
+        rng, by_src = g.rng, g.by_src()
+        orbit_of, spanning = [-1] * g.arrow_count, [-1] * g.arrow_count
+        orbs, loops = [], []
+        for x in g.units:
+            if orbit_of[x] != -1:
+                continue
+            least = {rng[a]: a for a in reversed(by_src[x])}  # written last, so least
+            least[x] = x
+            for y, t in least.items():
+                orbit_of[y], spanning[y] = len(orbs), t
+            orbs.append(tuple(sorted(least)))
+            loops.append(tuple(a for a in by_src[x] if rng[a] == x))
+        cached = g._cache["orbits"] = _Orbits(tuple(orbs), tuple(orbit_of),
+                                              tuple(spanning), tuple(loops))
+    return cached
+
+
+def orbits(g: FiniteGroupoid) -> tuple[tuple[int, ...], ...]:
+    """Partition of the units under the reachability relation, sorted;
+    read from `_orbit_tier`, so it assumes the groupoid axioms."""
+    return _orbit_tier(g).orbits
 
 
 def invariant_subsets(g: FiniteGroupoid) -> list[tuple[int, ...]]:
@@ -538,404 +574,10 @@ def compose_homs(outer: GroupoidHom, inner: GroupoidHom) -> GroupoidHom:
 # -- enumeration -------------------------------------------------------------
 
 
-class _Structure(NamedTuple):
-    """A groupoid as the disjoint union of its transitive components, each
-    pair(O) x H for its orbit O and the vertex group H at its base x, the
-    least unit of O.
-
-    `orbits` is `orbits(g)`.  Indexed by arrow id, for units only (-1
-    elsewhere): `orbit_of` gives the orbit's index and `spanning` the least
-    arrow t_y: x -> y, with t_x = x.  `groups` holds, per orbit, the vertex
-    group at x, built by `_labelled`, or None when it is trivial, and the
-    loops at x that its arrows are, in its order.  `factors` gives each
-    arrow a: y -> z as (z, h, y) with h the vertex-group arrow
-    t_z^-1 . a . t_y, so a = t_z . h . t_y^-1.  `readers` writes a
-    homomorphism's mapping from its choices (`_readers`)."""
-
-    orbits: tuple[tuple[int, ...], ...]
-    orbit_of: tuple[int, ...]
-    spanning: tuple[int, ...]
-    groups: tuple[tuple[FiniteGroupoid | None, tuple[int, ...]], ...]
-    factors: tuple[tuple[int, int, int], ...]
-    readers: tuple
-
-
-def _structure(g: FiniteGroupoid) -> _Structure:
-    """g's `_Structure`, built once and kept in its cache.
-
-    The units are met in ascending order, so the first of an orbit met is
-    its base x, and one pass over the arrows leaving x gives the orbit, the
-    least arrow to each of its units, and the loops at x.  Assumes the
-    groupoid axioms, under which composition makes reachability one step
-    and each arrow has exactly one factor."""
-    cached = g._cache.get("structure")
-    if cached is None:
-        src, rng, compose, inv = g.src, g.rng, g.compose, g.inv
-        orbit_of = [-1] * g.arrow_count
-        spanning = [-1] * g.arrow_count
-        orbs, groups, numbers = [], [], []
-        for x, leaving in zip(g.units, map(g.by_src().__getitem__, g.units)):
-            if orbit_of[x] != -1:
-                continue
-            least: dict[int, int] = {}
-            for a in leaving:
-                least.setdefault(rng[a], a)
-            least[x] = x
-            for y, t in least.items():
-                orbit_of[y], spanning[y] = len(orbs), t
-            orbs.append(tuple(sorted(least)))
-            loops = tuple(a for a in leaving if rng[a] == x)
-            if len(loops) == 1:
-                groups.append((None, loops))
-                numbers.append(None)
-            else:
-                group, ids = _labelled(loops, (x,), src.__getitem__, rng.__getitem__,
-                                       inv.__getitem__, lambda a, b: compose[a, b])
-                groups.append((group, loops))
-                numbers.append(ids)
-        factors = tuple(
-            (z, 0 if numbers[orbit_of[y]] is None else
-             numbers[orbit_of[y]][compose[inv[spanning[z]], compose[a, spanning[y]]]], y)
-            for a, (y, z) in enumerate(zip(src, rng)))
-        cached = g._cache["structure"] = _Structure(
-            tuple(orbs), tuple(orbit_of), tuple(spanning), tuple(groups), factors,
-            _readers(orbs, orbit_of, groups, factors))
-    return cached
-
-
-def _readers(orbs, orbit_of, groups, factors) -> tuple:
-    """Where each value of a homomorphism phi sits among its choices, read
-    joined as one flat tuple, component by component: the unit images,
-    base first; phi(t_y) and phi(t_y)^-1 for each other unit y; then, if
-    the vertex group is not trivial, rho's values.
-
-    A unit takes its image.  Any other arrow a = t_z . h . t_y^-1 of a
-    component with base x takes phi(t_z) . rho(h) . phi(t_y)^-1 without the
-    factors that are units: phi(t_z) when z is x, rho(h) when h is the
-    unit, phi(t_y)^-1 when y is x.  Returned: the reader of the arrows that
-    are one factor, of the two factors of those that are two, of the three
-    of those that are three, and the reader that puts those values, in
-    that order, in arrow order, with None for a count no arrow has; or,
-    when every arrow is one factor, that first reader, in arrow order, and
-    None for the rest."""
-    image = [0] * len(factors)  # where each unit's image sits
-    at = [0] * len(factors)  # where phi(t_y) sits, for each unit y
-    rho_at, unit_h = [], []  # per orbit: where rho's values start; h of the unit
-    width = 0
-    for orb, (group, loops) in zip(orbs, groups):
-        for y in orb:
-            image[y] = at[y] = width
-            width += 1
-        for y in orb[1:]:
-            at[y] = width
-            width += 2
-        rho_at.append(width)
-        unit_h.append(loops.index(orb[0]))
-        if group is not None:
-            width += len(loops)
-    products: list[list] = [[], [], []]  # (arrow, positions), by factor count
-    for a, (z, h, y) in enumerate(factors):
-        i = orbit_of[y]
-        x = orbs[i][0]
-        if z == y and h == unit_h[i]:  # a is the unit y
-            positions = [image[y]]
-        else:
-            positions = ([at[z]] if z != x else []) + (
-                [rho_at[i] + h] if h != unit_h[i] else []) + ([at[y] + 1] if y != x else [])
-        products[len(positions) - 1].append((a, positions))
-    one = _reader(tuple(p[0] for _, p in products[0]))
-    if len(products[0]) == len(factors):
-        return one, None, None, None
-    where = [0] * len(factors)
-    for k, (a, _) in enumerate(chain(*products)):
-        where[a] = k
-    two, three = (tuple(_reader(tuple(p[n] for _, p in products[k])) for n in range(k + 1))
-                  if products[k] else None for k in (1, 2))
-    return one, two, three, _reader(tuple(where))
-
-
-def _compose_search(domain: FiniteGroupoid, codomain: FiniteGroupoid, bijective: bool,
-                    checked: int) -> tuple[list[tuple[int, ...]], int]:
-    """Every homomorphism between two vertex groups, as mappings, by
-    backtracking with full compose checks; and `checked` plus the compose
-    checks charged.
-
-    The unit is assigned first.  The search is one loop over levels, one
-    per domain arrow, each holding an iterator over its untried candidates.
-    Entering a level charges its candidates times its compose checks,
-    refusing with `CapExceeded` past CHECK_BUDGET; each level has a check,
-    (x, x, x) or (a, src a, a), so this bounds candidates too.  With
-    `bijective`, each image must be unused so far."""
-    if bijective and domain.arrow_count != codomain.arrow_count:
-        return [], checked
-    order = list(domain.units) + [a for a in domain.arrows()
-                                  if a not in domain.unit_set]
-    pos = {a: i for i, a in enumerate(order)}
-    n = domain.arrow_count
-    # compose-key triples checked as soon as all three members are assigned;
-    # on a groupoid, (a, inv a, rng a) and (inv a, a, src a) also decide
-    # whether inv a maps to the inverse of a's image
-    triggers: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for (a, b), c in domain.compose.items():
-        triggers[max(pos[a], pos[b], pos[c])].append((a, b, c))
-    levels = [(a, domain.is_unit(a), triggers[k]) for k, a in enumerate(order)]
-    everything = tuple(codomain.arrows())
-    cod_compose = codomain.compose
-    image = [-1] * n
-    uses = [0] * codomain.arrow_count
-    found: list[tuple[int, ...]] = []
-    pending: list[Iterator[int]] = []  # the untried candidates of each assigned level
-    while True:
-        if len(pending) == n:
-            found.append(tuple(image))
-        else:
-            _, unit, checks = levels[len(pending)]
-            candidates = codomain.units if unit else everything
-            checked = _charge(checked, len(candidates) * len(checks), CHECK_BUDGET,
-                              "vertex-group search", "compose checks")
-            pending.append(iter(candidates))
-        # move the deepest level to its next consistent candidate, or drop it
-        while pending:
-            a, _, checks = levels[len(pending) - 1]
-            if image[a] != -1:
-                uses[image[a]] -= 1
-            for c in pending[-1]:
-                if bijective and uses[c]:
-                    continue
-                image[a] = c
-                for u, v, w in checks:
-                    if cod_compose.get((image[u], image[v])) != image[w]:
-                        break
-                else:  # every check holds: keep c and go one level deeper
-                    uses[c] += 1
-                    break
-            else:
-                image[a] = -1
-                pending.pop()
-                continue
-            break
-        if not pending:
-            break
-    return found, checked
-
-
-class _HomSearch:
-    """The homomorphisms between two groupoids through their `_Structure`s.
-
-    A homomorphism phi is fixed by three choices: the unit images, each
-    orbit sent into one orbit of the codomain; the images of the spanning
-    arrows t_y, any arrows between the chosen units; and one vertex-group
-    homomorphism rho per component, from its vertex group H to the one at
-    phi(x).  Every such choice gives one, phi(t_z . h . t_y^-1) =
-    phi(t_z) . rho(h) . phi(t_y)^-1.  With `unit_injective` the unit images
-    are distinct; with `bijective` also each rho is bijective and each
-    orbit goes onto an orbit of its size, which with equal arrow counts is
-    exactly a bijective phi.
-
-    A domain whose every arrow is a unit has one component per arrow, a
-    point with the trivial group, so any map of its units into the
-    codomain's is a homomorphism and is its own mapping; such a search
-    reads no `_Structure`."""
-
-    def __init__(self, domain: FiniteGroupoid, codomain: FiniteGroupoid, *,
-                 unit_injective: bool, bijective: bool):
-        self.domain, self.codomain = domain, codomain
-        self.unit_injective, self.bijective = unit_injective or bijective, bijective
-        self.discrete = len(domain.units) == domain.arrow_count
-        if self.discrete:
-            return
-        self.dom, self.cod = _structure(domain), _structure(codomain)
-        self.checked = 0  # compose checks of the vertex-group searches
-        self._rhos: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-        self._pairs: dict | None = None  # the codomain's arrows by ends, with inverses
-        self._searched: dict = {}
-        # weights[i][j]: the spanning-arrow and rho choices of component i
-        # once its base goes into codomain orbit j
-        self.weights = [[self._weight(i, j) for j in range(len(self.cod.orbits))]
-                        for i in range(len(self.dom.orbits))]
-
-    def rhos(self, i: int, u: int) -> list[tuple[int, ...]]:
-        """The homomorphisms from component i's vertex group to the vertex
-        group at codomain unit u, each as the codomain arrows of its values.
-
-        At a base u they come from `_compose_search` between the two vertex
-        groups, run once per pair of equal tables; at any other unit u they
-        are those at the base x conjugated by t_u, since the vertex group at
-        u is t_u . H_x . t_u^-1.  Under `bijective` the two groups have one
-        order, so a trivial group meets only a trivial one."""
-        found = self._rhos.get((i, u))
-        if found is None:
-            cod, structure = self.codomain, self.cod
-            j = structure.orbit_of[u]
-            x = structure.orbits[j][0]
-            target, loops = structure.groups[j]
-            if u != x:
-                t, compose = structure.spanning[u], cod.compose
-                conj = {k: compose[compose[t, k], cod.inv[t]] for k in loops}.__getitem__
-                found = [tuple(map(conj, m)) for m in self.rhos(i, x)]
-            else:
-                group, group_loops = self.dom.groups[i]
-                if group is None or target is None:
-                    found = [(x,) * len(group_loops)]
-                else:
-                    # equal tables, met often among the vertex groups of a
-                    # relabelled groupoid, share one search
-                    mappings = self._searched.get((group, target))
-                    if mappings is None:
-                        mappings, self.checked = _compose_search(
-                            group, target, self.bijective, self.checked)
-                        self._searched[group, target] = mappings
-                    found = [tuple(map(loops.__getitem__, m)) for m in mappings]
-            self._rhos[i, u] = found
-        return found
-
-    def _weight(self, i: int, j: int) -> int:
-        """The spanning-arrow images and rhos of component i once its base
-        goes to the base of codomain orbit j: |K|^(|O| - 1) times the rhos,
-        for the vertex group K of orbit j; 0 where `bijective` rules j out."""
-        size, target = len(self.dom.orbits[i]), self.cod.orbits[j]
-        loops = len(self.cod.groups[j][1])
-        if self.bijective and (size != len(target) or loops != len(self.dom.groups[i][1])):
-            return 0
-        return loops ** (size - 1) * len(self.rhos(i, target[0]))
-
-    def count(self) -> int:
-        """The number of homomorphisms, from the product formula over the
-        components.  Under unit injectivity the components are placed
-        orbit by orbit; the partial counts kept are charged, refusing with
-        `CapExceeded` past CHECK_BUDGET."""
-        if self.discrete:
-            m, k = len(self.codomain.units), self.domain.arrow_count
-            # under `bijective`, with k arrows on both sides, m = k exactly
-            # when every arrow of the codomain is a unit too
-            return perm(m, k) if self.unit_injective else m ** k
-        sizes = [len(orb) for orb in self.dom.orbits]
-        rooms = [len(orb) for orb in self.cod.orbits]
-        if not self.unit_injective:
-            return prod(sum(room ** s * w for room, w in zip(rooms, row))
-                        for s, row in zip(sizes, self.weights))
-        # components of one size and one row of weights are interchangeable:
-        # a state is how many of each kind are left, with its number of ways
-        kinds = Counter(zip(sizes, map(tuple, self.weights)))
-        ways = {tuple(kinds.values()): 1}
-        spent = 0
-        for j, room in enumerate(rooms):
-            # into orbit j, kind by kind, t of the r left of a kind: comb(r, t)
-            # choices of which, row[j] each, and t * s of the units they fill
-            placed = {(left, 0): w for left, w in ways.items()}
-            for k, (s, row) in enumerate(kinds):
-                if not row[j]:
-                    continue
-                grown: Counter = Counter()
-                for (left, load), w in placed.items():
-                    r = left[k]
-                    for t in range(min(r, (room - load) // s) + 1):
-                        grown[left[:k] + (r - t,) + left[k + 1:], load + t * s] += (
-                            w * comb(r, t) * row[j] ** t)
-                placed = grown
-                spent = _charge(spent, len(placed), CHECK_BUDGET, "homomorphism count",
-                                "partial counts")
-            ways = Counter()
-            for (left, load), w in placed.items():
-                ways[left] += w * perm(room, load)  # the injective maps of those units
-        return ways.get((0,) * len(kinds), 0)
-
-    def choices(self, i: int) -> list[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
-        """Component i's choices, each as its part of the flat tuple that
-        `_readers` reads, grouped by unit images: its unit images, base
-        first, into one codomain orbit its component has choices in, and
-        distinct under unit injectivity; with them, every choice of phi(t_y)
-        and phi(t_y)^-1 for each other unit y, any arrow between the images,
-        and of rho's values, if its group is not trivial."""
-        cod, codomain, structure = self.cod, self.codomain, self.dom
-        orbit, (group, _) = structure.orbits[i], structure.groups[i]
-        pairs = self._pairs
-        if pairs is None:
-            pairs = self._pairs = {ends: [(a, codomain.inv[a]) for a in arrows]
-                                   for ends, arrows in codomain.by_src_rng().items()}
-        found = []
-        for target, weight in zip(cod.orbits, self.weights[i]):
-            for u in target if weight else ():
-                if self.unit_injective:
-                    others = permutations([v for v in target if v != u], len(orbit) - 1)
-                else:
-                    others = product(target, repeat=len(orbit) - 1)
-                rhos = [()] if group is None else self.rhos(i, u)
-                for units in others:
-                    units = (u,) + units
-                    found.append((units, [units + tuple(chain.from_iterable(choice))
-                                          for choice in product(*(pairs[u, v] for v in units[1:]),
-                                                                rhos)]))
-        return found
-
-    def mappings(self) -> list[tuple[int, ...]]:
-        """Every homomorphism's mapping, ascending.
-
-        The components' choices are independent but for unit injectivity,
-        so without it every tuple of their product is one mapping.  With
-        it, one loop over levels, one per component, each holding an
-        iterator over its untried unit images, passes over those that use a
-        unit an earlier level holds; once every component has its units,
-        every tuple of the product of their other choices is one mapping.
-        A mapping is written through the structure's `readers`, with no
-        check."""
-        if self.discrete:  # in lexicographic order, as the units ascend
-            units, k = self.codomain.units, self.domain.arrow_count
-            return list(permutations(units, k) if self.unit_injective
-                        else product(units, repeat=k))
-        times = self.codomain.compose.__getitem__
-        one, two, three, arrange = self.dom.readers
-
-        def leaf(choice):
-            flat = tuple(chain.from_iterable(choice))
-            if arrange is None:
-                return one(flat)
-            values = list(one(flat))
-            if two:
-                values += map(times, zip(two[0](flat), two[1](flat)))
-            if three:
-                values += map(times, zip(map(times, zip(three[0](flat), three[1](flat))),
-                                         three[2](flat)))
-            return arrange(values)
-
-        levels = [self.choices(i) for i in range(len(self.dom.orbits))]
-        if not self.unit_injective:
-            found = list(map(leaf, product(*([part for _, parts in level for part in parts]
-                                             for level in levels))))
-        else:
-            used = [False] * self.codomain.arrow_count
-            chosen: list[tuple] = [((), ())] * len(levels)
-            found, pending = [], []
-            while True:
-                if len(pending) == len(levels):
-                    found += map(leaf, product(*(parts for _, parts in chosen)))
-                else:
-                    pending.append(iter(levels[len(pending)]))
-                # move the deepest level to its next unit images, or drop it
-                while pending:
-                    k = len(pending) - 1
-                    for u in chosen[k][0]:
-                        used[u] = False
-                    for choice in pending[-1]:
-                        if not any(map(used.__getitem__, choice[0])):
-                            for u in choice[0]:
-                                used[u] = True
-                            chosen[k] = choice
-                            break
-                    else:
-                        chosen[k] = ((), ())
-                        pending.pop()
-                        continue
-                    break
-                if not pending:
-                    break
-        found.sort()
-        return found
-
-
 def _automorphism_count(g: FiniteGroupoid) -> int:
     """The number of automorphisms of g, from the formula that
     `enumerate_homomorphisms` charges, without building any."""
+    from .hom_search import _HomSearch  # the search tier loads on its first use
     return _HomSearch(g, g, unit_injective=True, bijective=True).count()
 
 
@@ -948,8 +590,8 @@ def enumerate_homomorphisms(
 ) -> list[GroupoidHom]:
     """All groupoid homomorphisms, in ascending mapping order, through the
     structure theorem: the choices of unit images, spanning-arrow images and
-    vertex-group homomorphisms of `_HomSearch`, every other arrow written
-    by formula with no check.
+    vertex-group homomorphisms of `hom_search._HomSearch`, every other arrow
+    written by formula with no check.
 
     The number of outputs is a product formula over the components, known
     before any mapping is formed.  That number times the domain's arrows is
@@ -958,19 +600,15 @@ def enumerate_homomorphisms(
     isomorphism classes of the two groupoids.  Each of the two steps that
     form the count has its own charge against the same budget: the
     compose checks of the searches between vertex groups and, under
-    `injective_on_units`, the partial counts of placing the components.
+    `injective_on_units`, a bound on the partial counts of placing the
+    components, which depends only on the isomorphism classes too.
     Assumes the groupoid axioms on both sides, under which every choice
     gives a homomorphism.
     """
-    if bijective and domain.arrow_count != codomain.arrow_count:
-        return []
-    search = _HomSearch(domain, codomain, unit_injective=injective_on_units,
-                        bijective=bijective)
-    count = search.count()
-    _charge(0, count * domain.arrow_count, CHECK_BUDGET, "homomorphism search",
-            "mapping entries")
+    from .hom_search import _mappings
     return [_unchecked(GroupoidHom, domain=domain, codomain=codomain, mapping=m)
-            for m in (search.mappings() if count else ())]
+            for m in _mappings(domain, codomain, unit_injective=injective_on_units,
+                               bijective=bijective)]
 
 
 def enumerate_automorphisms(g: FiniteGroupoid, cap: int | None = None) -> list[GroupoidHom]:

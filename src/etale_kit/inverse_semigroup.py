@@ -16,8 +16,8 @@ from .errors import (
     _charge,
     check_enum_cap,
 )
-from .groupoid import (FiniteGroupoid, GroupoidHom, _ids, _int, _labelled, _reader,
-                       _unchecked, validation_report)
+from .groupoid import (FiniteGroupoid, GroupoidHom, _ids, _int, _labelled, _orbit_tier,
+                       _reader, _unchecked, validation_report)
 
 __all__ = [
     "Bisection",
@@ -30,7 +30,6 @@ __all__ = [
     "GermGroupoid",
     "germ_groupoid",
     "canonical_germ_iso",
-    "induced_germ_hom",
 ]
 
 
@@ -144,9 +143,10 @@ def enumerate_bisections(g: FiniteGroupoid, cap: int | None = None) -> InverseSe
     and the index of s.t is row(s)[t], so a product is never formed as a set
     of arrows.  Three facts make every row such a product:
     - the full bisections, one arrow leaving every unit, form a group
-      generated by swaps: {a, inv a} and the other units, for one arrow a
-      from the least unit of each orbit to each other unit of the orbit,
-      and {a} and the other units, for each loop a at that least unit;
+      generated by swaps: {t, inv t} and the other units, for the
+      spanning arrow t from the base of each orbit to each other unit of
+      the orbit, and {a} and the other units, for each loop a at the base
+      (both read from `groupoid._orbit_tier`);
     - every idempotent, a set of units, is a product of the co-atoms, each
       of which leaves out one unit;
     - every bisection u is s.e, for a full bisection s extending u and the
@@ -223,19 +223,13 @@ def enumerate_bisections(g: FiniteGroupoid, cap: int | None = None) -> InverseSe
     identity = index[sum(weight[x] for x in g.units)]
     rows[identity] = tuple(range(k))
     coatoms = [left_row((y,), ()) for y in g.units]
-    # the generating swaps: from the least unit of each orbit, its first
-    # arrow to each other unit, with the inverse, and each of its loops
-    swaps, reached = [], set()
-    for base in g.units:
-        if base in reached:
-            continue
-        for a in by_src[base]:
-            if rng[a] == base:
-                if a != base:
-                    swaps.append(left_row((base,), (a,)))
-            elif rng[a] not in reached:
-                swaps.append(left_row((base, rng[a]), (a, inv[a])))
-            reached.add(rng[a])
+    # the generating swaps: from the base x of each orbit, the least arrow
+    # t_y to each other unit y, with its inverse, and each loop at x
+    tier = _orbit_tier(g)
+    t = tier.spanning
+    swaps = [left_row((orb[0], y), (t[y], inv[t[y]])) for orb in tier.orbits for y in orb[1:]]
+    swaps += [left_row(orb[:1], (a,)) for orb, loops in zip(tier.orbits, tier.loops)
+              for a in loops if a != orb[0]]
     # the full bisections, the identity times products of swaps
     full = [identity]
     moves = [(row[identity], _reader(row)) for row in swaps]  # w.identity is w
@@ -425,47 +419,3 @@ def canonical_germ_iso(g: FiniteGroupoid, cap: int | None = None) -> GroupoidHom
     if not hom.is_bijective():
         raise InternalInconsistencyError("canonical germ map is not bijective")
     return hom
-
-
-def induced_germ_hom(
-    source: SemigroupAction,
-    target: SemigroupAction,
-    point_map: Sequence[int],
-    element_map: Sequence[int],
-) -> GroupoidHom:
-    """The germ-level homomorphism [s, x] -> [element_map(s), point_map(x)].
-
-    `element_map` must be a semigroup homomorphism and the pair must be
-    equivariant: whenever x lies in dom(s*s), point_map(x) lies in
-    dom(element_map(s*s)) and moving then mapping equals mapping then moving.
-    Checked exhaustively, after both maps are checked to land in the target;
-    the witness names the failing (element, point).
-    """
-    ssg, tsg = source.semigroup, target.semigroup
-    element_map, point_map = tuple(element_map), tuple(point_map)
-    if len(element_map) != len(ssg):
-        raise StructuralError("element map length mismatch")
-    if len(point_map) != source.n_points:
-        raise StructuralError("point map length mismatch")
-    element_map = _ids("element map[{}]", element_map, len(tsg))
-    point_map = _ids("point map[{}]", point_map, target.n_points)
-    for s in range(len(ssg)):
-        for t in range(len(ssg)):
-            if element_map[ssg.mul(s, t)] != tsg.mul(element_map[s], element_map[t]):
-                raise StructuralError(
-                    f"element map is not a semigroup homomorphism at ({s},{t})")
-    for s in range(len(ssg)):
-        for x in source.maps[s]:
-            ts = element_map[s]
-            tx = point_map[x]
-            if tx not in target.maps[ts]:
-                raise ActionError(
-                    f"equivariance fails at ({s},{x}): image point outside domain")
-            if target.maps[ts][tx] != point_map[source.maps[s][x]]:
-                raise ActionError(
-                    f"equivariance fails at ({s},{x}): moved images disagree")
-    src_germs = germ_groupoid(source)
-    dst_germs = germ_groupoid(target)
-    mapping = tuple(dst_germs.arrow_of(element_map[s], point_map[x])
-                    for (s, x) in src_germs.reps)
-    return GroupoidHom(src_germs.groupoid, dst_germs.groupoid, mapping)

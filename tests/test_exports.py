@@ -84,7 +84,8 @@ def test_package_root_imports_nothing():
     assert len(statements) == 1 and statements[0].startswith("__version__ = "), statements
 
 
-NUMPY_FREE = ("errors", "groupoid", "families", "cocycles", "inverse_semigroup", "mutate")
+NUMPY_FREE = ("errors", "groupoid", "hom_search", "families", "cocycles", "inverse_semigroup",
+              "mutate")
 NUMPY_BACKED = {"cstar", "decomposition", "aut_group", "io", "selftest", "cli"}
 
 
@@ -137,6 +138,18 @@ def test_root_io_and_cli_import_numpy_only_on_call():
                     if imported.split(".")[0] == "numpy" or imported in banned:
                         offending.append(f"{name} imports {imported}")
     assert not offending, offending
+
+
+def test_groupoid_imports_the_search_only_on_call():
+    """Loading `groupoid`, as every command does, does not load the
+    homomorphism search; the calls that search import it."""
+    tree = ast.parse(Path(etale_kit.__file__).with_name("groupoid.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    at_load = {name for node in _import_time_nodes(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               for name in _imported_modules(node)}
+    on_call = {name for node in imports for name in _imported_modules(node)} - at_load
+    assert "etale_kit.hom_search" in on_call and "etale_kit.hom_search" not in at_load
 
 
 _CLI_CHILD = """
@@ -202,10 +215,11 @@ def test_each_command_loads_only_the_layers_it_calls(tmp_path):
         (tmp_path / f"{name}.json").write_text(kio.canonical_json(doc))
     r2_path, ones, sign, collapse = (str(tmp_path / f"{name}.json") for name in docs)
     combinatorial = {"etale_kit.cocycles", "etale_kit.families", "etale_kit.inverse_semigroup"}
+    search = "etale_kit.hom_search"
     runs = [
-        (["validate", r2_path], combinatorial),
+        (["validate", r2_path], combinatorial | {search}),
         (["analyze", r2_path], combinatorial),
-        (["quotient", r2_path], combinatorial),
+        (["quotient", r2_path], combinatorial | {search}),
         (["aut", r2_path], {"etale_kit.inverse_semigroup"}),
         (["bisections", r2_path], {"etale_kit.cocycles"}),
         (["norm", r2_path, "--element", ones], {"etale_kit.inverse_semigroup"}),
@@ -220,6 +234,8 @@ def test_each_command_loads_only_the_layers_it_calls(tmp_path):
         assert code == 0, (argv, child.stderr)
         assert LOADED_BY_EVERY_COMMAND <= set(loaded), (argv, loaded)
         assert not unloaded & set(loaded), (argv, loaded)
+        # analyze counts the automorphisms and aut lists them
+        assert argv[0] not in ("analyze", "aut") or search in loaded, (argv, loaded)
 
 
 def test_only_the_two_id_helpers_decide_what_an_int_is():

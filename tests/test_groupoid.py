@@ -119,8 +119,7 @@ def _id_cases():
     from etale_kit.families import (_cyclic_table, group_inverses, standard_corpus,
                                     transformation_groupoid)
     from etale_kit.inverse_semigroup import (Bisection, InverseSemigroup, SemigroupAction,
-                                             canonical_action, enumerate_bisections,
-                                             induced_germ_hom)
+                                             canonical_action, enumerate_bisections)
 
     z2, r1, r2 = cyclic_groupoid(2), pair_groupoid(1), pair_groupoid(2)
     m_id = pair_matrix(identity_pair(z2))
@@ -129,9 +128,6 @@ def _id_cases():
 
     def built(**changes):
         return lambda: FiniteGroupoid(**{**_Z2, **changes})
-
-    def germ_map(points, elements):
-        return lambda: induced_germ_hom(action, action, points, elements).mapping
 
     def point_map(v):
         maps = [*action.maps[:5], {1: 0, 0: v}, *action.maps[6:]]
@@ -172,10 +168,6 @@ def _id_cases():
         "semigroup action point count": (lambda v: lambda: (SemigroupAction(
             point.semigroup, v, point.maps).n_points,), 1, ("id", "point count", 0x110000)),
         "semigroup action point": (point_map, 1, ("id", "map of element 5 point id", 2)),
-        "germ element map": (lambda v: germ_map([0, 1], [0, v, 2, 3, 4, 5, 6]), 1,
-                             ("id", "element map[1]", 7)),
-        "germ point map": (lambda v: germ_map([0, v], list(range(7))), 1,
-                           ("id", "point map[1]", 2)),
         "pair point count": (lambda v: lambda: pair_groupoid(v), 2, ("count", "point count", 0)),
         "cyclic order": (lambda v: lambda: cyclic_groupoid(v), 2, ("count", "cyclic order", 1)),
         "fiber order": (lambda v: lambda: group_bundle([2, v]), 3, ("count", "orders[1]", 1)),
@@ -755,14 +747,14 @@ def test_the_arrow_cap_is_checked_before_the_cache(automorphism_searches):
 
 
 def test_a_refusal_by_the_check_budget_is_not_kept(automorphism_searches, monkeypatch):
-    from etale_kit import errors, groupoid
+    from etale_kit import errors, hom_search
     g = pair_groupoid(3)
     # pair(3)'s 6 automorphisms of 9 entries each are charged 54 mapping entries
-    monkeypatch.setattr(groupoid, "CHECK_BUDGET", 53)
+    monkeypatch.setattr(hom_search, "CHECK_BUDGET", 53)
     for _ in range(2):
         with pytest.raises(CapExceeded, match="needs 54 mapping entries"):
             enumerate_automorphisms(g)
-    monkeypatch.setattr(groupoid, "CHECK_BUDGET", errors.CHECK_BUDGET)
+    monkeypatch.setattr(hom_search, "CHECK_BUDGET", errors.CHECK_BUDGET)
     assert len(enumerate_automorphisms(g)) == 6
     assert len(enumerate_automorphisms(g)) == 6
     assert automorphism_searches == [g, g, g]

@@ -1,6 +1,7 @@
 """The homomorphism search through the structure theorem, against the
-backtracking search it replaced, kept below as a reference; the structural
-summary it reads; and the answers that no longer depend on the arrow labels.
+backtracking search it replaced, kept below as a reference; the orbit tier
+and the factors it reads; its charges; and the answers that no longer
+depend on the arrow labels.
 
 The reference assigns every domain arrow in turn and checks each compose
 entry as soon as its three arrows are assigned.  It charges each level its
@@ -9,6 +10,7 @@ the new search answers; every comparison below stays within its budget.
 """
 
 import json
+import time
 from math import factorial
 from typing import Iterator
 
@@ -30,12 +32,11 @@ from etale_kit.families import (
 )
 from etale_kit.groupoid import (
     _automorphism_count,
-    _HomSearch,
-    _structure,
+    _orbit_tier,
     enumerate_automorphisms,
     enumerate_homomorphisms,
-    orbits,
 )
+from etale_kit.hom_search import _factors, _HomSearch, _vertex_groups
 
 FLAGS = [{}, {"injective_on_units": True}, {"bijective": True}]
 FLAG_IDS = ["plain", "injective_on_units", "bijective"]
@@ -146,6 +147,21 @@ def test_search_matches_the_reference_on_the_enum_curve(k):
     assert len(_agree(pair_groupoid(k), cyclic_groupoid(3), {})) == 3 ** (k - 1)
 
 
+def _reachability_classes(g):
+    """The units' classes under "an arrow leads from x to y", closed
+    symmetrically and transitively, with no groupoid axiom assumed."""
+    classes, left = [], set(g.units)
+    while left:
+        found, grown = set(), {min(left)}
+        while grown - found:
+            found |= grown
+            grown = found | {g.rng[a] for a in g.arrows() if g.src[a] in found} \
+                | {g.src[a] for a in g.arrows() if g.rng[a] in found}
+        classes.append(tuple(sorted(found)))
+        left -= found
+    return tuple(sorted(classes))
+
+
 def test_the_summary_holds_least_spanning_arrows_and_each_factor(corpus_and_relabellings,
                                                                 relabel):
     # Z/12 on 4 points has three arrows between any two points, so a
@@ -153,22 +169,42 @@ def test_the_summary_holds_least_spanning_arrows_and_each_factor(corpus_and_rela
     z12 = _z12_on_four_points()
     for name, g in corpus_and_relabellings + [("Z/12 on 4 points", z12),
                                               ("Z/12 relabelled", relabel(z12, 1))]:
-        s = _structure(g)
-        assert s.orbits == orbits(g), name
-        assert _structure(g) is s  # built once per groupoid
-        for i, orb in enumerate(s.orbits):
+        tier = _orbit_tier(g)
+        assert tier.orbits == _reachability_classes(g), name
+        assert _orbit_tier(g) is tier  # built once per groupoid
+        for i, (orb, loops, group) in enumerate(zip(tier.orbits, tier.loops,
+                                                    _vertex_groups(g))):
             x = orb[0]
-            group, loops = s.groups[i]
             assert loops == g.by_src_rng()[x, x]
             assert group is None if len(loops) == 1 else [loops[h] for h in group.units] == [x]
             for y in orb:
-                assert s.orbit_of[y] == i
-                assert s.spanning[y] == (x if y == x else min(g.by_src_rng()[x, y])), name
-        for a, (z, h, y) in enumerate(s.factors):
+                assert tier.orbit_of[y] == i
+                assert tier.spanning[y] == (x if y == x else min(g.by_src_rng()[x, y])), name
+        for a, (z, h, y) in enumerate(_factors(g)):
             assert (g.src[a], g.rng[a]) == (y, z)
-            loops = s.groups[s.orbit_of[y]][1]
-            t_z, t_y = s.spanning[z], s.spanning[y]
+            loops = tier.loops[tier.orbit_of[y]]
+            t_z, t_y = tier.spanning[z], tier.spanning[y]
             assert g.compose[g.compose[t_z, loops[h]], g.inv[t_y]] == a, name
+
+
+def test_a_count_or_a_refusal_builds_no_factors_or_readers(monkeypatch):
+    """The factors and the readers are built when the first mapping is
+    written, so counting, as `analyze` does, or refusing builds neither."""
+    from etale_kit import hom_search
+
+    def unbuilt(g):
+        raise AssertionError("factors built")
+
+    monkeypatch.setattr(hom_search, "_factors", unbuilt)
+    g = pair_groupoid(3)
+    assert _automorphism_count(g) == 6
+    monkeypatch.setattr(hom_search, "CHECK_BUDGET", 53)
+    with pytest.raises(CapExceeded, match="needs 54 mapping entries"):
+        enumerate_homomorphisms(g, g, bijective=True)
+    assert "readers" not in g._cache
+    monkeypatch.undo()
+    assert len(enumerate_homomorphisms(g, g, bijective=True)) == 6
+    assert "readers" in g._cache
 
 
 def _z12_on_four_points():
@@ -196,12 +232,12 @@ def test_counts_match_the_closed_forms():
 
 
 def test_the_charge_is_the_output_count_times_the_arrows(monkeypatch):
-    from etale_kit import groupoid
+    from etale_kit import hom_search
     g = pair_groupoid(8)  # 2,187 cocycles into Z/3, each of 64 entries
-    monkeypatch.setattr(groupoid, "CHECK_BUDGET", 2_187 * 64)
+    monkeypatch.setattr(hom_search, "CHECK_BUDGET", 2_187 * 64)
     assert len(enumerate_cocycles(g, 3, cap=64)) == 2_187
     g = pair_groupoid(8)
-    monkeypatch.setattr(groupoid, "CHECK_BUDGET", 2_187 * 64 - 1)
+    monkeypatch.setattr(hom_search, "CHECK_BUDGET", 2_187 * 64 - 1)
     with pytest.raises(CapExceeded, match=f"homomorphism search needs {2_187 * 64} "
                        f"mapping entries, over the budget of {2_187 * 64 - 1}"):
         enumerate_cocycles(g, 3, cap=64)
@@ -249,29 +285,80 @@ def test_pair7_into_z4_has_one_count_under_every_labelling(relabel):
 def test_the_vertex_group_searches_charge_their_compose_checks(monkeypatch):
     """Aut(Z/4) is searched once for both components of Z/4 + Z/4: 129
     compose checks, and then 8 automorphisms of 8 entries each."""
-    from etale_kit import groupoid
-    monkeypatch.setattr(groupoid, "CHECK_BUDGET", 128)
+    from etale_kit import hom_search
+    monkeypatch.setattr(hom_search, "CHECK_BUDGET", 128)
     with pytest.raises(CapExceeded, match="^vertex-group search needs 129 compose checks, "
                        "over the budget of 128$"):
         enumerate_automorphisms(group_bundle([4, 4]))
-    monkeypatch.setattr(groupoid, "CHECK_BUDGET", 129)
+    monkeypatch.setattr(hom_search, "CHECK_BUDGET", 129)
     assert len(enumerate_automorphisms(group_bundle([4, 4]))) == 8
 
 
 def test_placing_the_components_charges_its_partial_counts(monkeypatch):
-    """Under unit injectivity the count keeps 47 partial counts for
-    pair(1) + pair(2) + pair(3) into itself, and only then charges the 12
-    homomorphisms' 168 mapping entries."""
-    from etale_kit import groupoid
+    """Under unit injectivity the count charges a bound of 160 partial
+    counts for pair(1) + pair(2) + pair(3) into itself, against a tenth of
+    the budget, before it places any component; the 12 homomorphisms'
+    168 mapping entries then fit the 1,600 that bound needs."""
+    from etale_kit import hom_search
     g = disjoint_union([pair_groupoid(1), pair_groupoid(2), pair_groupoid(3)])
+    monkeypatch.setattr(hom_search, "CHECK_BUDGET", 1_599)
+    with pytest.raises(CapExceeded, match="^homomorphism count needs 160 partial counts, "
+                       "over the budget of 159$"):
+        enumerate_homomorphisms(g, g, injective_on_units=True)
+    monkeypatch.setattr(hom_search, "CHECK_BUDGET", 1_600)
     assert len(enumerate_homomorphisms(g, g, injective_on_units=True)) == 12
-    monkeypatch.setattr(groupoid, "CHECK_BUDGET", 46)
-    with pytest.raises(CapExceeded, match="^homomorphism count needs 47 partial counts, "
-                       "over the budget of 46$"):
+
+
+def test_a_placement_over_the_budget_is_refused_before_it_starts():
+    """group_bundle([1..16]) into itself has 16 kinds of one component each;
+    placing them would keep up to 2^16 partial counts per orbit."""
+    g = group_bundle(list(range(1, 17)))
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="^homomorphism count needs 33554432 partial "
+                       "counts, over the budget of 200000$"):
         enumerate_homomorphisms(g, g, injective_on_units=True)
-    monkeypatch.setattr(groupoid, "CHECK_BUDGET", 47)
-    with pytest.raises(CapExceeded, match="^homomorphism search needs 168 mapping entries"):
-        enumerate_homomorphisms(g, g, injective_on_units=True)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_the_placement_charge_is_one_under_every_labelling(relabel, monkeypatch):
+    from etale_kit import hom_search
+    g = disjoint_union([pair_groupoid(1), pair_groupoid(2), pair_groupoid(3),
+                        group_bundle([2, 3])])
+    answers, refusals = set(), set()
+    for seed in range(6):
+        h = relabel(g, seed)
+        monkeypatch.setattr(hom_search, "CHECK_BUDGET", CHECK_BUDGET)
+        answers.add(len(enumerate_homomorphisms(h, h, injective_on_units=True)))
+        monkeypatch.setattr(hom_search, "CHECK_BUDGET", 1_000)
+        with pytest.raises(CapExceeded) as err:
+            enumerate_homomorphisms(h, h, injective_on_units=True)
+        refusals.add(str(err.value))
+    assert answers == {168}
+    assert refusals == {"homomorphism count needs 1600 partial counts, over the budget of 100"}
+
+
+# a domain whose every arrow is a unit is placed without a charge
+_PLACED = [(name, g) for name, g in standard_corpus() + [k[:2] for k in symmetry_kinds()]
+           if len(g.units) < g.arrow_count]
+
+
+@pytest.mark.parametrize("name, g", _PLACED, ids=[name for name, _ in _PLACED])
+def test_the_placement_bound_depends_only_on_the_isomorphism_class(relabel, monkeypatch,
+                                                                  name, g):
+    """The bound the placement charges is read from the kinds of components
+    and the orbit sizes, so seven labellings of one groupoid, each into
+    itself, charge one bound and count one number of homomorphisms."""
+    from etale_kit import hom_search
+    bounds, counts = set(), set()
+    for h in [g] + [relabel(g, seed) for seed in range(6)]:
+        search = _HomSearch(h, h, unit_injective=True, bijective=False)
+        monkeypatch.setattr(hom_search, "CHECK_BUDGET", 0)
+        with pytest.raises(CapExceeded, match="^homomorphism count needs") as err:
+            search.count()
+        bounds.add(str(err.value))
+        monkeypatch.undo()
+        counts.add(search.count())
+    assert len(bounds) == 1 and len(counts) == 1, (name, bounds, counts)
 
 
 def test_a_discrete_domain_takes_its_unit_images_as_the_mapping(relabel):

@@ -1,7 +1,6 @@
 """Bisections, the inverse semigroup laws, actions, and germ groupoids."""
 
 import gc
-import re
 from collections import Counter
 from itertools import combinations
 from math import comb, factorial
@@ -11,7 +10,7 @@ import pytest
 
 from etale_kit.errors import ActionError, CapExceeded, StructuralError
 from etale_kit.families import cyclic_groupoid, disjoint_union, group_bundle, pair_groupoid
-from etale_kit.groupoid import validation_report
+from etale_kit.groupoid import FiniteGroupoid, validation_report
 from etale_kit.inverse_semigroup import (
     Bisection,
     InverseSemigroup,
@@ -22,7 +21,6 @@ from etale_kit.inverse_semigroup import (
     canonical_germ_iso,
     enumerate_bisections,
     germ_groupoid,
-    induced_germ_hom,
 )
 
 
@@ -271,12 +269,22 @@ def test_semigroup_names_the_first_element_a_wrong_product_breaks():
     assert named >= 5
 
 
+def _ints_and_groupoids(value) -> bool:
+    """Whether `value` holds, through tuples and dicts, only ints, None and
+    groupoids, none of which refers back to a groupoid's cache."""
+    if isinstance(value, dict):
+        return all(map(_ints_and_groupoids, (*value, *value.values())))
+    if isinstance(value, tuple):
+        return all(map(_ints_and_groupoids, value))
+    return value is None or isinstance(value, (int, FiniteGroupoid))
+
+
 def test_dropped_groupoid_is_freed_without_the_cycle_collector():
     from etale_kit.cocycles import enumerate_cocycles
     from etale_kit.cstar import (
         AlgebraElement, is_normalizer, reduced_norm, slice_of_bisection, slice_product)
     from etale_kit.decomposition import enumerate_decomposition_data
-    from etale_kit.groupoid import restrict
+    from etale_kit.groupoid import enumerate_automorphisms, orbits, restrict
     gc.collect()
     gc.disable()
     try:
@@ -297,7 +305,12 @@ def test_dropped_groupoid_is_freed_without_the_cycle_collector():
         enumerate_cocycles(sub, 2)
         triples = list(enumerate_decomposition_data(bundle, g, 2))
         assert any(t.hom.domain is sub for t in triples)
-        del g, semigroup, f, m, bundle, sub, triples
+        # the orbit tier and a completed search keep only ints and groupoids
+        h = disjoint_union([pair_groupoid(2), cyclic_groupoid(3)])
+        orbits(h)
+        assert len(enumerate_automorphisms(h)) == 4
+        assert all(map(_ints_and_groupoids, h._cache.values()))
+        del g, semigroup, f, m, bundle, sub, triples, h
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -372,52 +385,6 @@ def test_canonical_iso_on_corpus(corpus):
         assert iso.codomain == g, name
 
 
-def test_induced_germ_hom_identity(r2_hand):
-    action = canonical_action(r2_hand)
-    hom = induced_germ_hom(action, action,
-                           list(range(action.n_points)),
-                           list(range(len(action.semigroup))))
-    assert hom.is_bijective()
-    assert hom.mapping == tuple(range(hom.domain.arrow_count))
-
-
-def test_induced_germ_hom_restriction():
-    g = disjoint_union([pair_groupoid(2), pair_groupoid(1)])
-    sub = pair_groupoid(2)
-    big = canonical_action(g)
-    small = canonical_action(sub)
-    # include the restriction's bisections into the union's (same arrow ids)
-    element_map = []
-    for b in small.semigroup.elements:
-        element_map.append(big.semigroup.elements.index(type(b)(g, b.arrows)))
-    point_map = [0, 1]  # units of the restriction inside the union
-    hom = induced_germ_hom(small, big, point_map, element_map)
-    assert not hom.is_bijective()
-    assert hom.domain.arrow_count == 4
-
-
-def test_induced_germ_hom_rejects_nonequivariant_maps(r2_hand):
-    action = canonical_action(r2_hand)
-    swap = [1, 0]
-    with pytest.raises(ActionError) as err:
-        induced_germ_hom(action, action, swap,
-                         list(range(len(action.semigroup))))
-    assert "equivariance" in str(err.value)
-
-
-@pytest.mark.parametrize("points, elements, message", [
-    ([0, 1], [99] * 7, "element map[0] is 99, not an int in 0..6"),
-    ([0, 1], [-1] * 7, "element map[0] is -1, not an int in 0..6"),
-    ([0, 2], list(range(7)), "point map[1] is 2, not an int in 0..1"),
-    ([-1, 1], list(range(7)), "point map[0] is -1, not an int in 0..1"),
-])
-def test_induced_germ_hom_refuses_maps_out_of_range(points, elements, message):
-    action = canonical_action(pair_groupoid(2))
-    assert len(action.semigroup) == 7
-    with pytest.raises(StructuralError, match=re.escape(message)):
-        induced_germ_hom(action, action, points, elements)
-
-
 def test_selftest_builds_each_semigroup_once(monkeypatch):
     # the library makes every semigroup in `enumerate_bisections`, without
     # the public constructor, through the module's `_unchecked`
@@ -483,16 +450,6 @@ def test_a_point_count_that_is_not_an_int_is_refused():
         SemigroupAction(semigroup, 2.9, [{}, {0: 0, 1: 1}])
 
 
-@pytest.mark.parametrize("points, elements, message", [
-    ([0.9, 1.9], [i + 0.9 for i in range(7)], "element map[0] is 0.9, not an int in 0..6"),
-    ([0.9, 1.9], list(range(7)), "point map[0] is 0.9, not an int in 0..1"),
-])
-def test_induced_germ_hom_refuses_maps_that_are_not_ints(points, elements, message):
-    action = canonical_action(pair_groupoid(2))
-    with pytest.raises(StructuralError, match=re.escape(message)):
-        induced_germ_hom(action, action, points, elements)
-
-
 @pytest.mark.parametrize("planted, message", [
     ({5: {1: 0, 0: 1.0}}, "map of element 5 point id is 1.0, not an int in 0..1"),
     ({4: {1: 2}}, "map of element 4 point id is 2, not an int in 0..1"),
@@ -525,5 +482,3 @@ def test_every_entry_point_takes_what_indexes_a_tuple_as_an_int(as_int):
     moved = SemigroupAction(again, as_int(1), [{as_int(x): as_int(y) for x, y in m.items()}
                                                for m in action.maps])
     assert moved.n_points == 1 and type(moved.n_points) is int
-    hom = induced_germ_hom(moved, action, [as_int(0)], list(map(as_int, range(2))))
-    assert hom.mapping == (0,)

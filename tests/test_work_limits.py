@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from etale_kit import decomposition, errors, groupoid, inverse_semigroup
+from etale_kit import decomposition, errors, groupoid, hom_search, inverse_semigroup
 from etale_kit.decomposition import HomMatrix, enumerate_decomposition_data, validate_hom
 from etale_kit.errors import CapExceeded
 from etale_kit.families import group_bundle, pair_groupoid
@@ -33,7 +33,7 @@ def _identity_is_a_hom():
 # (module, constant, a call on fresh inputs whose answer is comparable, the
 # exact count of work it needs, the unit of that count)
 LIMITS = [
-    (groupoid, "CHECK_BUDGET", _automorphism_count, 54, "mapping entries"),
+    (hom_search, "CHECK_BUDGET", _automorphism_count, 54, "mapping entries"),
     (groupoid, "SEARCH_BUDGET",
      lambda: invariant_subsets(group_bundle([1] * 5)), 32, "unit sets"),
     (decomposition, "SEARCH_BUDGET", _triple_count, 5, "triples"),
