@@ -22,7 +22,7 @@ from .errors import (
     check_enum_cap,
 )
 from .families import cyclic_groupoid
-from .groupoid import FiniteGroupoid, GroupoidHom, _int, _unchecked, enumerate_homomorphisms
+from .groupoid import FiniteGroupoid, GroupoidHom, _int, _unchecked
 _cyclic_target = lru_cache(maxsize=32)(cyclic_groupoid)  # one Z/n per order; no searched groupoid
 
 __all__ = [
@@ -225,9 +225,8 @@ def enumerate_cocycles(g: FiniteGroupoid, n: int, cap: int | None = None) -> lis
     key = ("cocycles", n)
     exponents = g._cache.get(key)
     if exponents is None:
-        exponents = tuple(hom.mapping
-                          for hom in enumerate_homomorphisms(g, _cyclic_target(n)))
-        g._cache[key] = exponents
+        from .hom_search import _mappings  # the search tier loads on its first use
+        exponents = g._cache[key] = tuple(_mappings(g, _cyclic_target(n)))
     phases = [Phase.exact(k, n) for k in range(n)]
     return [_unchecked(Cocycle, groupoid=g, values=tuple(phases[k] for k in m))
             for m in exponents]

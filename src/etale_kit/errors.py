@@ -10,7 +10,8 @@ from __future__ import annotations
 # a limit on input size, not work.
 DEFAULT_ENUM_CAP = 16
 # Work budgets, each charged through `_charge` by the module that reads it:
-# the bisections of `enumerate_bisections`, whose table is quadratic in them;
+# the bisections of `enumerate_bisections`, counted by a closed form over the
+# orbits before any is formed, whose table is quadratic in them;
 SEMIGROUP_ELEMENT_CAP = 1024
 # `hom_search`'s mapping entries, counted before any is formed, and on their
 # own its compose checks and a bound on its partial counts, each worth ten

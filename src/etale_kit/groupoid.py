@@ -401,7 +401,7 @@ class _Orbits(NamedTuple):
     `orbits` lists the orbits, sorted.  Indexed by arrow id, for units only
     (-1 elsewhere): `orbit_of` gives the orbit's index and `spanning` the
     least arrow t_y: x -> y, with t_x = x.  `loops` lists, per orbit, the
-    arrows from x to x ascending: the vertex group H at x."""
+    vertex group H at x, x first and the rest ascending: identity 0."""
 
     orbits: tuple[tuple[int, ...], ...]
     orbit_of: tuple[int, ...]
@@ -430,7 +430,7 @@ def _orbit_tier(g: FiniteGroupoid) -> _Orbits:
             for y, t in least.items():
                 orbit_of[y], spanning[y] = len(orbs), t
             orbs.append(tuple(sorted(least)))
-            loops.append(tuple(a for a in by_src[x] if rng[a] == x))
+            loops.append((x, *(a for a in by_src[x] if rng[a] == x != a)))
         cached = g._cache["orbits"] = _Orbits(tuple(orbs), tuple(orbit_of),
                                               tuple(spanning), tuple(loops))
     return cached
@@ -615,15 +615,14 @@ def enumerate_automorphisms(g: FiniteGroupoid, cap: int | None = None) -> list[G
     """All bijective self-homomorphisms in lexicographic mapping order.
 
     The search runs once per groupoid: its mappings are kept in g's cache,
-    after the cap check, and every later call builds a fresh list of fresh
-    homomorphisms from them.  A refusal, by the cap or by the search's
-    budget, stores nothing and is raised again on the next call."""
+    after the cap check, and every call, the first included, builds a fresh
+    list of fresh homomorphisms from them.  A refusal, by the cap or by the
+    search's budget, stores nothing and is raised again on the next call."""
     check_enum_cap(g.arrow_count, cap, "automorphism enumeration")
     mappings = g._cache.get("automorphisms")
     if mappings is None:
-        found = enumerate_homomorphisms(g, g, bijective=True)
-        g._cache["automorphisms"] = tuple(hom.mapping for hom in found)
-        return found
+        from .hom_search import _mappings
+        mappings = g._cache["automorphisms"] = tuple(_mappings(g, g, bijective=True))
     return [_unchecked(GroupoidHom, domain=g, codomain=g, mapping=m) for m in mappings]
 
 

@@ -2,10 +2,12 @@
 finite groupoids (Brown, *Topology and Groupoids*, 6.7.3).
 
 A transitive component with orbit O and vertex group H at its base x is
-pair(O) x H, read from `groupoid._orbit_tier`.  This module adds the search
-tier on top: the vertex groups as groupoids, each arrow's factor (z, h, y),
-and the index readers that write a mapping.  `groupoid` imports it
-inside the calls that search, so loading `groupoid` does not load it.
+pair(O) x H, read from `groupoid._orbit_tier`, whose loops at x list x
+first, so that a loop's position is its element of H, with identity 0.
+This module adds the search tier on top, in ints only: the vertex groups as
+group tables on those positions, each arrow's factor (z, h, y), and the
+index readers that write a mapping.  `groupoid` and `cocycles` import it
+inside the calls that search, so loading them does not load it.
 """
 
 from __future__ import annotations
@@ -16,39 +18,38 @@ from math import comb, perm, prod
 from typing import Iterator
 
 from .errors import CHECK_BUDGET, _charge
-from .groupoid import FiniteGroupoid, _labelled, _orbit_tier, _reader
+from .groupoid import FiniteGroupoid, _orbit_tier, _reader
 
 # A partial count of the placement costs about ten compose checks (1 us against 0.1 us on
 # group_bundle([1, ..., k]), k = 8-13), so its bound is charged against a tenth of the budget.
 PARTIAL_COUNT_COST = 10
 
 
-def _vertex_groups(g: FiniteGroupoid) -> tuple[FiniteGroupoid | None, ...]:
-    """The vertex group at each orbit's base, built by `_labelled` from the
-    orbit's loops, so that loop h is its arrow h; None when it is trivial.
-    Built once and kept in g's cache."""
+def _vertex_groups(g: FiniteGroupoid) -> tuple[tuple[tuple[int, ...], ...] | None, ...]:
+    """The vertex group at each orbit's base as a group table on the
+    positions of its loops: row h, column k holds the position of
+    loops[h] . loops[k], so row 0 and column 0 are the identity; None when
+    the group is trivial.  Built once and kept in g's cache."""
     cached = g._cache.get("vertex groups")
     if cached is None:
         tier, compose = _orbit_tier(g), g.compose
+        position = {a: h for loops in tier.loops for h, a in enumerate(loops)}
         cached = g._cache["vertex groups"] = tuple(
             None if len(loops) == 1 else
-            _labelled(loops, orb[:1], g.src.__getitem__, g.rng.__getitem__,
-                      g.inv.__getitem__, lambda a, b: compose[a, b])[0]
-            for orb, loops in zip(tier.orbits, tier.loops))
+            tuple(tuple(position[compose[a, b]] for b in loops) for a in loops)
+            for loops in tier.loops)
     return cached
 
 
 def _factors(g: FiniteGroupoid) -> tuple[tuple[int, int, int], ...]:
     """Each arrow a: y -> z as (z, h, y), with h the position among the
-    loops at its orbit's base of t_z^-1 . a . t_y, so that
-    a = t_z . loops[h] . t_y^-1, read only where the vertex group is not
-    trivial.  Assumes the groupoid axioms, under which each arrow has
-    exactly one factor."""
+    loops at its orbit's base of t_z^-1 . a . t_y, its element of H, so that
+    a = t_z . loops[h] . t_y^-1.  Assumes the groupoid axioms, under which
+    each arrow has exactly one factor."""
     tier, compose, inv = _orbit_tier(g), g.compose, g.inv
-    position = {a: h for loops in tier.loops if len(loops) > 1 for h, a in enumerate(loops)}
-    t, orbit_of, loops = tier.spanning, tier.orbit_of, tier.loops
-    return tuple((z, position[compose[inv[t[z]], compose[a, t[y]]]]
-                  if len(loops[orbit_of[y]]) > 1 else 0, y)
+    position = {a: h for loops in tier.loops for h, a in enumerate(loops)}
+    t = tier.spanning
+    return tuple((z, position[compose[inv[t[z]], compose[a, t[y]]]], y)
                  for a, (y, z) in enumerate(zip(g.src, g.rng)))
 
 
@@ -60,9 +61,9 @@ def _readers(g: FiniteGroupoid) -> tuple:
 
     A unit takes its image.  Any other arrow a = t_z . h . t_y^-1 of a
     component with base x takes phi(t_z) . rho(h) . phi(t_y)^-1 without the
-    factors that are units: phi(t_z) when z is x, rho(h) when h is the
-    unit, phi(t_y)^-1 when y is x.  Returned: the reader of the arrows that
-    are one factor, of the two factors of those that are two, of the three
+    factors that are units: phi(t_z) when z is x, rho(h) when h is 0,
+    phi(t_y)^-1 when y is x.  Returned: the reader of the arrows that are
+    one factor, of the two factors of those that are two, of the three
     of those that are three, and the reader that puts those values, in
     that order, in arrow order, with None for a count no arrow has; or,
     when every arrow is one factor, that first reader, in arrow order, and
@@ -73,7 +74,7 @@ def _readers(g: FiniteGroupoid) -> tuple:
         tier, factors = _orbit_tier(g), _factors(g)
         image = [0] * g.arrow_count  # where each unit's image sits
         at = [0] * g.arrow_count  # where phi(t_y) sits, for each unit y
-        rho_at, unit_h = [], []  # per orbit: where rho's values start; h of the unit
+        rho_at = []  # per orbit: where rho's values start
         width = 0
         for orb, loops in zip(tier.orbits, tier.loops):
             for y in orb:
@@ -83,18 +84,17 @@ def _readers(g: FiniteGroupoid) -> tuple:
                 at[y] = width
                 width += 2
             rho_at.append(width)
-            unit_h.append(loops.index(orb[0]))
             if len(loops) > 1:
                 width += len(loops)
         products: list[list] = [[], [], []]  # (arrow, its places), by factor count
         for a, (z, h, y) in enumerate(factors):
             i = tier.orbit_of[y]
             x = tier.orbits[i][0]
-            if z == y and h == unit_h[i]:  # a is the unit y
+            if z == y and not h:  # a is the unit y
                 places = [image[y]]
             else:
                 places = ([at[z]] if z != x else []) + (
-                    [rho_at[i] + h] if h != unit_h[i] else []) + ([at[y] + 1] if y != x else [])
+                    [rho_at[i] + h] if h else []) + ([at[y] + 1] if y != x else [])
             products[len(places) - 1].append((a, places))
         where = [0] * len(factors)
         for k, (a, _) in enumerate(chain(*products)):
@@ -109,55 +109,51 @@ def _readers(g: FiniteGroupoid) -> tuple:
             three and tuple(map(_reader, three)), where and _reader(where))
 
 
-def _compose_search(domain: FiniteGroupoid, codomain: FiniteGroupoid, bijective: bool,
+def _compose_search(domain: tuple, codomain: tuple, bijective: bool,
                     checked: int) -> tuple[list[tuple[int, ...]], int]:
-    """Every homomorphism between two vertex groups, as mappings, by
-    backtracking with full compose checks; and `checked` plus the compose
-    checks charged.
+    """Every homomorphism between two vertex groups, as group tables with
+    identity 0, as mappings, by backtracking with full compose checks; and
+    `checked` plus the compose checks charged.
 
-    The unit is assigned first.  The search is one loop over levels, one
-    per domain arrow, each holding an iterator over its untried candidates.
-    Entering a level charges its candidates times its compose checks,
-    refusing with `CapExceeded` past CHECK_BUDGET; each level has a check,
-    (x, x, x) or (a, src a, a), so this bounds candidates too.  With
-    `bijective`, each image must be unused so far."""
-    order = list(domain.units) + [a for a in domain.arrows()
-                                  if a not in domain.unit_set]
-    pos = {a: i for i, a in enumerate(order)}
-    n = domain.arrow_count
-    # compose-key triples checked as soon as all three members are assigned;
-    # on a groupoid, (a, inv a, rng a) and (inv a, a, src a) also decide
-    # whether inv a maps to the inverse of a's image
+    The search is one loop over levels, one per domain element ascending,
+    each holding an iterator over its untried candidates: the identity 0
+    alone at level 0, every codomain element at the others.  Entering a
+    level charges its candidates times its compose checks, refusing with
+    `CapExceeded` past CHECK_BUDGET; each level has a check, (0, 0, 0) or
+    (a, 0, a), so this bounds candidates too.  With `bijective`, each image
+    must be unused so far."""
+    n = len(domain)
+    # table triples checked as soon as all three members are assigned; in a
+    # group, (a, inv a, 0) and (inv a, a, 0) also decide whether inv a maps
+    # to the inverse of a's image
     triggers: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for (a, b), c in domain.compose.items():
-        triggers[max(pos[a], pos[b], pos[c])].append((a, b, c))
-    levels = [(a, domain.is_unit(a), triggers[k]) for k, a in enumerate(order)]
-    everything = tuple(codomain.arrows())
-    cod_compose = codomain.compose
+    for a, row in enumerate(domain):
+        for b, c in enumerate(row):
+            triggers[max(a, b, c)].append((a, b, c))
+    everything = range(len(codomain))
     image = [-1] * n
-    uses = [0] * codomain.arrow_count
+    uses = [0] * len(codomain)
     found: list[tuple[int, ...]] = []
     pending: list[Iterator[int]] = []  # the untried candidates of each assigned level
     while True:
         if len(pending) == n:
             found.append(tuple(image))
         else:
-            _, unit, checks = levels[len(pending)]
-            candidates = codomain.units if unit else everything
-            checked = _charge(checked, len(candidates) * len(checks), CHECK_BUDGET,
-                              "vertex-group search", "compose checks")
+            candidates = everything if pending else (0,)
+            checked = _charge(checked, len(candidates) * len(triggers[len(pending)]),
+                              CHECK_BUDGET, "vertex-group search", "compose checks")
             pending.append(iter(candidates))
         # move the deepest level to its next consistent candidate, or drop it
         while pending:
-            a, _, checks = levels[len(pending) - 1]
+            a = len(pending) - 1
             if image[a] != -1:
                 uses[image[a]] -= 1
             for c in pending[-1]:
                 if bijective and uses[c]:
                     continue
                 image[a] = c
-                for u, v, w in checks:
-                    if cod_compose.get((image[u], image[v])) != image[w]:
+                for u, v, w in triggers[a]:
+                    if codomain[image[u]][image[v]] != image[w]:
                         break
                 else:  # every check holds: keep c and go one level deeper
                     uses[c] += 1
@@ -211,8 +207,9 @@ class _HomSearch:
         """The homomorphisms from component i's vertex group to the vertex
         group at codomain unit u, each as the codomain arrows of its values.
 
-        At a base u they come from `_compose_search` between the two vertex
-        groups, run once per pair of equal tables; at any other unit u they
+        At a base u they come from `_compose_search` between the two group
+        tables, run once per pair of equal tables, or, where either group is
+        trivial, are the one map onto the identity; at any other unit u they
         are those at the base x conjugated by t_u, since the vertex group at
         u is t_u . H_x . t_u^-1.  Under `bijective` the two groups have one
         order, so a trivial group meets only a trivial one."""
@@ -226,18 +223,17 @@ class _HomSearch:
                 conj = {k: compose[compose[t, k], cod.inv[t]] for k in loops}.__getitem__
                 found = [tuple(map(conj, m)) for m in self.rhos(i, x)]
             else:
+                # equal tables, met often among the vertex groups of a
+                # relabelled groupoid, share one search
                 group, target = self.dom_groups[i], self.cod_groups[j]
-                if group is None or target is None:
-                    found = [(x,) * len(self.dom.loops[i])]
-                else:
-                    # equal tables, met often among the vertex groups of a
-                    # relabelled groupoid, share one search
-                    mappings = self._searched.get((group, target))
-                    if mappings is None:
+                mappings = self._searched.get((group, target))
+                if mappings is None:
+                    mappings = [(0,) * len(self.dom.loops[i])]  # onto the identity
+                    if group and target:
                         mappings, self.checked = _compose_search(
                             group, target, self.bijective, self.checked)
-                        self._searched[group, target] = mappings
-                    found = [tuple(map(loops.__getitem__, m)) for m in mappings]
+                    self._searched[group, target] = mappings
+                found = [tuple(map(loops.__getitem__, m)) for m in mappings]
             self._rhos[i, u] = found
         return found
 
@@ -398,8 +394,8 @@ class _HomSearch:
         return found
 
 
-def _mappings(domain: FiniteGroupoid, codomain: FiniteGroupoid, *, unit_injective: bool,
-              bijective: bool) -> list[tuple[int, ...]]:
+def _mappings(domain: FiniteGroupoid, codomain: FiniteGroupoid, *,
+              unit_injective: bool = False, bijective: bool = False) -> list[tuple[int, ...]]:
     """The mappings of `enumerate_homomorphisms`, ascending: the count,
     then its charge as mapping entries, then, if both pass, the mappings."""
     if bijective and domain.arrow_count != codomain.arrow_count:

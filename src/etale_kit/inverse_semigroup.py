@@ -5,6 +5,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from itertools import repeat
+from math import comb, perm, prod
 from operator import add, sub
 from typing import Sequence
 
@@ -146,7 +147,7 @@ def enumerate_bisections(g: FiniteGroupoid, cap: int | None = None) -> InverseSe
       generated by swaps: {t, inv t} and the other units, for the
       spanning arrow t from the base of each orbit to each other unit of
       the orbit, and {a} and the other units, for each loop a at the base
-      (both read from `groupoid._orbit_tier`);
+      but the base itself, which `groupoid._orbit_tier` lists first;
     - every idempotent, a set of units, is a product of the co-atoms, each
       of which leaves out one unit;
     - every bisection u is s.e, for a full bisection s extending u and the
@@ -162,8 +163,9 @@ def enumerate_bisections(g: FiniteGroupoid, cap: int | None = None) -> InverseSe
     ranges, so it is a bisection by construction.  The bisections of a
     groupoid form an inverse semigroup, so neither `Bisection`'s check nor
     `InverseSemigroup`'s runs here; tests/test_derived_groupoids.py runs
-    them on what is made.  Refuses with `CapExceeded` once the bisections
-    over the units so far pass SEMIGROUP_ELEMENT_CAP.  The groupoid's cache
+    them on what is made.  Their number, the product over the orbits of
+    sum_k C(|O|, k)^2 . k! . |H|^k, is charged against SEMIGROUP_ELEMENT_CAP
+    before any is formed, refusing with `CapExceeded`.  The groupoid's cache
     holds the semigroup weakly: it is reused while a caller still holds it,
     and a dropped groupoid is freed without the cycle collector.  Assumes
     the groupoid axioms."""
@@ -172,6 +174,10 @@ def enumerate_bisections(g: FiniteGroupoid, cap: int | None = None) -> InverseSe
     cached = ref() if ref is not None else None
     if cached is not None:
         return cached
+    tier = _orbit_tier(g)
+    _charge(0, prod(sum(comb(n, k) * perm(n, k) * h ** k for k in range(n + 1))
+                    for n, h in zip(map(len, tier.orbits), map(len, tier.loops))),
+            SEMIGROUP_ELEMENT_CAP, "bisection enumeration", "bisections")
     by_src, src, rng, inv = g.by_src(), g.src, g.rng, g.inv
     weight = [0] * g.arrow_count
     place = 1
@@ -188,7 +194,6 @@ def enumerate_bisections(g: FiniteGroupoid, cap: int | None = None) -> InverseSe
         partial += [(arrows + (a,), used | b, key + w, back + v)
                     for arrows, used, key, back in partial
                     for a, b, w, v in steps if not used & b]
-        _charge(0, len(partial), SEMIGROUP_ELEMENT_CAP, "bisection enumeration", "bisections")
     # distinct arrow tuples, so the keys are never compared
     found, keys, backs = zip(*sorted((tuple(sorted(arrows)), key, back)
                                      for arrows, _, key, back in partial))
@@ -224,12 +229,11 @@ def enumerate_bisections(g: FiniteGroupoid, cap: int | None = None) -> InverseSe
     rows[identity] = tuple(range(k))
     coatoms = [left_row((y,), ()) for y in g.units]
     # the generating swaps: from the base x of each orbit, the least arrow
-    # t_y to each other unit y, with its inverse, and each loop at x
-    tier = _orbit_tier(g)
+    # t_y to each other unit y, with its inverse, and each loop at x but x
     t = tier.spanning
     swaps = [left_row((orb[0], y), (t[y], inv[t[y]])) for orb in tier.orbits for y in orb[1:]]
     swaps += [left_row(orb[:1], (a,)) for orb, loops in zip(tier.orbits, tier.loops)
-              for a in loops if a != orb[0]]
+              for a in loops[1:]]
     # the full bisections, the identity times products of swaps
     full = [identity]
     moves = [(row[identity], _reader(row)) for row in swaps]  # w.identity is w

@@ -7,7 +7,7 @@ from math import pi
 
 import pytest
 
-from etale_kit import cocycles
+from etale_kit import cocycles, hom_search
 from etale_kit.cocycles import (
     Cocycle,
     Phase,
@@ -256,14 +256,14 @@ def test_the_root_of_unity_order_counts_against_the_cap():
 
 def test_cocycle_searches_share_one_target_per_order(monkeypatch):
     targets = []
-    search = cocycles.enumerate_homomorphisms
+    search = hom_search._mappings
 
     def recorded(g, target):
         targets.append(target)
         return search(g, target)
 
     cocycles._cyclic_target.cache_clear()
-    monkeypatch.setattr(cocycles, "enumerate_homomorphisms", recorded)
+    monkeypatch.setattr(hom_search, "_mappings", recorded)
     assert len(enumerate_cocycles(pair_groupoid(2), 5)) == 5
     assert len(enumerate_cocycles(group_bundle([2]), 5)) == 1
     assert len(enumerate_cocycles(pair_groupoid(2), 3)) == 3
@@ -285,13 +285,13 @@ def test_cocycle_enumeration_enforces_the_search_budget():
 def cocycle_searches(monkeypatch):
     """The homomorphism searches `enumerate_cocycles` runs, by order of Z/n."""
     searches = []
-    search = cocycles.enumerate_homomorphisms
+    search = hom_search._mappings
 
     def counted(domain, codomain, **kwargs):
         searches.append(codomain.arrow_count)
         return search(domain, codomain, **kwargs)
 
-    monkeypatch.setattr(cocycles, "enumerate_homomorphisms", counted)
+    monkeypatch.setattr(hom_search, "_mappings", counted)
     return searches
 
 

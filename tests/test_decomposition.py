@@ -19,7 +19,7 @@ from etale_kit.cocycles import (
     trivial_cocycle,
 )
 from etale_kit.cstar import AlgebraElement, _conv_arrays, reduced_norm
-from etale_kit import cocycles, decomposition, groupoid
+from etale_kit import decomposition, hom_search
 from etale_kit.decomposition import (
     DecompositionData,
     HomMatrix,
@@ -689,9 +689,7 @@ def test_decomposition_data_searches_cocycles_once_per_invariant_set(monkeypatch
             return search(domain, codomain, **kwargs)
         return counted
 
-    for module in (groupoid, cocycles, decomposition):
-        monkeypatch.setattr(module, "enumerate_homomorphisms",
-                            counting(module.enumerate_homomorphisms))
+    monkeypatch.setattr(hom_search, "_mappings", counting(hom_search._mappings))
     targets = [h for h in corpus if is_effective(h)]
     for g in corpus:
         for h in targets:

@@ -707,16 +707,16 @@ def test_sampled_mutations_match_draws_from_the_listed_specs(corpus):
 @pytest.fixture
 def automorphism_searches(monkeypatch):
     """The domains of the automorphism searches run from here on."""
-    from etale_kit import groupoid
+    from etale_kit import hom_search
     searches = []
-    search = groupoid.enumerate_homomorphisms
+    search = hom_search._mappings
 
     def counting(domain, codomain, **kwargs):
         if kwargs.get("bijective"):
             searches.append(domain)
         return search(domain, codomain, **kwargs)
 
-    monkeypatch.setattr(groupoid, "enumerate_homomorphisms", counting)
+    monkeypatch.setattr(hom_search, "_mappings", counting)
     return searches
 
 
@@ -727,11 +727,12 @@ def test_automorphisms_are_searched_once_per_groupoid(automorphism_searches):
     assert automorphism_searches == [g]
     # fresh lists of fresh homomorphisms, equal to what the search finds
     assert first == second == enumerate_homomorphisms(g, g, bijective=True)
+    assert automorphism_searches == [g, g]  # that direct search runs the same search
     assert first is not second
     assert all(a is not b for a, b in zip(first, second))
     # an equal groupoid is a different groupoid with its own search
     assert enumerate_automorphisms(h) == [GroupoidHom(h, h, phi.mapping) for phi in first]
-    assert automorphism_searches == [g, h]
+    assert automorphism_searches == [g, g, h]
 
 
 def test_the_arrow_cap_is_checked_before_the_cache(automorphism_searches):

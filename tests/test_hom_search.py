@@ -147,6 +147,60 @@ def test_search_matches_the_reference_on_the_enum_curve(k):
     assert len(_agree(pair_groupoid(k), cyclic_groupoid(3), {})) == 3 ** (k - 1)
 
 
+def _permutation_group(*generators):
+    """The group the permutations generate, as a one-point transformation
+    groupoid whose arrows are its elements, identity first and the rest
+    ascending, with p.q the permutation i -> p[q[i]]."""
+    identity = tuple(range(len(generators[0])))
+    elements, frontier = {identity}, [identity]
+    while frontier:
+        p = frontier.pop()
+        for q in generators:
+            pq = tuple(p[i] for i in q)
+            if pq not in elements:
+                elements.add(pq)
+                frontier.append(pq)
+    order = [identity] + sorted(elements - {identity})
+    index = {p: i for i, p in enumerate(order)}
+    table = [[index[tuple(p[i] for i in q)] for q in order] for p in order]
+    return transformation_groupoid(table, 1, [[0]] * len(order))
+
+
+def _s3():
+    return _permutation_group((1, 0, 2), (1, 2, 0))
+
+
+def _d4():
+    """The symmetries of a square, as permutations of its corners."""
+    return _permutation_group((1, 2, 3, 0), (0, 3, 2, 1))
+
+
+@pytest.mark.parametrize("flags", FLAGS, ids=FLAG_IDS)
+def test_search_matches_the_reference_on_non_abelian_vertex_groups(relabel, flags):
+    """Every vertex group of the corpus is cyclic; S3 and D4 are not."""
+    s3, d4 = _s3(), _d4()
+    z2 = group_bundle([2])
+    cases = [(s3, s3), (d4, d4), (s3, d4), (d4, s3), (s3, z2), (d4, z2)]
+    cases += [(u, u) for u in (disjoint_union([s3, pair_groupoid(2)]),
+                               disjoint_union([d4, pair_groupoid(2)]))]
+    for seed in range(2):
+        for g, h in cases:
+            _agree(relabel(g, seed), relabel(h, seed + 2), flags)
+
+
+def test_the_non_abelian_automorphism_groups(monkeypatch):
+    """|Aut(S3)| = 6 and |Aut(D4)| = 8; Aut(S3) is found by 1,117 compose
+    checks between the vertex groups."""
+    from etale_kit import hom_search
+    assert len(enumerate_automorphisms(_d4())) == 8
+    monkeypatch.setattr(hom_search, "CHECK_BUDGET", 1_116)
+    with pytest.raises(CapExceeded, match="^vertex-group search needs 1117 compose checks, "
+                       "over the budget of 1116$"):
+        enumerate_automorphisms(_s3())
+    monkeypatch.setattr(hom_search, "CHECK_BUDGET", 1_117)
+    assert len(enumerate_automorphisms(_s3())) == 6
+
+
 def _reachability_classes(g):
     """The units' classes under "an arrow leads from x to y", closed
     symmetrically and transitively, with no groupoid axiom assumed."""
@@ -172,11 +226,19 @@ def test_the_summary_holds_least_spanning_arrows_and_each_factor(corpus_and_rela
         tier = _orbit_tier(g)
         assert tier.orbits == _reachability_classes(g), name
         assert _orbit_tier(g) is tier  # built once per groupoid
-        for i, (orb, loops, group) in enumerate(zip(tier.orbits, tier.loops,
+        for i, (orb, loops, table) in enumerate(zip(tier.orbits, tier.loops,
                                                     _vertex_groups(g))):
             x = orb[0]
-            assert loops == g.by_src_rng()[x, x]
-            assert group is None if len(loops) == 1 else [loops[h] for h in group.units] == [x]
+            # x first, the rest ascending: a loop's position is its element, identity 0
+            assert loops[0] == x and list(loops[1:]) == sorted(loops[1:])
+            assert sorted(loops) == list(g.by_src_rng()[x, x])
+            if len(loops) == 1:
+                assert table is None
+            else:
+                everything = tuple(range(len(loops)))
+                assert table[0] == everything == tuple(row[0] for row in table)
+                assert all(loops[table[h][k]] == g.compose[loops[h], loops[k]]
+                           for h in everything for k in everything), name
             for y in orb:
                 assert tier.orbit_of[y] == i
                 assert tier.spanning[y] == (x if y == x else min(g.by_src_rng()[x, y])), name

@@ -179,6 +179,18 @@ def test_element_bound_refusal():
         enumerate_bisections(group_bundle([1] * 11))
 
 
+def test_the_element_bound_refuses_alike_under_every_labelling(relabel):
+    """The bound is the closed-form count over the orbits, read before any
+    element is formed: (sum_k C(6, k)^2 k!) * (1 + 3) = 13,327 * 4."""
+    g = disjoint_union([pair_groupoid(6), group_bundle([3])])
+    refusals = set()
+    for seed in range(12):
+        with pytest.raises(CapExceeded) as err:
+            enumerate_bisections(relabel(g, seed), cap=64)
+        refusals.add(str(err.value))
+    assert refusals == {"bisection enumeration needs 53308 bisections, over the budget of 1024"}
+
+
 def test_canonical_action_is_validated(corpus):
     for name, g in corpus:
         if g.arrow_count > 9:
@@ -269,14 +281,14 @@ def test_semigroup_names_the_first_element_a_wrong_product_breaks():
     assert named >= 5
 
 
-def _ints_and_groupoids(value) -> bool:
-    """Whether `value` holds, through tuples and dicts, only ints, None and
-    groupoids, none of which refers back to a groupoid's cache."""
+def _holds_only(value, kinds=(int,)) -> bool:
+    """Whether `value` holds, through tuples and dicts, only None and
+    instances of `kinds`, none of which refers back to a groupoid's cache."""
     if isinstance(value, dict):
-        return all(map(_ints_and_groupoids, (*value, *value.values())))
+        return all(_holds_only(x, kinds) for x in (*value, *value.values()))
     if isinstance(value, tuple):
-        return all(map(_ints_and_groupoids, value))
-    return value is None or isinstance(value, (int, FiniteGroupoid))
+        return all(_holds_only(x, kinds) for x in value)
+    return value is None or isinstance(value, kinds)
 
 
 def test_dropped_groupoid_is_freed_without_the_cycle_collector():
@@ -305,11 +317,16 @@ def test_dropped_groupoid_is_freed_without_the_cycle_collector():
         enumerate_cocycles(sub, 2)
         triples = list(enumerate_decomposition_data(bundle, g, 2))
         assert any(t.hom.domain is sub for t in triples)
-        # the orbit tier and a completed search keep only ints and groupoids
+        # the orbit tier and a completed search keep ints and None only;
+        # restrictions alone keep groupoids
         h = disjoint_union([pair_groupoid(2), cyclic_groupoid(3)])
         orbits(h)
         assert len(enumerate_automorphisms(h)) == 4
-        assert all(map(_ints_and_groupoids, h._cache.values()))
+        assert {"orbits", "vertex groups", "readers", "automorphisms"} <= h._cache.keys()
+        assert all(map(_holds_only, h._cache.values()))
+        for key, value in bundle._cache.items():
+            assert _holds_only(value, (int, FiniteGroupoid) if key[0] == "restriction"
+                               else int), key
         del g, semigroup, f, m, bundle, sub, triples, h
         assert gc.collect() == 0
     finally:
